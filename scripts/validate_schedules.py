@@ -8,6 +8,11 @@ order.  A generator that silently emits an invalid or deadlocking
 program is exactly the bug class this lint exists to catch before the
 runtime or simulator trips over it.
 
+Each generator's ``check(p, m)`` precondition is also held to its
+builder: over the grid (plus ``p = 0`` and ``m = 0``) it must raise
+exactly where ``make_program`` raises, since planners ask ``check``
+instead of building programs.
+
 Wired into ``make test``; run directly with
 ``python scripts/validate_schedules.py [--max-stages N] [--max-micro M]``.
 """
@@ -26,8 +31,27 @@ from repro.pipeline import (  # noqa: E402
     SCHEDULE_NAMES,
     ScheduleValidationError,
     make_program,
+    schedule_info,
     simulate_program,
 )
+
+
+def raises(fn, *args) -> bool:
+    try:
+        fn(*args)
+    except ValueError:
+        return True
+    return False
+
+
+def check_agrees(name: str, p: int, m: int) -> list[str]:
+    """``schedule_info(name).check`` raises iff ``make_program`` does."""
+    checked = raises(schedule_info(name).check, p, m)
+    built = raises(make_program, name, p, m)
+    if checked == built:
+        return []
+    return [f"{name} p={p} m={m}: check {'raises' if checked else 'passes'}"
+            f" but make_program {'raises' if built else 'builds'}"]
 
 
 def lint_point(name: str, p: int, m: int) -> list[str]:
@@ -77,16 +101,15 @@ def main() -> int:
     points = 0
     for name in SCHEDULE_NAMES:
         expressed = 0
-        for p in range(1, args.max_stages + 1):
-            for m in range(1, args.max_micro + 1):
-                complaints = lint_point(name, p, m)
-                failures.extend(complaints)
-                try:
-                    make_program(name, p, m)
+        for p in range(args.max_stages + 1):
+            for m in range(args.max_micro + 1):
+                failures.extend(check_agrees(name, p, m))
+                if p == 0 or m == 0:
+                    continue
+                failures.extend(lint_point(name, p, m))
+                if not raises(make_program, name, p, m):
                     expressed += 1
                     points += 1
-                except ValueError:
-                    pass
         if not expressed:
             failures.append(f"{name}: expresses no grid point at all")
         info = SCHEDULE_GENERATORS[name]

@@ -15,6 +15,7 @@ from .generators import (
     SCHEDULE_NAMES,
     ZB_WEIGHT_FRACTION,
     GeneratorInfo,
+    check_counts,
     gpipe_program,
     interleaved_program,
     make_program,
@@ -36,7 +37,7 @@ __all__ = [
     "TickOp", "TickProgram", "OP_KINDS", "ScheduleValidationError",
     "GeneratorInfo", "SCHEDULE_GENERATORS", "SCHEDULE_NAMES",
     "DEFAULT_SCHEDULE", "ZB_WEIGHT_FRACTION",
-    "make_program", "schedule_info", "schedule_num_chunks",
+    "check_counts", "make_program", "schedule_info", "schedule_num_chunks",
     "schedule_peak_chunks",
     "gpipe_program", "one_f_one_b_program", "interleaved_program",
     "zb_program",

@@ -28,7 +28,10 @@ Registering a new generator makes it executable by
 :class:`repro.baselines.pipeline_runtime.PipelineRuntime`, priceable by
 :mod:`repro.sim.pipeline`, searchable by ``plan_pipeline_schedule`` and
 the tuner's ``pipeline_schedule`` knob, and fuzzable via
-``ScheduleSpec.pipeline_schedule`` — with no further wiring.
+``ScheduleSpec.pipeline_schedule`` — with no further wiring.  A generator
+that cannot express every ``(p, m)`` point registers a ``check`` that
+raises exactly where its builder would (see :class:`GeneratorInfo`), so
+planners can ask "is this point expressible?" without building a program.
 """
 
 from __future__ import annotations
@@ -47,6 +50,27 @@ DEFAULT_SCHEDULE = "1f1b"
 ZB_WEIGHT_FRACTION = 0.5
 
 
+def check_counts(num_stages: int, num_micro: int) -> None:
+    """Every schedule's precondition: at least one stage and one
+    micro-batch."""
+    if num_stages < 1 or num_micro < 1:
+        raise ValueError(
+            f"need at least one stage and one micro-batch, got "
+            f"p={num_stages}, m={num_micro}"
+        )
+
+
+def check_divisible(num_stages: int, num_micro: int) -> None:
+    """:func:`check_counts`, plus Megatron's interleaving constraint
+    ``num_micro % num_stages == 0``."""
+    check_counts(num_stages, num_micro)
+    if num_micro % num_stages != 0:
+        raise ValueError(
+            f"interleaved schedules need num_micro divisible by "
+            f"num_stages (got m={num_micro}, p={num_stages})"
+        )
+
+
 @dataclass(frozen=True)
 class GeneratorInfo:
     """Registry row: how to build (and execute/price) one schedule family."""
@@ -59,6 +83,10 @@ class GeneratorInfo:
     split_backward: bool = False
     #: one-line summary (docs / benchmark panels)
     summary: str = ""
+    #: ``check(p, m)`` raises the ``ValueError`` ``build(p, m)`` would,
+    #: without building anything — whether a (p, m) point is expressible
+    #: is a property of the generator, not of a materialized program
+    check: Callable[[int, int], None] = check_counts
 
 
 def _one_f_one_b_local(p: int, m: int, s: int) -> list[tuple[str, int]]:
@@ -138,12 +166,8 @@ def interleaved_program(num_stages: int, num_micro: int,
     Requires ``num_micro % num_stages == 0`` (Megatron's constraint —
     the chunk/micro mapping advances in full groups of ``p``).
     """
+    check_divisible(num_stages, num_micro)
     p, m, v = num_stages, num_micro, num_chunks
-    if m % p != 0:
-        raise ValueError(
-            f"interleaved schedules need num_micro divisible by "
-            f"num_stages (got m={m}, p={p})"
-        )
 
     def fwd_item(k: int) -> tuple[int, int]:
         """(chunk, micro) of the ``k``-th chunk-forward on any stage."""
@@ -189,7 +213,8 @@ SCHEDULE_GENERATORS: dict[str, GeneratorInfo] = {
         "1f1b", one_f_one_b_program,
         summary="Megatron 1F1B; stage s holds min(p - s, m) in flight"),
     "interleaved": GeneratorInfo(
-        "interleaved", interleaved_program, num_chunks=2,
+        "interleaved", interleaved_program, check=check_divisible,
+        num_chunks=2,
         summary="virtual stages (2 chunks/stage); smaller bubble, v× P2P"),
     "zb": GeneratorInfo(
         "zb", zb_program, split_backward=True,
@@ -219,12 +244,9 @@ def schedule_num_chunks(name: str) -> int:
 @lru_cache(maxsize=None)
 def make_program(name: str, num_stages: int, num_micro: int) -> TickProgram:
     """Build (and cache) the named schedule's tick program."""
-    if num_stages < 1 or num_micro < 1:
-        raise ValueError(
-            f"need at least one stage and one micro-batch, got "
-            f"p={num_stages}, m={num_micro}"
-        )
-    return schedule_info(name).build(num_stages, num_micro)
+    info = schedule_info(name)
+    info.check(num_stages, num_micro)
+    return info.build(num_stages, num_micro)
 
 
 @lru_cache(maxsize=None)

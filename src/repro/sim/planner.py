@@ -20,7 +20,10 @@ from typing import Sequence
 
 from repro.distributed.mesh import ParallelConfig
 from repro.distributed.topology import ClusterSpec
-from repro.pipeline import DEFAULT_SCHEDULE, make_program, schedule_info
+from repro.pipeline import DEFAULT_SCHEDULE, schedule_info
+# Bound here so perfbench's traced run can probe planner-side builds; the
+# planner itself only asks GeneratorInfo.check.
+from repro.pipeline import make_program  # noqa: F401
 
 from .events import ModelTrace
 from .kernel_cost import KernelCostModel
@@ -166,12 +169,13 @@ def _schedule_expressible(schedule: str, pp: int,
 
     Unknown names and structurally impossible combinations (interleaved
     with ``m % pp != 0``) make a configuration infeasible, never a
-    mid-sweep crash — the tuner's oracle contract.
+    mid-sweep crash — the tuner's oracle contract.  Asks the generator's
+    ``check`` precondition; no tick program is built.
     """
     try:
-        schedule_info(schedule)
+        info = schedule_info(schedule)
         if pp > 1:
-            make_program(schedule, pp, num_micro_batches)
+            info.check(pp, num_micro_batches)
     except ValueError:
         return False
     return True

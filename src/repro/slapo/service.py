@@ -13,6 +13,10 @@ concurrent query API:
 * **traces are shared**: each family is traced once, under a build
   lock, and every subsequent query against that family prices off the
   cached trace;
+* **spaces are shared**: each space *shape* (world size, mesh bounds,
+  micro-batch and ZeRO menus) is enumerated and lowered to columnar
+  :class:`~repro.sim.batch.BatchPoints` once per service, so a repeat
+  query costs one ``predict_batch`` call plus an argsort;
 * **identical in-flight queries coalesce**: a request equal to one
   currently being answered joins its future instead of re-pricing the
   space, so a thundering herd of identical queries does the work once
@@ -32,14 +36,18 @@ concurrent query API:
 
 from __future__ import annotations
 
+import operator
 import threading
+from collections import OrderedDict
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
+import numpy as np
+
 from repro.distributed.topology import ClusterSpec, p3dn_cluster
 
-from ..sim.batch import predict_batch
+from ..sim.batch import BatchPoints, predict_batch
 from .tuner.cache import TrialCache
 from .tuner.cost_model import SimCostModel
 from .tuner.learned import ResidualCostModel
@@ -47,9 +55,20 @@ from .tuner.space import enumerate_space, parallelism_symbols
 from .tuner.workers import MeasurementPool
 
 
+#: ZeRO stages a request may ask for
+ZERO_STAGES = frozenset({0, 1, 2, 3})
+
+#: space shapes a service keeps enumerated and lowered (LRU beyond this)
+_SPACE_MEMO_SIZE = 64
+
+
 @dataclass(frozen=True)
 class PlanRequest:
-    """One plan query.  Frozen and hashable: equal requests coalesce."""
+    """One plan query.  Frozen and hashable: equal requests coalesce.
+
+    Validated on construction: list-valued menus are coerced to tuples of
+    ints, and out-of-range fields raise a ``ValueError`` naming the field.
+    """
 
     #: model family name, resolved by the service's ``trace_fn``
     family: str
@@ -62,6 +81,44 @@ class PlanRequest:
     max_pp: int | None = None
     micro_batches: tuple = (1, 2, 4, 8)
     zero_stages: tuple = (0, 1, 3)
+
+    def __post_init__(self):
+        for name in ("micro_batches", "zero_stages"):
+            values = getattr(self, name)
+            try:
+                coerced = tuple(operator.index(v) for v in values)
+            except TypeError:
+                raise TypeError(f"PlanRequest.{name} must be a sequence of "
+                                f"ints, got {values!r}") from None
+            object.__setattr__(self, name, coerced)
+        if self.world_size <= 0:
+            raise ValueError(f"PlanRequest.world_size must be positive, "
+                             f"got {self.world_size}")
+        if self.budget < 0:
+            raise ValueError(f"PlanRequest.budget must be >= 0, "
+                             f"got {self.budget}")
+        for name in ("max_tp", "max_pp"):
+            bound = getattr(self, name)
+            if bound is not None and bound < 1:
+                raise ValueError(f"PlanRequest.{name} must be >= 1 or None, "
+                                 f"got {bound}")
+        if not self.micro_batches or min(self.micro_batches) <= 0:
+            raise ValueError(f"PlanRequest.micro_batches must be a non-empty "
+                             f"menu of positive sizes, "
+                             f"got {self.micro_batches}")
+        if not self.zero_stages or \
+                not set(self.zero_stages) <= ZERO_STAGES:
+            raise ValueError(f"PlanRequest.zero_stages must be a non-empty "
+                             f"subset of {sorted(ZERO_STAGES)}, "
+                             f"got {self.zero_stages}")
+
+    @property
+    def space_key(self) -> tuple:
+        """What the enumerated space depends on.  The family is not part
+        of it: the service never sets cuts or schedules, so its spaces
+        and their columnar lowering are trace-independent."""
+        return (self.world_size, self.max_tp, self.max_pp,
+                self.micro_batches, self.zero_stages)
 
     def space_fn(self) -> Callable:
         """The define-by-run space this request spans."""
@@ -150,6 +207,9 @@ class PlanService:
         self._inflight: dict[PlanRequest, Future] = {}
         self._traces: dict[str, tuple] = {}
         self._trace_lock = threading.Lock()
+        #: PlanRequest.space_key → (configs, read-only BatchPoints)
+        self._spaces: OrderedDict[tuple, tuple] = OrderedDict()
+        self._space_lock = threading.Lock()
         self._measure_lock = threading.Lock()
         #: (family, world_size) → (cache size at fit, ResidualCostModel)
         self._corrections: dict[tuple, tuple[int, ResidualCostModel]] = {}
@@ -160,6 +220,8 @@ class PlanService:
         self.coalesced = 0
         #: traces built (≤ number of distinct families queried)
         self.traces_built = 0
+        #: spaces enumerated and lowered (≤ distinct space shapes queried)
+        self.spaces_built = 0
         #: residual-correction refits triggered by corpus growth
         self.refits = 0
 
@@ -200,6 +262,36 @@ class PlanService:
                     entry = self._trace_fn(family)
                     self._traces[family] = entry
                     self.traces_built += 1
+        return entry
+
+    def _space(self, request: PlanRequest) -> tuple:
+        """The request's enumerated space and its columnar lowering,
+        built once per space shape.  Both are shared between queries, so
+        the arrays are read-only and configs leave the service only as
+        copies."""
+        key = request.space_key
+        entry = self._spaces.get(key)
+        if entry is not None:
+            try:
+                self._spaces.move_to_end(key)
+            except KeyError:  # evicted meanwhile; the entry stays usable
+                pass
+            return entry
+        with self._space_lock:  # double-checked: build once only
+            entry = self._spaces.get(key)
+            if entry is None:
+                configs = tuple(enumerate_space(request.space_fn()))
+                points = BatchPoints.from_configs(
+                    configs,
+                    parallel_fn=SimCostModel.parallel_fn(request.world_size))
+                for column in vars(points).values():
+                    if isinstance(column, np.ndarray):
+                        column.flags.writeable = False
+                entry = (configs, points)
+                self._spaces[key] = entry
+                self.spaces_built += 1
+                if len(self._spaces) > _SPACE_MEMO_SIZE:
+                    self._spaces.popitem(last=False)
         return entry
 
     def _correction(self, request: PlanRequest, model, trace
@@ -244,28 +336,27 @@ class PlanService:
     def _answer(self, request: PlanRequest) -> PlanResponse:
         model, trace = self._traced(request.family)
         cluster = self._cluster_fn(request.world_size)
-        configs = enumerate_space(request.space_fn())
-        batch = predict_batch(
-            trace, model, cluster, configs,
-            parallel_fn=SimCostModel.parallel_fn(request.world_size))
+        configs, points = self._space(request)
+        batch = predict_batch(trace, model, cluster, points)
         response = PlanResponse(
             request=request, config=None, throughput=0.0,
             space_size=len(configs), num_feasible=batch.num_feasible)
         if batch.num_feasible == 0:
             return response
-        order = sorted(range(len(configs)),
-                       key=lambda i: (-batch.throughput[i], i))
-        feasible = [i for i in order if batch.fits[i]]
+        # Fastest first; a stable sort breaks ties by enumeration index.
+        feasible = np.flatnonzero(batch.fits)
+        feasible = feasible[np.argsort(-batch.throughput[feasible],
+                                       kind="stable")].tolist()
         correction = self._correction(request, model, trace)
         if correction is not None:
             estimates = correction.predict_many(
                 [configs[i] for i in feasible])
-            ranked = sorted(
-                zip(feasible, estimates),
-                key=lambda pair: (-pair[1].throughput, pair[0]))
-            feasible = [i for i, _ in ranked]
+            rates = np.array([e.throughput for e in estimates])
+            # primary key: corrected rate; ties by enumeration index
+            ranked = np.lexsort((feasible, -rates))
+            feasible = [feasible[k] for k in ranked]
             response.cost_model = "residual"
-            response.throughput = float(ranked[0][1].throughput)
+            response.throughput = float(rates[ranked[0]])
         else:
             response.throughput = float(batch.throughput[feasible[0]])
         response.config = dict(configs[feasible[0]])
@@ -275,7 +366,9 @@ class PlanService:
 
     def _measure_top(self, request: PlanRequest, configs, batch,
                      feasible, response: PlanResponse) -> None:
-        candidates = [configs[i] for i in feasible[:request.budget]]
+        # copies: the cache and the response must never alias the
+        # service's shared space, nor see what a measure_fn mutates
+        candidates = [dict(configs[i]) for i in feasible[:request.budget]]
         to_run: list[dict] = []
         for config in candidates:
             entry = None if self.cache is None else self.cache.get(config)
@@ -295,7 +388,7 @@ class PlanService:
             else:
                 measured = []
                 for config in to_run:
-                    value = float(self._measure(config) or 0.0)
+                    value = float(self._measure(dict(config)) or 0.0)
                     measured.append((config, value, value > 0))
             context = {"family": request.family,
                        "world_size": request.world_size}

@@ -98,7 +98,18 @@ def enumerate_space(update_fn: Callable[[Space], object]
 
 
 def _divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
+    """Ascending divisors of ``n``, from an O(√n) walk over pairs
+    ``(d, n // d)`` with ``d ≤ √n``."""
+    small: list[int] = []
+    large: list[int] = []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            small.append(d)
+            if d * d != n:
+                large.append(n // d)
+        d += 1
+    return small + large[::-1]
 
 
 def parallelism_symbols(space: Space, world_size: int,

@@ -155,6 +155,29 @@ class TestScheduleFamilies:
         with pytest.raises(ValueError, match="divisible"):
             make_program("interleaved", 2, 3)
 
+    def test_interleaved_check_rejects_indivisible_micro_batches(self):
+        check = schedule_info("interleaved").check
+        with pytest.raises(ValueError, match="divisible"):
+            check(2, 3)
+        check(2, 4)  # expressible: no error, and nothing is built
+
+    @pytest.mark.parametrize("name", SCHEDULE_NAMES)
+    @pytest.mark.parametrize("p,m", [(0, 4), (2, 0), (0, 0), (-1, 2)])
+    def test_check_rejects_empty_pipelines(self, name, p, m):
+        with pytest.raises(ValueError, match="at least one stage"):
+            schedule_info(name).check(p, m)
+        with pytest.raises(ValueError, match="at least one stage"):
+            make_program(name, p, m)
+
+    def test_expressibility_builds_no_program(self):
+        from repro.sim.planner import _schedule_expressible
+
+        make_program.cache_clear()
+        assert _schedule_expressible("1f1b", 64, 512)
+        assert not _schedule_expressible("interleaved", 4, 6)
+        assert not _schedule_expressible("hindsight", 2, 4)
+        assert make_program.cache_info().currsize == 0
+
     def test_unknown_schedule_is_rejected(self):
         with pytest.raises(ValueError, match="unknown pipeline schedule"):
             schedule_info("hindsight")

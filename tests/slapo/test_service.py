@@ -1,15 +1,21 @@
 """plan_service: concurrent queries, coalescing, trace and trial reuse."""
 
+import functools
+import math
 import threading
+import time
 
+import numpy as np
 import pytest
 
 import repro.slapo as slapo
+from repro.distributed import p3dn_cluster
 from repro.models import MODEL_ZOO, data
 from repro.schedules import SCHEDULES
-from repro.sim import trace_model
+from repro.sim import predict_batch, predict_config, trace_model
 from repro.slapo import PlanRequest, PlanService, plan_service
-from repro.slapo.tuner import MeasurementPool, TrialCache
+from repro.slapo.tuner import MeasurementPool, SimCostModel, TrialCache
+from repro.slapo.tuner.space import enumerate_space
 
 
 def gpt_trace(family):
@@ -58,6 +64,214 @@ class TestPlanQueries:
         assert response.config is None
         assert response.num_feasible == 0
         assert response.throughput == 0.0
+
+
+class TestRequestValidation:
+    def test_list_menus_are_coerced_to_hashable_tuples(self):
+        request = PlanRequest("GPT", world_size=8, micro_batches=[1, 2],
+                              zero_stages=[0, np.int64(3)])
+        assert request.micro_batches == (1, 2)
+        assert request.zero_stages == (0, 3)
+        assert all(type(v) is int for v in request.zero_stages)
+        assert request == PlanRequest("GPT", world_size=8,
+                                      micro_batches=(1, 2),
+                                      zero_stages=(0, 3))
+        hash(request)  # usable as a coalescing / memo key
+
+    def test_non_integer_menu_rejected(self):
+        with pytest.raises(TypeError, match="micro_batches"):
+            PlanRequest("GPT", world_size=8, micro_batches=(1, 2.5))
+
+    @pytest.mark.parametrize("world_size", [0, -8])
+    def test_non_positive_world_size(self, world_size):
+        with pytest.raises(ValueError, match="world_size"):
+            PlanRequest("GPT", world_size=world_size)
+
+    def test_negative_budget(self):
+        with pytest.raises(ValueError, match="budget"):
+            PlanRequest("GPT", world_size=8, budget=-1)
+
+    def test_empty_micro_batch_menu(self):
+        with pytest.raises(ValueError, match="micro_batches"):
+            PlanRequest("GPT", world_size=8, micro_batches=())
+
+    @pytest.mark.parametrize("menu", [(0,), (1, 2, -4)])
+    def test_non_positive_micro_batch(self, menu):
+        with pytest.raises(ValueError, match="micro_batches"):
+            PlanRequest("GPT", world_size=8, micro_batches=menu)
+
+    @pytest.mark.parametrize("stages", [(0, 4), (-1,), ()])
+    def test_zero_stage_outside_menu(self, stages):
+        with pytest.raises(ValueError, match="zero_stages"):
+            PlanRequest("GPT", world_size=8, zero_stages=stages)
+
+    @pytest.mark.parametrize("field", ["max_tp", "max_pp"])
+    def test_mesh_bound_below_one(self, field):
+        with pytest.raises(ValueError, match=field):
+            PlanRequest("GPT", world_size=8, **{field: 0})
+
+
+def family_trace(family):
+    """Any MODEL_ZOO family, traced unscheduled on the meta device."""
+    cls, config = MODEL_ZOO[family]
+    config = config.tiny()
+    model = cls(config, device="meta")
+    if family == "WideResNet":
+        images, _ = data.image_batch(config, 1, device="meta")
+        args = (images,)
+    elif family == "T5":
+        src, tgt, _ = data.seq2seq_batch(config, 1, 8, 6, device="meta")
+        args = (src, tgt)
+    else:
+        ids, _ = data.lm_batch(config, 1, 8, device="meta")
+        args = (ids,)
+    return model, trace_model(model, *args)
+
+
+#: a ``trace_fn`` that traces each family once per test session
+cached_trace = functools.lru_cache(maxsize=None)(family_trace)
+
+
+def reference_answer(request, model, trace):
+    """(config, throughput) by the dict-input ranking the service used
+    before it memoized spaces, plus the best scalar ``predict_config``
+    throughput over the same space."""
+    configs = enumerate_space(request.space_fn())
+    cluster = PlanService._default_cluster(request.world_size)
+    parallel_fn = SimCostModel.parallel_fn(request.world_size)
+    batch = predict_batch(trace, model, cluster, configs,
+                          parallel_fn=parallel_fn)
+    order = sorted(range(len(configs)),
+                   key=lambda i: (-batch.throughput[i], i))
+    best = next(i for i in order if batch.fits[i])
+
+    def scalar(config):
+        prediction = predict_config(
+            trace, model, cluster, parallel_fn(config),
+            config["micro_batch"], zero_stage=config["zero_stage"],
+            num_micro_batches=config.get("num_micro_batches", 1))
+        return prediction.throughput if prediction.fits else 0.0
+
+    return configs[best], max(scalar(c) for c in configs)
+
+
+class TestSpaceMemo:
+    @pytest.mark.parametrize("family", sorted(MODEL_ZOO))
+    def test_answers_match_scalar_sweep(self, family):
+        model, trace = cached_trace(family)
+        with plan_service(cached_trace) as service:
+            for world in (8, 16, 32):
+                request = PlanRequest(family, world_size=world)
+                response = service.query(request)
+                config, best = reference_answer(request, model, trace)
+                assert response.config == config
+                assert math.isclose(response.throughput, best,
+                                    rel_tol=1e-9)
+
+    def test_one_enumeration_per_shape(self):
+        with plan_service(cached_trace) as service:
+            for _ in range(2):
+                for family in ("GPT", "BERT", "OPT"):
+                    service.query(PlanRequest(family, world_size=16))
+                    service.query(PlanRequest(family, world_size=16,
+                                              micro_batches=[1, 2]))
+        assert service.spaces_built == 2
+        assert service.traces_built == 3
+
+    def test_racing_threads_build_a_cold_shape_once(self, monkeypatch):
+        import sys
+
+        from repro.slapo import service as service_module
+
+        calls = []
+        original = service_module.enumerate_space
+
+        def slow_enumerate(update_fn):
+            calls.append(1)
+            time.sleep(0.02)  # hold the build open while others arrive
+            return original(update_fn)
+
+        monkeypatch.setattr(service_module, "enumerate_space",
+                            slow_enumerate)
+        service = PlanService(cached_trace, max_workers=2)
+        shapes = [PlanRequest(family, world_size=world)
+                  for family in ("GPT", "BERT") for world in (8, 16)]
+        racers = 8  # more threads than cores
+        barrier = threading.Barrier(racers)
+        seen = [[] for _ in range(racers)]
+
+        def racer(k):
+            barrier.wait(timeout=30)
+            for step in range(20):
+                request = shapes[(k + step) % len(shapes)]
+                seen[k].append((request.space_key, service._space(request)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=racer, args=(k,))
+                       for k in range(racers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            service.close()
+        assert not any(thread.is_alive() for thread in threads)
+        # GPT and BERT share each world's shape: two shapes, two builds
+        assert len(calls) == service.spaces_built == 2
+        entries = {}
+        for key, entry in (pair for row in seen for pair in row):
+            assert entries.setdefault(key, entry) is entry
+        assert len(entries) == 2
+
+    def test_memoized_arrays_are_read_only(self):
+        with plan_service(cached_trace) as service:
+            service.query(PlanRequest("GPT", world_size=8))
+            configs, points = service._space(PlanRequest("GPT", world_size=8))
+        assert isinstance(configs, tuple)
+        columns = [v for v in vars(points).values()
+                   if isinstance(v, np.ndarray)]
+        assert columns
+        for column in columns:
+            assert not column.flags.writeable
+        with pytest.raises(ValueError):
+            points.micro_batch[0] = 99
+
+    def test_memo_is_bounded(self, monkeypatch):
+        from repro.slapo import service as service_module
+
+        monkeypatch.setattr(service_module, "_SPACE_MEMO_SIZE", 2)
+        with plan_service(cached_trace) as service:
+            for world in (8, 16, 32, 8):
+                service.query(PlanRequest("GPT", world_size=world))
+        # 8 was evicted by 32 and had to be rebuilt
+        assert service.spaces_built == 4
+        assert len(service._spaces) == 2
+
+    def test_mutating_measure_fn_cannot_change_later_answers(self, tmp_path):
+        def vandal(config):
+            value = 50.0 + config["micro_batch"]
+            config["micro_batch"] = 999
+            config["tp"] = -1
+            return value
+
+        request = PlanRequest("GPT", world_size=8, budget=3)
+        with plan_service(cached_trace) as clean:
+            predicted = clean.query(PlanRequest("GPT", world_size=8))
+        cache = TrialCache(tmp_path / "trials.json")
+        with plan_service(cached_trace, cache=cache, measure_fn=vandal,
+                          learned=False) as service:
+            first = service.query(request)
+            again = service.query(PlanRequest("GPT", world_size=8))
+            configs, _ = service._space(request)
+        assert all(c["micro_batch"] != 999 for c in configs)
+        assert all(m[0]["micro_batch"] != 999 for m in first.measurements)
+        assert first.config["micro_batch"] != 999
+        assert again.config == predicted.config
+        assert all(e["config"]["micro_batch"] != 999
+                   for e in cache.entries())
 
 
 @pytest.mark.slow

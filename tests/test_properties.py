@@ -11,7 +11,7 @@ from repro.distributed.topology import P3DN_NODE, p3dn_cluster
 from repro.framework import functional as F
 from repro.distributed.mesh import axis_ranks
 from repro.slapo.tuner import enumerate_space
-from repro.slapo.tuner.space import parallelism_symbols
+from repro.slapo.tuner.space import _divisors, parallelism_symbols
 
 shapes = st.lists(st.integers(1, 5), min_size=1, max_size=3).map(tuple)
 floats = st.floats(-10, 10, allow_nan=False, width=32)
@@ -217,6 +217,12 @@ class TestParallelismSpaceProperties:
             if (world_size // tp) % pp == 0
         }
         assert seen == expected
+
+
+    def test_divisors_match_brute_force(self):
+        for n in range(4097):
+            assert _divisors(n) == [d for d in range(1, n + 1)
+                                    if n % d == 0], n
 
 
 class TestExpertParallelSpaceProperties:
