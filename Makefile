@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: test test-fast fuzz bench perf docs docs-check train-model
+.PHONY: test test-fast fuzz bench perf docs docs-check train-model loc
 
 # tier-1 verification (pyproject.toml already pins pythonpath=src) — the
 # full suite includes the seeded fuzz corpus (marked `slow`) — then the
@@ -54,3 +54,11 @@ docs:
 
 docs-check:
 	$(PYTHON) docs/gen_primitives.py --check
+
+# Python line counts of src/ per package, then the total — the LoC
+# figure the ROADMAP tracks alongside the benches
+loc:
+	@for pkg in src/repro/*/; do \
+		printf '%7d  %s\n' "$$(find $$pkg -name '*.py' -exec cat {} + | wc -l)" "$$pkg"; \
+	done
+	@printf '%7d  %s\n' "$$(find src -name '*.py' -exec cat {} + | wc -l)" "src/ (total)"

@@ -33,7 +33,7 @@ from repro.distributed import DeviceMesh, ParallelConfig
 from repro.distributed.topology import ClusterSpec
 from repro.models import MODEL_ZOO, data
 from repro.schedules import SCHEDULES
-from repro.sim import Plan, plan_micro_batch, trace_model
+from repro.sim import Prediction, plan_micro_batch, trace_model
 from repro.sim.compiled import reprice_checkpoint_ratio
 from repro.sim.kernel_cost import cost_model_for
 
@@ -102,7 +102,7 @@ def _plan_over_ratios(build_fn, family, config, cluster, parallel,
     if 0.0 not in ratios:
         raise ValueError(f"ratio sweep must include the base ratio 0: "
                          f"{ratios}")
-    best: Plan | None = None
+    best: Prediction | None = None
     best_ratio = 0.0
     cost = cost_model_for(framework, cluster.gpu)
     if cache_key is not None and cache_key in _TRACE_CACHE:

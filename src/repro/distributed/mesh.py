@@ -99,10 +99,6 @@ def axis_ranks(rank: int, config: ParallelConfig
     return groups
 
 
-#: backwards-compatible alias (pre-unification internal name)
-_axis_ranks = axis_ranks
-
-
 class DeviceMesh:
     """Per-rank view of the parallel groups.
 

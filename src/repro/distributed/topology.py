@@ -94,10 +94,9 @@ class ClusterSpec:
     tiers: tuple[LinkTier, ...] | None = None
     #: fraction of the dp gradient all-reduce the runtime hides under
     #: backward when *not* using the bucketed ``overlap_grad_sync``
-    #: stream-timeline mechanism (the former ``DP_OVERLAP`` constant)
+    #: stream-timeline mechanism
     dp_sync_overlap: float = 0.7
     #: fraction of ZeRO-3 gather/scatter traffic hidden by prefetching
-    #: (the former hard-coded ``ZERO_OVERLAP`` constant)
     zero_prefetch_overlap: float = 0.25
 
     @property

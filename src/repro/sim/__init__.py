@@ -50,7 +50,6 @@ from .pipeline import (
 from .batch import BatchPoints, BatchPrediction, predict_batch
 from .planner import (
     MICRO_BATCH_CANDIDATES,
-    Plan,
     Prediction,
     micro_batch_count_candidates,
     plan_micro_batch,
@@ -76,7 +75,7 @@ __all__ = [
     "schedule_timeline", "schedule_stage_inflight",
     "StepBreakdown", "step_time", "throughput",
     "overlap_exposed", "DEFAULT_BUCKET_MB",
-    "Plan", "plan_micro_batch", "MICRO_BATCH_CANDIDATES",
+    "plan_micro_batch", "MICRO_BATCH_CANDIDATES",
     "micro_batch_count_candidates",
     "Prediction", "predict_config",
     "BatchPoints", "BatchPrediction", "predict_batch",

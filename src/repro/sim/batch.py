@@ -56,7 +56,7 @@ from .events import ModelTrace
 from .kernel_cost import KernelCostModel
 from .memory import MemoryBreakdown, fixed_state_bytes, model_stats_for
 from .planner import Prediction, _schedule_expressible, predict_config
-from .throughput import DEFAULT_BUCKET_MB
+from .throughput import DEFAULT_BUCKET_MB, overlap_exposed
 
 #: packing radix for composite integer group keys (axis degrees, micro
 #: counts and ZeRO stages are all far below 2^13; four 13-bit fields
@@ -334,7 +334,6 @@ def _parallel_terms(cluster: ClusterSpec, parallel: ParallelConfig,
         "zero_gather": gather,
         "zero_exposed": (2 * gather + scatter)
         * (1 - cluster.zero_prefetch_overlap),
-        "zero_total": 2 * gather + scatter,
         "dp_allreduce": cluster.all_reduce_time(param_bytes, dp_ranks),
         "dp_ar_alpha": ar_alpha, "dp_ar_beta": ar_beta,
         "dp_rs_alpha": rs_alpha, "dp_rs_beta": rs_beta,
@@ -435,30 +434,21 @@ def predict_batch(trace: ModelTrace, model, cluster: ClusterSpec,
     ep_comm = 2 * per_micro["ep"] / pp * m
 
     # -- ZeRO / DP gradient traffic and the optimizer update ------------- #
-    # The bucketed overlap expressions replicate throughput.overlap_exposed
-    # row-wise: the backward window is the last micro-batch's backward
-    # (bwd/pp — the same lookup the scalar path divides), buckets are
-    # ceil(bytes / bucket), and the final bucket is always exposed.
+    # Bucketed overlap is throughput.overlap_exposed over columns: the
+    # window is the last micro-batch's backward (bwd/pp — the same lookup
+    # the scalar path divides).
     zero3 = (zero >= 3) & (dp > 1)
     dp_plain = ~zero3 & (dp > 1)
     overlap = points.overlap
     window = bwd_u[micro_inv] / pp
     bucket_bytes = points.bucket_mb * float(1 << 20)
     param_bytes = gather_column("param_bytes")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        buckets = np.ceil(param_bytes / bucket_bytes)
-
-    ar_alpha = gather_column("dp_ar_alpha")
-    ar_beta = gather_column("dp_ar_beta")
-    ar_total = buckets * ar_alpha + ar_beta * param_bytes
-    ar_tail = ar_alpha + ar_beta * np.minimum(bucket_bytes, param_bytes)
-    ar_exposed = np.maximum(ar_total - window, ar_tail)
-
-    rs_alpha = gather_column("dp_rs_alpha")
-    rs_beta = gather_column("dp_rs_beta")
-    rs_total = buckets * rs_alpha + rs_beta * param_bytes
-    rs_tail = rs_alpha + rs_beta * np.minimum(bucket_bytes, param_bytes)
-    rs_exposed = np.maximum(rs_total - window, rs_tail)
+    ar_exposed, _ = overlap_exposed(
+        gather_column("dp_ar_alpha"), gather_column("dp_ar_beta"),
+        param_bytes, bucket_bytes, window)
+    rs_exposed, _ = overlap_exposed(
+        gather_column("dp_rs_alpha"), gather_column("dp_rs_beta"),
+        param_bytes, bucket_bytes, window)
 
     two_gather = 2 * gather_column("zero_gather")
     zero_hidden_g = two_gather * cluster.zero_prefetch_overlap
@@ -530,7 +520,9 @@ def predict_batch(trace: ModelTrace, model, cluster: ClusterSpec,
     oom = memory_total > cluster.gpu.usable_memory
     fits[oom] = False
     throughput = np.where(oom, 0.0, throughput)
-    unfillable = pipelined & (m < pp)
+    # fewer than one micro-batch (or than pp of them) cannot fill a step;
+    # invalid rows already carry micro 0 and are reported as such
+    unfillable = ~invalid & ((micro < 1) | (m < pp))
     inexpressible = np.zeros(n, bool)
     if isinstance(points.schedules, str):
         expr_key = pp * _PACK * _PACK + m
@@ -560,16 +552,8 @@ def predict_batch(trace: ModelTrace, model, cluster: ClusterSpec,
     # -- scalar fallback: cuts, timelines, sweeps ------------------------ #
     scalar_predictions: dict[int, Prediction] = {}
     for i, kwargs in points.scalar_rows:
-        pred = predict_config(
-            trace, model, cluster, kwargs["parallel"],
-            kwargs["micro_batch"], zero_stage=kwargs["zero_stage"],
-            num_micro_batches=kwargs["num_micro_batches"],
-            global_batch=kwargs["global_batch"], cost_model=cost,
-            pipeline_cuts=kwargs["pipeline_cuts"],
-            pipeline_schedule=kwargs["pipeline_schedule"],
-            overlap_grad_sync=kwargs.get("overlap_grad_sync", False),
-            overlap_bucket_mb=kwargs.get("overlap_bucket_mb",
-                                         DEFAULT_BUCKET_MB))
+        pred = predict_config(trace, model, cluster, cost_model=cost,
+                              **kwargs)
         scalar_predictions[i] = pred
         throughput[i] = pred.throughput
         fits[i] = pred.fits

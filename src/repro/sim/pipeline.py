@@ -220,8 +220,7 @@ class _StageTimer:
 
     def __init__(self, trace: ModelTrace, cluster: ClusterSpec,
                  parallel: ParallelConfig, micro_batch: int,
-                 cost_model: KernelCostModel | None = None,
-                 tp_ranks: tuple[int, ...] | None = None):
+                 cost_model: KernelCostModel | None = None):
         self.cost = cost_model or KernelCostModel(cluster.gpu)
         self.cluster = cluster
         self.scale = micro_batch / trace.ref_batch
@@ -233,8 +232,7 @@ class _StageTimer:
         for axis in ("tp", "ep"):
             if getattr(parallel, axis) <= 1:
                 continue
-            ranks = tp_ranks if axis == "tp" and tp_ranks is not None \
-                else mesh_groups[axis]
+            ranks = mesh_groups[axis]
             cums = trace.compiled().comm_cumsums(axis)
             coeffs = {kind: cluster.collective_coeffs(kind, ranks)
                       for kind in cums}
@@ -279,12 +277,10 @@ class _StageTimer:
 def stage_step_times(trace: ModelTrace, profiles: Sequence[StageProfile],
                      cluster: ClusterSpec, parallel: ParallelConfig,
                      micro_batch: int,
-                     cost_model: KernelCostModel | None = None,
-                     tp_ranks: tuple[int, ...] | None = None
+                     cost_model: KernelCostModel | None = None
                      ) -> list[StageTime]:
     """Price each stage's per-micro-batch compute, TP comm and P2P sends."""
-    timer = _StageTimer(trace, cluster, parallel, micro_batch, cost_model,
-                        tp_ranks)
+    timer = _StageTimer(trace, cluster, parallel, micro_batch, cost_model)
     return [timer.stage_time(p) for p in profiles]
 
 
@@ -294,13 +290,13 @@ def schedule_stage_inflight(schedule: str, stage_index: int,
     """Peak in-flight micro-batches of activations one stage holds.
 
     For the default 1F1B schedule this is the closed form
-    :func:`repro.sim.memory.stage_inflight` (``min(p - s, m)``), kept
-    verbatim so legacy numbers stay byte-identical.  For every other
-    registered schedule the count is *derived from the tick program*
-    (:func:`repro.pipeline.schedule_peak_chunks`): peak concurrent
-    chunks on the physical stage, divided by the schedule's chunks per
-    stage so interleaved programs are measured in full-stage activation
-    units (a chunk retains ``1/v`` of the stage's activations).
+    :func:`repro.sim.memory.stage_inflight` (``min(p - s, m)``).  For
+    every other registered schedule the count is *derived from the tick
+    program* (:func:`repro.pipeline.schedule_peak_chunks`): peak
+    concurrent chunks on the physical stage, divided by the schedule's
+    chunks per stage so interleaved programs are measured in full-stage
+    activation units (a chunk retains ``1/v`` of the stage's
+    activations).
     """
     if schedule == DEFAULT_SCHEDULE:
         return stage_inflight(stage_index, num_stages, num_micro_batches)

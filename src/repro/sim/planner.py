@@ -28,6 +28,13 @@ from repro.pipeline import make_program  # noqa: F401
 from .events import ModelTrace
 from .kernel_cost import KernelCostModel
 from .memory import MemoryBreakdown, model_memory, model_stats_for
+from .pipeline import (
+    plan_pipeline_cuts,
+    schedule_stage_inflight,
+    stage_memory,
+    stage_profiles,
+    validate_cuts,
+)
 from .throughput import DEFAULT_BUCKET_MB, throughput
 
 #: candidate micro-batch sizes swept by the planner
@@ -45,29 +52,14 @@ def micro_batch_count_candidates(pp: int) -> tuple[int, ...]:
 
 
 @dataclass
-class Plan:
-    micro_batch: int
-    throughput: float
-    memory: MemoryBreakdown
-    num_micro_batches: int = 1
-    #: stage cut points used for pricing (empty = uniform /pp estimate)
-    pipeline_cuts: tuple = ()
-    #: tick program the pipeline was priced under
-    pipeline_schedule: str = DEFAULT_SCHEDULE
-
-    @property
-    def fits(self) -> bool:
-        return self.micro_batch > 0
-
-
-@dataclass
 class Prediction:
     """The simulator's answer to "how would this configuration perform?".
 
     This is the auto-tuner's pruning-and-ranking oracle (paper §3.4 /
     Fig. 10): ``fits=False`` configurations can be rejected without paying
     for a measurement, and feasible ones can be ordered by ``throughput``
-    so only the most promising are measured.
+    so only the most promising are measured.  :func:`plan_micro_batch`
+    answers with the best fitting one.
     """
 
     throughput: float
@@ -105,8 +97,6 @@ def _resolve_cuts(pipeline_cuts, trace: ModelTrace, model,
     """
     if pipeline_cuts is None or parallel.pp <= 1:
         return None
-    from .pipeline import plan_pipeline_cuts, validate_cuts
-
     if pipeline_cuts == "auto":
         plan = plan_pipeline_cuts(trace, model, cluster, parallel,
                                   micro_batch, num_micro_batches,
@@ -124,38 +114,28 @@ def _resolve_cuts(pipeline_cuts, trace: ModelTrace, model,
     return cuts
 
 
-def _pipeline_peak_memory(trace: ModelTrace, cuts: tuple,
-                          micro_batch: int, num_micro_batches: int,
-                          zero_stage: int, dp_size: int,
-                          schedule: str = DEFAULT_SCHEDULE
-                          ) -> MemoryBreakdown:
-    """The worst stage's peak memory under the schedule's in-flight counts."""
-    from .pipeline import stage_memory, stage_profiles
+def _peak_memory(trace: ModelTrace, model, parallel: ParallelConfig,
+                 cuts: tuple | None, micro_batch: int, num_micro_batches: int,
+                 zero_stage: int, schedule: str) -> MemoryBreakdown:
+    """The worst stage's peak memory under the schedule's in-flight counts.
 
-    breakdowns = [
-        stage_memory(trace, profile, micro_batch, num_micro_batches,
-                     zero_stage, dp_size, schedule=schedule)
-        for profile in stage_profiles(trace, cuts)
-    ]
-    return max(breakdowns, key=lambda b: b.total)
-
-
-def _uniform_memory(trace: ModelTrace, model, parallel: ParallelConfig,
-                    micro_batch: int, num_micro_batches: int,
-                    zero_stage: int, schedule: str) -> MemoryBreakdown:
-    """Cut-less peak memory: uniform ``/pp`` slice, schedule-aware in-flight.
-
-    The legacy path priced 1F1B's first stage (``pp`` in flight); other
-    schedules rescale the activation term by their own worst-stage peak
-    (:func:`repro.sim.pipeline.schedule_stage_inflight`) — GPipe holds all
-    ``m``, zero-bubble matches 1F1B, interleaved pays its chunk tax.
+    With cuts every stage is priced on its actual slice.  Without, the
+    uniform ``/pp`` slice is priced at 1F1B's first stage (``pp`` in
+    flight); other schedules rescale the activation term by their own
+    worst-stage peak (:func:`repro.sim.pipeline.schedule_stage_inflight`)
+    — GPipe holds all ``m``, zero-bubble matches 1F1B, interleaved pays
+    its chunk tax.
     """
+    if cuts:
+        return max((stage_memory(trace, profile, micro_batch,
+                                 num_micro_batches, zero_stage, parallel.dp,
+                                 schedule=schedule)
+                    for profile in stage_profiles(trace, cuts)),
+                   key=lambda b: b.total)
     pp = parallel.pp
     memory = model_memory(model, trace, micro_batch, zero_stage,
                           parallel.dp, pp, inflight_micro_batches=pp)
     if schedule != DEFAULT_SCHEDULE and pp > 1:
-        from .pipeline import schedule_stage_inflight
-
         peak_units = max(
             schedule_stage_inflight(schedule, s, pp, num_micro_batches)
             for s in range(pp))
@@ -181,6 +161,62 @@ def _schedule_expressible(schedule: str, pp: int,
     return True
 
 
+def _micro_batch_counts(parallel: ParallelConfig, micro_batch: int,
+                        global_batch: int | None,
+                        num_micro_batches: int | None) -> tuple[int, ...]:
+    """Micro-batch counts to price at ``micro_batch``: derived from
+    ``global_batch`` (none when the split is indivisible), swept over
+    multiples of ``pp`` when ``num_micro_batches`` is None, else the
+    requested count."""
+    if global_batch is not None:
+        denom = parallel.dp * micro_batch
+        if denom < 1 or global_batch % denom != 0:
+            return ()
+        return (global_batch // denom,)
+    if num_micro_batches is None:
+        return micro_batch_count_candidates(parallel.pp)
+    return (num_micro_batches,)
+
+
+def _price_point(trace: ModelTrace, model, cluster: ClusterSpec,
+                 parallel: ParallelConfig, micro_batch: int,
+                 num_micro_batches: int, zero_stage: int,
+                 cost_model: KernelCostModel | None, pipeline_cuts,
+                 pipeline_schedule: str, overlap_grad_sync: bool,
+                 overlap_bucket_mb: float) -> Prediction:
+    """Price one (micro-batch, micro-batch count) point.
+
+    The single per-point pricer behind :func:`predict_config` and
+    :func:`plan_micro_batch`.  Its checks run once, in order:
+    unfillable (fewer than one micro-batch, or fewer than ``pp`` of
+    them) → schedule expressible → cuts valid → memory → OOM → rate.
+    Every failed check is reported infeasible, never raised.
+    """
+    pp = parallel.pp
+    if micro_batch < 1 or num_micro_batches < pp \
+            or not _schedule_expressible(pipeline_schedule, pp,
+                                         num_micro_batches):
+        return Prediction(0.0, False, None, micro_batch, num_micro_batches,
+                          (), pipeline_schedule)
+    try:
+        cuts = _resolve_cuts(pipeline_cuts, trace, model, cluster, parallel,
+                             micro_batch, num_micro_batches, zero_stage,
+                             cost_model)
+    except _InvalidCuts:
+        return Prediction(0.0, False, None, micro_batch, num_micro_batches,
+                          (), pipeline_schedule)
+    memory = _peak_memory(trace, model, parallel, cuts, micro_batch,
+                          num_micro_batches, zero_stage, pipeline_schedule)
+    fits = memory.total <= cluster.gpu.usable_memory
+    rate = throughput(trace, model, cluster, parallel, micro_batch,
+                      zero_stage, num_micro_batches, cost_model,
+                      pipeline_cuts=cuts, pipeline_schedule=pipeline_schedule,
+                      overlap_grad_sync=overlap_grad_sync,
+                      overlap_bucket_mb=overlap_bucket_mb) if fits else 0.0
+    return Prediction(rate, fits, memory, micro_batch, num_micro_batches,
+                      cuts or (), pipeline_schedule)
+
+
 def predict_config(trace: ModelTrace, model, cluster: ClusterSpec,
                    parallel: ParallelConfig, micro_batch: int | None = None,
                    zero_stage: int = 0, num_micro_batches: int = 1,
@@ -203,80 +239,30 @@ def predict_config(trace: ModelTrace, model, cluster: ClusterSpec,
     unfillable with an *explicitly* requested ``num_micro_batches < pp``
     (1F1B/GPipe can never hide the bubble without at least one micro-batch
     per stage), so that is rejected on every path, not just the
-    ``global_batch`` one.  ``pipeline_schedule`` prices the pipeline
-    under a named tick program (memory *and* bubble — see
-    :mod:`repro.sim.pipeline`); a schedule the configuration cannot
-    express is reported infeasible, never raised.
+    ``global_batch`` one; so are micro-batch sizes or counts below one.
+    ``pipeline_schedule`` prices the pipeline under a named tick program
+    (memory *and* bubble — see :mod:`repro.sim.pipeline`); a schedule the
+    configuration cannot express is reported infeasible, never raised.
     """
     if micro_batch is None:
-        plan = plan_micro_batch(trace, model, cluster, parallel, zero_stage,
+        best = plan_micro_batch(trace, model, cluster, parallel, zero_stage,
                                 num_micro_batches, global_batch, cost_model,
                                 pipeline_cuts=pipeline_cuts,
                                 pipeline_schedule=pipeline_schedule,
                                 overlap_grad_sync=overlap_grad_sync,
                                 overlap_bucket_mb=overlap_bucket_mb)
-        if plan is None:
-            return Prediction(throughput=0.0, fits=False,
-                              pipeline_schedule=pipeline_schedule)
-        return Prediction(throughput=plan.throughput, fits=True,
-                          memory=plan.memory, micro_batch=plan.micro_batch,
-                          num_micro_batches=plan.num_micro_batches,
-                          pipeline_cuts=plan.pipeline_cuts,
-                          pipeline_schedule=plan.pipeline_schedule)
-    if global_batch is not None:
-        denom = parallel.dp * micro_batch
-        if global_batch % denom != 0:
-            return Prediction(throughput=0.0, fits=False,
-                              micro_batch=micro_batch,
-                              pipeline_schedule=pipeline_schedule)
-        num_micro_batches = global_batch // denom
-    if parallel.pp > 1 and num_micro_batches < parallel.pp:
-        # an unfillable pipeline is infeasible, with or without a
-        # global-batch constraint
+        return best or Prediction(throughput=0.0, fits=False,
+                                  pipeline_schedule=pipeline_schedule)
+    counts = _micro_batch_counts(parallel, micro_batch, global_batch,
+                                 num_micro_batches)
+    if not counts:
         return Prediction(throughput=0.0, fits=False,
                           micro_batch=micro_batch,
-                          num_micro_batches=num_micro_batches,
                           pipeline_schedule=pipeline_schedule)
-    if not _schedule_expressible(pipeline_schedule, parallel.pp,
-                                 num_micro_batches):
-        return Prediction(throughput=0.0, fits=False,
-                          micro_batch=micro_batch,
-                          num_micro_batches=num_micro_batches,
-                          pipeline_schedule=pipeline_schedule)
-    try:
-        cuts = _resolve_cuts(pipeline_cuts, trace, model, cluster, parallel,
-                             micro_batch, num_micro_batches, zero_stage,
-                             cost_model)
-    except _InvalidCuts:
-        return Prediction(throughput=0.0, fits=False,
-                          micro_batch=micro_batch,
-                          num_micro_batches=num_micro_batches,
-                          pipeline_schedule=pipeline_schedule)
-    if cuts:
-        memory = _pipeline_peak_memory(trace, cuts, micro_batch,
-                                       num_micro_batches, zero_stage,
-                                       parallel.dp,
-                                       schedule=pipeline_schedule)
-    else:
-        memory = _uniform_memory(trace, model, parallel, micro_batch,
-                                 num_micro_batches, zero_stage,
-                                 pipeline_schedule)
-    if memory.total > cluster.gpu.usable_memory:
-        return Prediction(throughput=0.0, fits=False, memory=memory,
-                          micro_batch=micro_batch,
-                          num_micro_batches=num_micro_batches,
-                          pipeline_cuts=cuts or (),
-                          pipeline_schedule=pipeline_schedule)
-    rate = throughput(trace, model, cluster, parallel, micro_batch,
-                      zero_stage, num_micro_batches, cost_model,
-                      pipeline_cuts=cuts, pipeline_schedule=pipeline_schedule,
-                      overlap_grad_sync=overlap_grad_sync,
-                      overlap_bucket_mb=overlap_bucket_mb)
-    return Prediction(throughput=rate, fits=True, memory=memory,
-                      micro_batch=micro_batch,
-                      num_micro_batches=num_micro_batches,
-                      pipeline_cuts=cuts or (),
-                      pipeline_schedule=pipeline_schedule)
+    return _price_point(trace, model, cluster, parallel, micro_batch,
+                        counts[0], zero_stage, cost_model, pipeline_cuts,
+                        pipeline_schedule, overlap_grad_sync,
+                        overlap_bucket_mb)
 
 
 def plan_micro_batch(trace: ModelTrace, model, cluster: ClusterSpec,
@@ -289,66 +275,35 @@ def plan_micro_batch(trace: ModelTrace, model, cluster: ClusterSpec,
                      pipeline_schedule: str = DEFAULT_SCHEDULE,
                      overlap_grad_sync: bool = False,
                      overlap_bucket_mb: float = DEFAULT_BUCKET_MB
-                     ) -> Plan | None:
-    """Best feasible micro-batch (None if even batch 1 overflows memory).
+                     ) -> Prediction | None:
+    """The best fitting :class:`Prediction` over micro-batch candidates
+    (None if nothing fits).
 
     With ``global_batch`` set (strong scaling, paper §5.2), the number of
     micro-batches is derived as ``global / (dp × micro)`` and infeasible
     divisions are skipped; with ``num_micro_batches=None`` the count is
     swept jointly with the micro-batch size over multiples of ``pp``
-    (:func:`micro_batch_count_candidates`).  Either way a pipeline is
-    only fillable with at least ``pp`` micro-batches — explicit counts
-    below that are rejected rather than priced with a fictitious bubble.
-    The sweep prices every candidate from the trace's compiled aggregates
-    and cached :class:`ModelStats` — the model itself is never re-walked
-    per candidate.
+    (:func:`micro_batch_count_candidates`).  Every point goes through the
+    same pricer as :func:`predict_config`, so a pipeline is only fillable
+    with at least ``pp`` micro-batches on this path too.  The sweep
+    prices every candidate from the trace's compiled aggregates and
+    cached :class:`ModelStats` — the model itself is never re-walked per
+    candidate.
     """
     model_stats_for(trace, model)  # compute statics once, before the sweep
     try:
         schedule_info(pipeline_schedule)
     except ValueError:
         return None  # unknown schedule: no candidate can be feasible
-    best: Plan | None = None
-    budget = cluster.gpu.usable_memory
-    pp = parallel.pp
+    best: Prediction | None = None
     for micro in candidates:
-        if global_batch is not None:
-            denom = parallel.dp * micro
-            if global_batch % denom != 0:
-                continue
-            counts = (global_batch // denom,)
-        elif num_micro_batches is None:
-            counts = micro_batch_count_candidates(pp)
-        else:
-            counts = (num_micro_batches,)
-        for m in counts:
-            if pp > 1 and m < pp:
-                continue  # not enough micro-batches to fill the pipeline
-            if not _schedule_expressible(pipeline_schedule, pp, m):
-                continue  # e.g. interleaved with m not a multiple of pp
-            try:
-                cuts = _resolve_cuts(pipeline_cuts, trace, model, cluster,
-                                     parallel, micro, m, zero_stage,
-                                     cost_model)
-            except _InvalidCuts:
-                return None  # no candidate can fix a malformed partition
-            if cuts:
-                memory = _pipeline_peak_memory(trace, cuts, micro, m,
-                                               zero_stage, parallel.dp,
-                                               schedule=pipeline_schedule)
-            else:
-                memory = _uniform_memory(trace, model, parallel, micro, m,
-                                         zero_stage, pipeline_schedule)
-            if memory.total > budget:
-                continue
-            rate = throughput(trace, model, cluster, parallel, micro,
-                              zero_stage, m, cost_model, pipeline_cuts=cuts,
-                              pipeline_schedule=pipeline_schedule,
-                              overlap_grad_sync=overlap_grad_sync,
-                              overlap_bucket_mb=overlap_bucket_mb)
-            if best is None or rate > best.throughput:
-                best = Plan(micro_batch=micro, throughput=rate,
-                            memory=memory, num_micro_batches=m,
-                            pipeline_cuts=cuts or (),
-                            pipeline_schedule=pipeline_schedule)
+        for m in _micro_batch_counts(parallel, micro, global_batch,
+                                     num_micro_batches):
+            pred = _price_point(trace, model, cluster, parallel, micro, m,
+                                zero_stage, cost_model, pipeline_cuts,
+                                pipeline_schedule, overlap_grad_sync,
+                                overlap_bucket_mb)
+            if pred.fits and (best is None
+                              or pred.throughput > best.throughput):
+                best = pred
     return best

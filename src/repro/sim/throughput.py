@@ -13,7 +13,7 @@ samples.  The step time composes:
 * ZeRO-3 parameter all-gathers (forward and backward) and gradient
   reduce-scatter, partially overlapped with compute via prefetching,
 * data-parallel gradient all-reduce (overlapped with backward),
-* the pipeline bubble ``(pp-1)/(m+pp-1)``,
+* the pipeline bubble,
 * the optimizer update.
 
 Comm/compute overlap is modelled per stream: each axis's collectives run
@@ -24,26 +24,28 @@ what overlap bought.  With ``overlap_grad_sync`` the dp gradient
 all-reduce is bucketed (:func:`overlap_exposed`): buckets launch as their
 gradients become ready during the last micro-batch's backward, the final
 bucket is always exposed, and the α-per-bucket latency makes the bucket
-size a real trade-off.  Without it the legacy fractional model applies,
-driven by the documented ``ClusterSpec.dp_sync_overlap`` /
-``zero_prefetch_overlap`` knobs (formerly the module constants
-``DP_OVERLAP`` / ``ZERO_OVERLAP``, kept as aliases of the defaults).
+size a real trade-off.  Without it the fractional model applies, driven
+by the ``ClusterSpec.dp_sync_overlap`` / ``zero_prefetch_overlap`` knobs.
 
-Pipelines are priced two ways.  Without cut points the model is assumed
-to split uniformly (compute, params and activations all ``/pp`` — the
-pre-stage-accurate behaviour, kept for parallelism-agnostic estimates).
-With ``pipeline_cuts`` (leading-layer counts, see
-:mod:`repro.sim.pipeline`) the step is priced off the **bottleneck
-stage**'s actual slice of the trace: its compute, its TP collectives,
-its parameters, and the true cut-tensor bytes crossing its boundaries —
-stage *imbalance*, not just the bubble, then shows up in the estimate.
+Every pipeline is priced as a list of per-stage
+:class:`~repro.sim.pipeline.StageTime` entries.  Without cut points the
+model is assumed to split uniformly: ``pp`` equal stages, each a ``1/pp``
+share of the whole trace's compute, collectives and parameters, sending
+the trace's typical boundary tensor.  With ``pipeline_cuts``
+(leading-layer counts, see :mod:`repro.sim.pipeline`) each stage is its
+actual slice of the trace — its compute, its collectives, its parameters
+and the true cut-tensor bytes crossing its boundaries.  One composition
+then prices both: the **bottleneck stage** paces the step, 1F1B's bubble
+is the closed form ``(pp-1)/m`` of that stage's steady work, and every
+other schedule is list-scheduled on the tick timeline.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
+
+import numpy as np
 
 from repro.distributed.mesh import ParallelConfig, axis_ranks, axis_stride
 from repro.distributed.topology import ClusterSpec
@@ -52,14 +54,12 @@ from repro.pipeline import DEFAULT_SCHEDULE, schedule_info
 from .events import ModelTrace
 from .kernel_cost import KernelCostModel
 from .memory import model_stats_for
-
-#: fraction of DP gradient all-reduce hidden under backward compute —
-#: the default of the ``ClusterSpec.dp_sync_overlap`` knob
-DP_OVERLAP = ClusterSpec.dp_sync_overlap
-#: fraction of ZeRO-3 gathers hidden by prefetching (modest on V100-era
-#: DeepSpeed: bucketed blocking all-gathers) — the default of the
-#: ``ClusterSpec.zero_prefetch_overlap`` knob
-ZERO_OVERLAP = ClusterSpec.zero_prefetch_overlap
+from .pipeline import (
+    StageTime,
+    schedule_timeline,
+    stage_profiles,
+    stage_step_times,
+)
 
 #: default gradient bucket for ``overlap_grad_sync`` pricing (MiB),
 #: matching the runtime primitive's default
@@ -116,9 +116,7 @@ class StepBreakdown:
                 + self.optimizer)
 
 
-def overlap_exposed(alpha: float, beta: float, nbytes: float,
-                    bucket_bytes: float, window: float
-                    ) -> tuple[float, float]:
+def overlap_exposed(alpha, beta, nbytes, bucket_bytes, window):
     """(exposed, total) seconds of a bucketed collective inside a window.
 
     ``nbytes`` of traffic is split into ``ceil(nbytes / bucket_bytes)``
@@ -128,26 +126,53 @@ def overlap_exposed(alpha: float, beta: float, nbytes: float,
     inputs only exist when the window ends, so it is always exposed.
     Smaller buckets hide more but pay more α; a single huge bucket
     degenerates to fully-exposed (the pre-overlap serial model).
+    Traffic of ``nbytes <= 0`` costs nothing.
+
+    Every argument may be a scalar or a numpy array (broadcast
+    elementwise), so the scalar step time and the columnar
+    :func:`repro.sim.predict_batch` share this one formula.
     """
-    if nbytes <= 0:
-        return 0.0, 0.0
-    buckets = math.ceil(nbytes / bucket_bytes)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        buckets = np.ceil(nbytes / bucket_bytes)
     total = buckets * alpha + beta * nbytes
-    tail = alpha + beta * min(bucket_bytes, nbytes)
-    return max(total - window, tail), total
+    tail = alpha + beta * np.minimum(bucket_bytes, nbytes)
+    exposed = np.maximum(total - window, tail)
+    empty = np.less_equal(nbytes, 0)
+    # ``[()]`` unwraps 0-d results to numpy scalars, leaves arrays as-is
+    return (np.where(empty, 0.0, exposed)[()],
+            np.where(empty, 0.0, total)[()])
 
 
-def _axis_ranks(cluster: ClusterSpec, parallel: ParallelConfig, axis: str
-                ) -> tuple[int, ...]:
-    """Representative rank set for one mesh axis (rank 0's group).
+def _uniform_stage_time(trace: ModelTrace, cluster: ClusterSpec,
+                        parallel: ParallelConfig, micro_batch: int,
+                        cost: KernelCostModel) -> StageTime:
+    """One of ``pp`` equal stages: whole-trace aggregates ÷ ``pp``.
 
-    Derived from the same :func:`repro.distributed.mesh.axis_ranks`
-    helper that lays out :class:`~repro.distributed.mesh.DeviceMesh`
-    groups, so simulator pricing and the functional runtime agree by
-    construction — including the axis *placement* (``parallel.order``),
-    which decides the topology tier each group's traffic crosses.
+    The trace's comm events are pre-folded into per-(tag, kind)
+    (count, byte-sum) pairs; each collective is affine in its size
+    (α latency + β·bytes), so the per-event scan collapses to one α–β
+    evaluation per collective kind over that axis's rank group.  The
+    stage hop sends :attr:`CompiledTrace.boundary_bytes` (the typical
+    hidden activation) one pp-axis stride away.
     """
-    return axis_ranks(0, parallel)[axis]
+    pp = parallel.pp
+    scale = micro_batch / trace.ref_batch
+    compiled = trace.compiled()
+    groups = None
+    comm = {"tp": 0.0, "ep": 0.0}
+    for (tag, kind), (count, total) in compiled.comm_totals.items():
+        if tag not in comm or count == 0 or getattr(parallel, tag) <= 1:
+            continue
+        groups = groups or axis_ranks(0, parallel)
+        alpha, beta = cluster.collective_coeffs(kind, groups[tag])
+        comm[tag] += count * alpha + beta * (total * scale)
+    hop = cluster.p2p_time(compiled.boundary_bytes * scale, 0,
+                           axis_stride(parallel, "pp")) if pp > 1 else 0.0
+    # forward collectives + their backward counterparts; fwd + bwd hops
+    return StageTime(forward=cost.forward_time(trace, scale) / pp,
+                     backward=cost.backward_time(trace, scale) / pp,
+                     tp_comm=2 * comm["tp"] / pp, pp_comm=2 * hop,
+                     ep_comm=2 * comm["ep"] / pp)
 
 
 def step_time(trace: ModelTrace, model, cluster: ClusterSpec,
@@ -159,21 +184,24 @@ def step_time(trace: ModelTrace, model, cluster: ClusterSpec,
               overlap_grad_sync: bool = False,
               overlap_bucket_mb: float = DEFAULT_BUCKET_MB
               ) -> StepBreakdown:
-    """Seconds per optimizer step for one pipeline stage's GPU.
+    """Seconds per optimizer step for the bottleneck stage's GPU.
 
-    With ``pipeline_cuts`` set (and ``pp > 1``), the bottleneck stage is
-    priced from its actual trace slice; otherwise the legacy uniform
-    ``/pp`` estimate is used.  ``pipeline_schedule`` names a registered
-    tick program (:data:`repro.pipeline.SCHEDULE_NAMES`): the default
-    ``"1f1b"`` keeps the closed-form bubble paths byte-identical to the
-    pre-schedule-aware simulator, any other schedule is priced by the
-    exact per-stage timeline (:func:`repro.sim.pipeline.schedule_timeline`
-    — see :func:`_schedule_breakdown`).  ``overlap_grad_sync`` prices the
+    The pipeline is a list of per-stage times: ``pp`` equal stages
+    without cuts, the actual trace slices with ``pipeline_cuts`` (and
+    ``pp > 1``).  ``pipeline_schedule`` names a registered tick program
+    (:data:`repro.pipeline.SCHEDULE_NAMES`): the default ``"1f1b"``
+    prices the bubble in closed form off the slowest stage, any other
+    schedule is priced by the exact per-stage timeline
+    (:func:`repro.sim.pipeline.schedule_timeline` — see
+    :func:`_schedule_breakdown`).  ``overlap_grad_sync`` prices the
     bucketed dp gradient sync of the schedule primitive of the same name.
+    ``detail`` reports the per-stage steady times, the bottleneck stage
+    and the cuts (empty when uniform).
     """
-    cost = cost_model or KernelCostModel(cluster.gpu)
-    scale = micro_batch / trace.ref_batch
-    pp = parallel.pp
+    if micro_batch < 1 or num_micro_batches < 1:
+        name, value = ("micro_batch", micro_batch) if micro_batch < 1 \
+            else ("num_micro_batches", num_micro_batches)
+        raise ValueError(f"{name} must be >= 1, got {value!r}")
     schedule_info(pipeline_schedule)  # reject unknown schedules up front
     if isinstance(pipeline_cuts, str):
         raise ValueError(
@@ -182,108 +210,78 @@ def step_time(trace: ModelTrace, model, cluster: ClusterSpec,
             f"predict_config/plan_micro_batch (or call "
             f"repro.sim.plan_pipeline_cuts yourself and pass plan.cuts)"
         )
-    if pp > 1 and pipeline_cuts:
-        return _staged_step_time(trace, model, cluster, parallel,
-                                 micro_batch, zero_stage,
-                                 num_micro_batches, cost,
-                                 tuple(pipeline_cuts), pipeline_schedule,
-                                 overlap_grad_sync, overlap_bucket_mb)
-    breakdown = StepBreakdown()
-
-    # -- compute (per micro-batch, per stage) --------------------------- #
-    fwd_micro = cost.forward_time(trace, scale) / pp
-    bwd_micro = cost.backward_time(trace, scale) / pp
-    breakdown.forward = fwd_micro * num_micro_batches
-    breakdown.backward = bwd_micro * num_micro_batches
-
-    # -- tensor- and expert-parallel collectives ------------------------ #
-    # The trace's comm events are pre-folded into per-(tag, kind)
-    # (count, byte-sum) pairs; each collective is affine in its size
-    # (α latency + β·bytes), so the per-event scan collapses to one
-    # α–β evaluation per collective kind — evaluated per mesh axis with
-    # that axis's rank group.
-    for axis, attr in (("tp", "tp_comm"), ("ep", "ep_comm")):
-        if getattr(parallel, axis) <= 1:
-            continue
-        axis_group = _axis_ranks(cluster, parallel, axis)
-        per_micro = 0.0
-        for (tag, kind), (count, total) in \
-                trace.compiled().comm_totals.items():
-            if tag != axis or count == 0:
-                continue
-            alpha, beta = cluster.collective_coeffs(kind, axis_group)
-            per_micro += count * alpha + beta * (total * scale)
-        # forward collectives + their backward counterparts
-        setattr(breakdown, attr, 2 * per_micro / pp * num_micro_batches)
-
-    # -- ZeRO-3 parameter traffic --------------------------------------- #
+    cost = cost_model or KernelCostModel(cluster.gpu)
     stats = model_stats_for(trace, model)
-    param_bytes = stats.param_bytes / pp
-    param_count = stats.param_count / pp
+    pp, m = parallel.pp, num_micro_batches
+    if pp > 1 and pipeline_cuts:
+        cuts = tuple(pipeline_cuts)
+        profiles = stage_profiles(trace, cuts)
+        if len(profiles) != pp:
+            raise ValueError(
+                f"{len(cuts)} pipeline cuts make {len(profiles)} stages "
+                f"but the parallel config has pp={pp}"
+            )
+        times = stage_step_times(trace, profiles, cluster, parallel,
+                                 micro_batch, cost)
+        shards = [(p.param_bytes, p.param_count) for p in profiles]
+        steady = [t.steady for t in times]
+    else:
+        cuts = ()
+        times = [_uniform_stage_time(trace, cluster, parallel, micro_batch,
+                                     cost)] * pp
+        shards = [(stats.param_bytes / pp, stats.param_count / pp)] * pp
+        steady = [times[0].steady] * pp
+
+    breakdown = StepBreakdown()
+    if pp > 1 and pipeline_schedule != DEFAULT_SCHEDULE:
+        b, chunks, bubble = _schedule_breakdown(breakdown, times, m,
+                                                pipeline_schedule)
+    else:
+        b, chunks, bubble = steady.index(max(steady)), 1, None
+    t = times[b]
+    breakdown.forward = t.forward * m
+    breakdown.backward = t.backward * m
+    breakdown.tp_comm = t.tp_comm * m
+    breakdown.ep_comm = t.ep_comm * m
+    breakdown.pp_comm = t.pp_comm * m * chunks
+    if bubble is None:  # 1F1B's closed form — exact on equal stages
+        bubble = (breakdown.forward + breakdown.backward + breakdown.tp_comm
+                  + breakdown.ep_comm + breakdown.pp_comm) * (pp - 1) / m
+    breakdown.bubble = bubble
+    param_bytes, param_count = shards[b]
     _shared_step_terms(breakdown, cluster, parallel, param_bytes,
                        param_count, zero_stage, cost,
-                       backward_window=bwd_micro,
+                       backward_window=t.backward,
                        overlap_grad_sync=overlap_grad_sync,
                        overlap_bucket_mb=overlap_bucket_mb)
-
-    # -- pipeline: stage boundary sends + bubble ------------------------ #
-    if pp > 1:
-        boundary = _boundary_bytes(trace, scale)
-        # adjacent stages sit one pp-axis stride apart (tp·ep·dp ranks
-        # under the default placement)
-        hop = cluster.p2p_time(boundary, 0, axis_stride(parallel, "pp"))
-        breakdown.pp_comm = 2 * hop * num_micro_batches  # fwd + bwd
-        steady = (breakdown.forward + breakdown.backward
-                  + breakdown.tp_comm + breakdown.ep_comm
-                  + breakdown.pp_comm)
-        breakdown.bubble = steady * (pp - 1) / max(num_micro_batches, 1)
-        if pipeline_schedule != DEFAULT_SCHEDULE:
-            from .pipeline import StageTime
-            m = max(num_micro_batches, 1)
-            per_micro = StageTime(forward=breakdown.forward / m,
-                                  backward=breakdown.backward / m,
-                                  tp_comm=breakdown.tp_comm / m,
-                                  pp_comm=breakdown.pp_comm / m,
-                                  ep_comm=breakdown.ep_comm / m)
-            _schedule_breakdown(breakdown, [per_micro] * pp,
-                                num_micro_batches, pipeline_schedule)
+    breakdown.detail.update(stage_times=tuple(steady), bottleneck_stage=b,
+                            pipeline_cuts=cuts)
     return breakdown
 
 
 def _schedule_breakdown(breakdown: StepBreakdown, times, num_micro_batches,
-                        schedule: str) -> int:
-    """Price the pipeline phase of ``breakdown`` off the exact timeline.
+                        schedule: str) -> tuple[int, int, float]:
+    """(bottleneck stage, chunks per stage, bubble) off the exact timeline.
 
     Replaces the closed-form ``steady · (pp-1)/m`` bubble: the tick
     program is list-scheduled over the per-stage times, the bottleneck
     is the *busiest* stage of the timeline, and the bubble becomes that
-    stage's true idle time (``makespan − busy``).  ``pp_comm`` picks up
-    the schedule's ``num_chunks ×`` boundary-traffic factor (interleaved
-    chunks each cross GPUs).  Returns the bottleneck stage index so
-    staged callers attribute parameter state to the right stage.
+    stage's true idle time (``makespan − busy``).  The chunk count is the
+    schedule's boundary-traffic factor (interleaved chunks each cross
+    GPUs).  The timeline lands in ``breakdown.detail``.
     """
-    from .pipeline import schedule_timeline
-
     timeline = schedule_timeline(times, num_micro_batches, schedule)
-    v = timeline.program.num_chunks
     busy = timeline.stage_busy
-    b = max(range(len(busy)), key=lambda i: busy[i])
-    m = num_micro_batches
-    breakdown.forward = times[b].forward * m
-    breakdown.backward = times[b].backward * m
-    breakdown.tp_comm = times[b].tp_comm * m
-    breakdown.ep_comm = times[b].ep_comm * m
-    breakdown.pp_comm = times[b].pp_comm * m * v
-    breakdown.bubble = max(timeline.makespan - busy[b], 0.0)
+    b = busy.index(max(busy))
     breakdown.detail.update(
         pipeline_schedule=schedule,
         pipeline_makespan=timeline.makespan,
         stage_busy=busy,
         stage_idle=timeline.stage_idle,
-        bottleneck_stage=b,
-        num_chunks=v,
+        num_chunks=timeline.program.num_chunks,
     )
-    return b
+    return (b, timeline.program.num_chunks,
+            max(timeline.makespan - busy[b], 0.0))
 
 
 def _shared_step_terms(breakdown: StepBreakdown, cluster: ClusterSpec,
@@ -302,32 +300,30 @@ def _shared_step_terms(breakdown: StepBreakdown, cluster: ClusterSpec,
     the last micro-batch's backward (``no_sync`` on the others), so that
     is the window bucketed comm can hide in.
     """
+    bucket_bytes = overlap_bucket_mb * float(1 << 20)
+    dp_ranks = axis_ranks(0, parallel)["dp"] if parallel.dp > 1 else ()
     if zero_stage >= 3 and parallel.dp > 1:
-        dp_ranks = _axis_ranks(cluster, parallel, "dp")
         gather = cluster.all_gather_time(param_bytes, dp_ranks)
-        scatter = cluster.reduce_scatter_time(param_bytes, dp_ranks)
         if overlap_grad_sync:
             # the gradient reduce-scatter rides the bucketed overlap
             # stream; gathers keep the prefetch model
             alpha, beta = cluster.collective_coeffs(
                 "reduce_scatter", dp_ranks)
-            bucket_bytes = overlap_bucket_mb * float(1 << 20)
             exposed_s, total_s = overlap_exposed(
                 alpha, beta, param_bytes, bucket_bytes, backward_window)
             hidden_g = 2 * gather * cluster.zero_prefetch_overlap
             breakdown.zero_comm = 2 * gather - hidden_g + exposed_s
             breakdown.zero_comm_hidden = hidden_g + (total_s - exposed_s)
         else:
+            scatter = cluster.reduce_scatter_time(param_bytes, dp_ranks)
             exposed = (2 * gather + scatter) \
                 * (1 - cluster.zero_prefetch_overlap)
             breakdown.zero_comm = exposed
             breakdown.zero_comm_hidden = (2 * gather + scatter) - exposed
     elif parallel.dp > 1:
         # plain data parallelism: all-reduce full local gradients
-        dp_ranks = _axis_ranks(cluster, parallel, "dp")
         if overlap_grad_sync:
             alpha, beta = cluster.collective_coeffs("all_reduce", dp_ranks)
-            bucket_bytes = overlap_bucket_mb * float(1 << 20)
             exposed, total = overlap_exposed(
                 alpha, beta, param_bytes, bucket_bytes, backward_window)
             breakdown.dp_comm = exposed
@@ -343,73 +339,6 @@ def _shared_step_terms(breakdown: StepBreakdown, cluster: ClusterSpec,
     if zero_stage >= 1 and parallel.dp > 1:
         opt_params /= parallel.dp
     breakdown.optimizer = cost.optimizer_time(opt_params)
-
-
-def _staged_step_time(trace: ModelTrace, model, cluster: ClusterSpec,
-                      parallel: ParallelConfig, micro_batch: int,
-                      zero_stage: int, num_micro_batches: int,
-                      cost: KernelCostModel, cuts: tuple[int, ...],
-                      pipeline_schedule: str = DEFAULT_SCHEDULE,
-                      overlap_grad_sync: bool = False,
-                      overlap_bucket_mb: float = DEFAULT_BUCKET_MB
-                      ) -> StepBreakdown:
-    """Stage-accurate pricing: the bottleneck stage paces the pipeline."""
-    from .pipeline import stage_profiles, stage_step_times
-
-    model_stats_for(trace, model)
-    profiles = stage_profiles(trace, cuts)
-    if len(profiles) != parallel.pp:
-        raise ValueError(
-            f"{len(cuts)} pipeline cuts make {len(profiles)} stages but "
-            f"the parallel config has pp={parallel.pp}"
-        )
-    tp_ranks = _axis_ranks(cluster, parallel, "tp")
-    times = stage_step_times(trace, profiles, cluster, parallel,
-                             micro_batch, cost, tp_ranks=tp_ranks)
-    steady = [t.steady for t in times]
-    m = num_micro_batches
-    breakdown = StepBreakdown()
-    if pipeline_schedule != DEFAULT_SCHEDULE:
-        b = _schedule_breakdown(breakdown, times, m, pipeline_schedule)
-        _shared_step_terms(breakdown, cluster, parallel,
-                           profiles[b].param_bytes,
-                           profiles[b].param_count, zero_stage, cost,
-                           backward_window=times[b].backward,
-                           overlap_grad_sync=overlap_grad_sync,
-                           overlap_bucket_mb=overlap_bucket_mb)
-    else:
-        b = max(range(len(steady)), key=lambda i: steady[i])
-        breakdown.forward = times[b].forward * m
-        breakdown.backward = times[b].backward * m
-        breakdown.tp_comm = times[b].tp_comm * m
-        breakdown.ep_comm = times[b].ep_comm * m
-        breakdown.pp_comm = times[b].pp_comm * m
-        _shared_step_terms(breakdown, cluster, parallel,
-                           profiles[b].param_bytes,
-                           profiles[b].param_count, zero_stage, cost,
-                           backward_window=times[b].backward,
-                           overlap_grad_sync=overlap_grad_sync,
-                           overlap_bucket_mb=overlap_bucket_mb)
-        steady_step = (breakdown.forward + breakdown.backward
-                       + breakdown.tp_comm + breakdown.ep_comm
-                       + breakdown.pp_comm)
-        breakdown.bubble = steady_step * (parallel.pp - 1) / max(m, 1)
-    breakdown.detail["stage_times"] = tuple(steady)
-    breakdown.detail["bottleneck_stage"] = b
-    breakdown.detail["pipeline_cuts"] = cuts
-    return breakdown
-
-
-def _boundary_bytes(trace: ModelTrace, scale: float) -> float:
-    """Bytes crossing a pipeline boundary ≈ the typical hidden activation.
-
-    The median float-op output size is folded into the trace's
-    :class:`~repro.sim.compiled.CompiledTrace` once, instead of re-sorting
-    the op sizes on every call.  Used only on the uniform (cut-less)
-    path; with cut points the *actual* boundary tensor is priced (see
-    :mod:`repro.sim.pipeline`).
-    """
-    return trace.compiled().boundary_bytes * scale
 
 
 def throughput(trace: ModelTrace, model, cluster: ClusterSpec,

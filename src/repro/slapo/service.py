@@ -313,14 +313,16 @@ class PlanService:
                 # predict outside this lock, and fit() mutates weights
                 # in place — another thread may be mid-predict on the
                 # previous residual.  The analytic model is reused (it
-                # is read-only after construction).
+                # is read-only after construction).  It prices uncut, the
+                # basis the service ranks its BatchPoints on.
                 if fitted is None:
                     analytic = SimCostModel(
                         lambda _config, entry=(model, trace): entry,
                         self._cluster_fn(request.world_size),
                         parallel=SimCostModel.parallel_fn(
                             request.world_size),
-                        trace_key_fn=lambda _config: request.family)
+                        trace_key_fn=lambda _config: request.family,
+                        pipeline_cuts=None)
                 else:
                     analytic = fitted[1].analytic
                 residual = ResidualCostModel(

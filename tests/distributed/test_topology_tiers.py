@@ -167,13 +167,9 @@ class TestPresets:
 
 class TestOverlapKnobs:
     def test_knob_defaults_match_the_retired_constants(self):
-        # ZERO_OVERLAP / DP_OVERLAP used to be module-level magic numbers
-        # in repro.sim.throughput; they are ClusterSpec knobs now, with
-        # aliases pinned to the class defaults.
-        from repro.sim.throughput import DP_OVERLAP, ZERO_OVERLAP
-
-        assert ClusterSpec.dp_sync_overlap == DP_OVERLAP == 0.7
-        assert ClusterSpec.zero_prefetch_overlap == ZERO_OVERLAP == 0.25
+        # the fractional overlap defaults the simulator has always used
+        assert ClusterSpec.dp_sync_overlap == 0.7
+        assert ClusterSpec.zero_prefetch_overlap == 0.25
 
     def test_knobs_are_per_cluster(self):
         eager = dataclasses.replace(p3dn_cluster(2), dp_sync_overlap=0.9)

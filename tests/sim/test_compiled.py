@@ -161,12 +161,10 @@ class TestCompiledAggregates:
             sum(op.flops for op in trace.ops if op.in_checkpoint), rel=1e-12)
 
     def test_boundary_bytes_is_float_op_median(self, bert_traced):
-        from repro.sim.throughput import _boundary_bytes
-
         _, trace = bert_traced
         sizes = sorted(op.out_bytes for op in trace.ops
                        if op.dtype_name in ("float16", "float32"))
-        assert _boundary_bytes(trace, 3.0) \
+        assert trace.compiled().boundary_bytes * 3.0 \
             == pytest.approx(sizes[len(sizes) // 2] * 3.0)
 
     def test_tp_comm_matches_per_event_loop(self, bert_tp2_base):

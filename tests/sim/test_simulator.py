@@ -183,3 +183,67 @@ class TestThroughputModel:
         model, trace = bert_trace
         plan = plan_micro_batch(trace, model, P3DN_NODE, ParallelConfig())
         assert 5 < plan.throughput < 40
+
+
+class TestBadMicroBatchInputs:
+    """Micro-batch sizes or counts below one are infeasible, never priced."""
+
+    @pytest.mark.parametrize("micro,count", [(-1, 1), (0, 1), (1, 0),
+                                             (4, -2)])
+    def test_predict_config_reports_infeasible(self, bert_trace, micro,
+                                               count):
+        from repro.sim import predict_config
+
+        model, trace = bert_trace
+        pred = predict_config(trace, model, P3DN_NODE, ParallelConfig(),
+                              micro_batch=micro, num_micro_batches=count)
+        assert not pred.fits
+        assert pred.throughput == 0.0
+
+    def test_global_batch_with_zero_micro_batch(self, bert_trace):
+        from repro.sim import predict_config
+
+        model, trace = bert_trace
+        pred = predict_config(trace, model, P3DN_NODE, ParallelConfig(),
+                              micro_batch=0, global_batch=8)
+        assert not pred.fits and pred.throughput == 0.0
+
+    def test_plan_micro_batch_skips_bad_candidates(self, bert_trace):
+        model, trace = bert_trace
+        assert plan_micro_batch(trace, model, P3DN_NODE, ParallelConfig(),
+                                candidates=(0, -1)) is None
+        assert plan_micro_batch(trace, model, P3DN_NODE, ParallelConfig(),
+                                num_micro_batches=0) is None
+        plan = plan_micro_batch(trace, model, P3DN_NODE, ParallelConfig(),
+                                candidates=(0, 2))
+        assert plan is not None and plan.micro_batch == 2 and plan.fits
+
+    def test_batch_rows_are_infeasible(self, bert_trace):
+        from repro.sim import BatchPoints, predict_batch
+
+        model, trace = bert_trace
+        points = BatchPoints(tp=[1, 1, 1, 1], dp=[1, 1, 1, 1],
+                             pp=[1, 1, 1, 2], ep=[1, 1, 1, 1],
+                             micro_batch=[0, 2, 2, -1],
+                             num_micro_batches=[1, 0, 1, 4])
+        batch = predict_batch(trace, model, P3DN_NODE, points)
+        assert batch.fits.tolist() == [False, False, True, False]
+        assert batch.throughput[[0, 1, 3]].tolist() == [0.0, 0.0, 0.0]
+        assert batch.throughput[2] > 0
+        from repro.slapo.tuner import SimCostModel
+
+        configs = [{"micro_batch": 0},
+                   {"micro_batch": 2, "num_micro_batches": 0},
+                   {"tp": 2, "micro_batch": 2}]  # tp=2 on one GPU: invalid
+        batch = predict_batch(trace, model, P3DN_NODE, configs,
+                              parallel_fn=SimCostModel.parallel_fn(1))
+        assert not batch.fits.any()
+        assert batch.prediction(2).micro_batch == 0  # invalid row
+
+    @pytest.mark.parametrize("argument", ["micro_batch",
+                                          "num_micro_batches"])
+    def test_step_time_names_the_argument(self, bert_trace, argument):
+        model, trace = bert_trace
+        kwargs = {"micro_batch": 1, "num_micro_batches": 1, argument: 0}
+        with pytest.raises(ValueError, match=argument):
+            step_time(trace, model, P3DN_NODE, ParallelConfig(), **kwargs)

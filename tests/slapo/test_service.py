@@ -376,3 +376,26 @@ class TestBudgetedQueries:
         assert response.num_measured == 3
         assert response.config is not None
         assert pool.workers_lost == 1
+
+
+class TestResidualBasis:
+    def test_residual_analytic_matches_ranked_batch(self, tmp_path):
+        """The residual correction re-ranks on the service's own pricing
+        basis: its analytic estimates equal the uncut batch throughput on
+        every feasible row (a pipelined space, so cuts would matter)."""
+        request = PlanRequest("GPT", world_size=64)
+        with plan_service(gpt_trace,
+                          cache=TrialCache(tmp_path / "trials.json")
+                          ) as service:
+            service.query(request)
+            model, trace = service._traced("GPT")
+            configs, points = service._space(request)
+            analytic = service._corrections[("GPT", 64)][1].analytic
+        batch = predict_batch(trace, model, p3dn_cluster(8), points)
+        feasible = np.flatnonzero(batch.fits)
+        assert any(configs[i].get("pp", 1) > 1 for i in feasible)
+        estimates = analytic.predict_many([configs[i] for i in feasible])
+        for i, estimate in zip(feasible, estimates):
+            assert estimate.fits
+            assert math.isclose(estimate.throughput, batch.throughput[i],
+                                rel_tol=1e-12), configs[i]
