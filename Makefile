@@ -5,11 +5,13 @@ PYTHON ?= python
 # tier-1 verification (pyproject.toml already pins pythonpath=src) — the
 # full suite includes the seeded fuzz corpus (marked `slow`) — then the
 # benchmark's own tests (tiny perfbench runs whose shims must still find
-# the planning path's probe points), the fast fuzz sweep and the
-# BENCH_*.json perf-trajectory guard
+# the planning path's probe points), the learned-cost-model training
+# gate (see train-model), the fast fuzz sweep and the BENCH_*.json
+# perf-trajectory guard
 test:
 	$(PYTHON) -m pytest -x -q
 	$(PYTHON) -m pytest -q perfbench/tests
+	$(PYTHON) scripts/train_cost_model.py --check
 	$(PYTHON) scripts/validate_schedules.py
 	$(PYTHON) scripts/check_functional.py
 	$(MAKE) fuzz

@@ -211,8 +211,9 @@ class PlanService:
         self._spaces: OrderedDict[tuple, tuple] = OrderedDict()
         self._space_lock = threading.Lock()
         self._measure_lock = threading.Lock()
-        #: (family, world_size) → (cache size at fit, ResidualCostModel)
-        self._corrections: dict[tuple, tuple[int, ResidualCostModel]] = {}
+        #: (family, world_size) → (matching cache rows at fit,
+        #: ResidualCostModel)
+        self._corrections: dict[tuple, tuple[list, ResidualCostModel]] = {}
         self._learned_lock = threading.Lock()
         #: total queries accepted (including coalesced ones)
         self.queries = 0
@@ -222,7 +223,7 @@ class PlanService:
         self.traces_built = 0
         #: spaces enumerated and lowered (≤ distinct space shapes queried)
         self.spaces_built = 0
-        #: residual-correction refits triggered by corpus growth
+        #: residual-correction refits triggered by a changed corpus
         self.refits = 0
 
     @staticmethod
@@ -297,16 +298,19 @@ class PlanService:
     def _correction(self, request: PlanRequest, model, trace
                     ) -> ResidualCostModel | None:
         """The (family, world_size) residual correction, refitted from
-        the shared cache whenever it has grown since the last fit.
+        the shared cache whenever that context's matching corpus rows
+        changed since the last fit (rows of other contexts never count).
         Returns None until the matching corpus reaches ``min_corpus``.
         """
         if self.cache is None or not self.learned:
             return None
         key = (request.family, request.world_size)
+        context = {"family": request.family,
+                   "world_size": request.world_size}
         with self._learned_lock:
-            size = len(self.cache)
+            rows = ResidualCostModel.matching_rows(self.cache, context)
             fitted = self._corrections.get(key)
-            if fitted is not None and fitted[0] == size:
+            if fitted is not None and fitted[0] == rows:
                 residual = fitted[1]
             else:
                 # Refit into a fresh model and swap it in whole: callers
@@ -327,12 +331,11 @@ class PlanService:
                     analytic = fitted[1].analytic
                 residual = ResidualCostModel(
                     analytic, min_samples=self.min_corpus)
-                residual.fit_from_cache(self.cache, context={
-                    "family": request.family,
-                    "world_size": request.world_size,
-                })
+                residual.fit_from_cache(self.cache, context=context)
                 self.refits += 1
-                self._corrections[key] = (size, residual)
+                # a row written since `rows` was read only costs the
+                # next query one more refit
+                self._corrections[key] = (rows, residual)
         return residual if residual.active else None
 
     def _answer(self, request: PlanRequest) -> PlanResponse:
@@ -351,8 +354,11 @@ class PlanService:
                                        kind="stable")].tolist()
         correction = self._correction(request, model, trace)
         if correction is not None:
+            # the batch already priced these rows on the correction's
+            # analytic basis: correct its rates instead of re-pricing
             estimates = correction.predict_many(
-                [configs[i] for i in feasible])
+                [configs[i] for i in feasible],
+                base=batch.throughput[feasible])
             rates = np.array([e.throughput for e in estimates])
             # primary key: corrected rate; ties by enumeration index
             ranked = np.lexsort((feasible, -rates))

@@ -8,23 +8,27 @@ exactly those deviations in the :class:`.cache.TrialCache`, and this
 module turns that corpus into a regressor (Steiner et al.'s
 value-function idea, kept residual):
 
-* :func:`featurize` maps one configuration onto a **stable, versioned
-  feature vector**: config coordinates (tp/dp/pp/ep/micro/m/zero/
-  placement/overlap/schedule), :class:`~repro.sim.memory.ModelStats`,
+* :func:`featurize_many` maps configurations onto **stable, versioned
+  feature vectors**, one ``(N, F)`` matrix filled column by column:
+  config coordinates (tp/dp/pp/ep/micro/m/zero/placement/overlap/
+  schedule), :class:`~repro.sim.memory.ModelStats`,
   :meth:`ClusterSpec.collective_coeffs` outputs and
   :class:`~repro.sim.compiled.CompiledTrace` aggregates (the latter
-  blocks live in :mod:`repro.sim.features`).  The schema is the ordered
-  :data:`FEATURE_NAMES` tuple plus :data:`FEATURE_VERSION`; weights
-  serialized under a different schema are refused
-  (:class:`StaleWeightsError`).
+  blocks live in :mod:`repro.sim.features`; each is computed once per
+  call and broadcast over the rows).  :func:`featurize` is its one-row
+  case.  The schema is the ordered :data:`FEATURE_NAMES` tuple plus
+  :data:`FEATURE_VERSION`; weights serialized under a different schema
+  are refused (:class:`StaleWeightsError`).
 * :class:`LearnedCostModel` is a dependency-free (numpy-only) regressor:
   closed-form ridge on standardized features plus optional
-  gradient-boosted decision stumps on the residuals.  Training is
-  deterministic under its seed, weights round-trip through JSON
-  byte-stably, and :meth:`LearnedCostModel.predict_features` prices a
-  whole ``(N, F)`` feature matrix in one numpy pass that is bit-exact
-  with the scalar path (row-wise reductions only — no shape-dependent
-  BLAS reassociation).
+  gradient-boosted decision stumps on the residuals.  Each boosting
+  round scores every (feature, threshold) split in one vectorized pass
+  over column orders sorted once per fit.  Training is deterministic
+  under its seed, weights round-trip through JSON byte-stably, and
+  :meth:`LearnedCostModel.predict_features` prices a whole ``(N, F)``
+  feature matrix in one numpy pass that is bit-exact with the scalar
+  path (row-wise reductions only — no shape-dependent BLAS
+  reassociation).
 * :class:`ResidualCostModel` composes the two: ``analytic ×
   exp(learned correction)``, where the correction is trained on
   ``log(measured / analytic)`` pairs from the cache.  A **coverage
@@ -39,10 +43,16 @@ value-function idea, kept residual):
   the distribution check — which is what lets a correction learned on
   one model family transfer to another: the family-identity features
   drop out, the shared configuration features carry the signal.
+  Fitting and prediction featurize a whole batch at once
+  (:meth:`ResidualCostModel.features_many`); a caller that already
+  priced a batch on the analytic basis hands its rates over
+  (``predict_many(configs, base=rates)``) instead of having them
+  re-priced.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -100,44 +110,58 @@ def _log2(value) -> float:
     return math.log2(value) if value > 0 else 0.0
 
 
-def featurize(config: dict, model_stats: ModelStats | None,
-              cluster: ClusterSpec | None,
-              trace: ModelTrace | None = None) -> np.ndarray:
-    """One config → one float64 vector aligned with :data:`FEATURE_NAMES`.
+def _floats(values) -> np.ndarray:
+    """``float(v)`` per value, with ``None`` read as 0."""
+    return np.array([0.0 if v is None else v for v in values],
+                    dtype=np.float64)
+
+
+def _log2_column(values) -> np.ndarray:
+    """:func:`_log2` per value (``None`` read as 0), computed once per
+    distinct value with the scalar ``math.log2``."""
+    logs = {value: _log2(0 if value is None else value)
+            for value in set(values)}
+    return np.array([logs[value] for value in values])
+
+
+def featurize_many(configs: Sequence[dict],
+                   model_stats: ModelStats | None,
+                   cluster: ClusterSpec | None,
+                   trace: ModelTrace | None = None) -> np.ndarray:
+    """Configs → an ``(N, F)`` float64 matrix aligned with
+    :data:`FEATURE_NAMES`, filled column by column.
 
     ``model_stats``, ``cluster`` and ``trace`` may each be ``None``;
-    their blocks are then zero (the vector length never changes —
-    that is the schema contract the property tests pin).  Config
+    their blocks are then zero (the row length never changes — that is
+    the schema contract the property tests pin).  Each block is
+    computed once per call and broadcast over the rows.  Config
     coordinates outside the known set are ignored, again so that the
     schema cannot drift with the search space.
     """
-    micro = config.get("micro_batch")
-    batch = config.get("batch_size")
-    ckpt = config.get("ckpt_ratio")
-    schedule = str(config.get("pipeline_schedule", ""))
-    placement = config.get("placement")
-    innermost = str(placement).split(",")[0] if placement is not None else ""
-    values = [
-        _log2(config.get("tp", 1)),
-        _log2(config.get("dp", 1)),
-        _log2(config.get("pp", 1)),
-        _log2(config.get("ep", 1)),
-        _log2(micro if micro is not None else 0),
-        _log2(batch if batch is not None else 0),
-        _log2(config.get("num_micro_batches", 1)),
-        float(config.get("zero_stage", 0)),
-        float(ckpt) if ckpt is not None else 0.0,
-        1.0 if ckpt is not None else 0.0,
-        1.0 if config.get("overlap_grad_sync") else 0.0,
-        float(config.get("overlap_bucket_mb", 0.0)),
-    ]
-    values += [1.0 if schedule == name else 0.0
-               for name in _SCHEDULE_NAMES]
-    values += [1.0 if innermost == axis else 0.0
-               for axis in _INNERMOST_AXES]
-    vector = np.empty(len(FEATURE_NAMES))
-    vector[:len(values)] = values
-    cursor = len(values)
+    X = np.zeros((len(configs), len(FEATURE_NAMES)))
+    if not configs:
+        return X
+    (tp, dp, pp, ep, micro, batch, num_micro, zero, ckpt, overlap, bucket,
+     schedule, placement) = zip(*[
+        (c.get("tp", 1), c.get("dp", 1), c.get("pp", 1), c.get("ep", 1),
+         c.get("micro_batch"), c.get("batch_size"),
+         c.get("num_micro_batches", 1), c.get("zero_stage", 0),
+         c.get("ckpt_ratio"), c.get("overlap_grad_sync"),
+         c.get("overlap_bucket_mb", 0.0), c.get("pipeline_schedule", ""),
+         c.get("placement")) for c in configs])
+    schedule = np.array([str(v) for v in schedule])
+    innermost = np.array(["" if v is None else str(v).split(",")[0]
+                          for v in placement])
+    columns = [_log2_column(tp), _log2_column(dp), _log2_column(pp),
+               _log2_column(ep), _log2_column(micro), _log2_column(batch),
+               _log2_column(num_micro), _floats(zero), _floats(ckpt),
+               [v is not None for v in ckpt], [bool(v) for v in overlap],
+               _floats(bucket)]
+    columns += [schedule == name for name in _SCHEDULE_NAMES]
+    columns += [innermost == axis for axis in _INNERMOST_AXES]
+    for j, column in enumerate(columns):
+        X[:, j] = column
+    cursor = len(CONFIG_FEATURE_NAMES)
     for block, names in (
         (None if model_stats is None else stats_features(model_stats),
          STATS_FEATURE_NAMES),
@@ -146,21 +170,18 @@ def featurize(config: dict, model_stats: ModelStats | None,
         (None if trace is None else trace_features(trace),
          TRACE_FEATURE_NAMES),
     ):
-        width = len(names)
-        vector[cursor:cursor + width] = 0.0 if block is None else block
-        cursor += width
-    return vector
+        if block is not None:
+            X[:, cursor:cursor + len(names)] = block
+        cursor += len(names)
+    return X
 
 
-def featurize_many(configs: Sequence[dict],
-                   model_stats: ModelStats | None,
-                   cluster: ClusterSpec | None,
-                   trace: ModelTrace | None = None) -> np.ndarray:
-    """Stack :func:`featurize` over ``configs`` into an ``(N, F)`` matrix."""
-    if not configs:
-        return np.empty((0, len(FEATURE_NAMES)))
-    return np.stack([featurize(config, model_stats, cluster, trace=trace)
-                     for config in configs])
+def featurize(config: dict, model_stats: ModelStats | None,
+              cluster: ClusterSpec | None,
+              trace: ModelTrace | None = None) -> np.ndarray:
+    """One config → one :data:`FEATURE_NAMES` vector (a one-row
+    :func:`featurize_many`)."""
+    return featurize_many([config], model_stats, cluster, trace=trace)[0]
 
 
 @dataclass(frozen=True)
@@ -183,8 +204,8 @@ class LearnedCostModel(CostModel):
     log-target the caller chose (log-throughput for a direct model,
     log measured/analytic for a residual correction) and
     :meth:`estimate` exponentiates.  Training is exactly reproducible:
-    ridge is a closed-form solve, stump splits scan features and
-    thresholds in a fixed order with deterministic tie-breaks, and the
+    ridge is a closed-form solve, stump splits break ties
+    deterministically (earliest threshold, then earliest feature), and the
     seed only enters where a caller asks for a held-out split
     (:meth:`holdout_split`).
 
@@ -262,8 +283,10 @@ class LearnedCostModel(CostModel):
         gram = Z.T @ Z + self.l2 * n * np.eye(Z.shape[1])
         self._coef = np.linalg.solve(gram, Z.T @ (y - self._intercept))
         residual = y - self._predict_matrix(Z)
+        # Z is fixed across boosting rounds: sort every column once
+        orders = np.argsort(Z, axis=0, kind="stable")
         for _ in range(self.boost_rounds):
-            stump = self._fit_stump(Z, residual)
+            stump = self._fit_stump(Z, residual, orders)
             if stump is None:
                 break
             self._stumps.append(stump)
@@ -283,40 +306,37 @@ class LearnedCostModel(CostModel):
         y = np.array([math.log(float(value)) for _, value in rows])
         return self.fit(X, y)
 
-    def _fit_stump(self, Z: np.ndarray, residual: np.ndarray
-                   ) -> _Stump | None:
-        """Best single split by SSE reduction; deterministic tie-break
-        (strictly-greater gain, features scanned in schema order,
-        thresholds ascending)."""
+    def _fit_stump(self, Z: np.ndarray, residual: np.ndarray,
+                   orders: np.ndarray) -> _Stump | None:
+        """Best single split by SSE reduction, every feature scored in
+        one pass over the column-wise stable sort ``orders``.
+        Deterministic tie-break: the earliest threshold (ascending)
+        within a feature, the earliest feature (schema order) on equal
+        gain; a split must gain more than 1e-12."""
         n = Z.shape[0]
-        total = residual.sum()
-        best: tuple[float, _Stump] | None = None
-        for j in range(Z.shape[1]):
-            order = np.argsort(Z[:, j], kind="stable")
-            zs = Z[order, j]
-            left_sum = np.cumsum(residual[order])[:-1]
-            counts = np.arange(1, n)
-            splittable = zs[:-1] < zs[1:]
-            if not splittable.any():
-                continue
-            right_sum = total - left_sum
-            gain = left_sum ** 2 / counts \
-                + right_sum ** 2 / (n - counts)
-            gain = np.where(splittable, gain, -np.inf)
-            pick = int(gain.argmax())
-            if gain[pick] <= 1e-12:
-                continue
-            if best is None or gain[pick] > best[0]:
-                stump = _Stump(
-                    feature=j,
-                    threshold=float((zs[pick] + zs[pick + 1]) / 2),
-                    left=self.learning_rate
-                    * float(left_sum[pick] / counts[pick]),
-                    right=self.learning_rate
-                    * float(right_sum[pick] / (n - counts[pick])),
-                )
-                best = (float(gain[pick]), stump)
-        return None if best is None else best[1]
+        if n < 2:
+            return None
+        zs = np.take_along_axis(Z, orders, axis=0)
+        left_sum = np.cumsum(residual[orders], axis=0)[:-1]
+        counts = np.arange(1, n)
+        right_sum = residual.sum() - left_sum
+        gain = left_sum ** 2 / counts[:, None] \
+            + right_sum ** 2 / (n - counts)[:, None]
+        gain = np.where(zs[:-1] < zs[1:], gain, -np.inf)
+        picks = gain.argmax(axis=0)
+        best = gain[picks, np.arange(Z.shape[1])]
+        j = int(np.where(best > 1e-12, best, -np.inf).argmax())
+        if not best[j] > 1e-12:
+            return None
+        pick = int(picks[j])
+        return _Stump(
+            feature=j,
+            threshold=float((zs[pick, j] + zs[pick + 1, j]) / 2),
+            left=self.learning_rate
+            * float(left_sum[pick, j] / counts[pick]),
+            right=self.learning_rate
+            * float(right_sum[pick, j] / (n - counts[pick])),
+        )
 
     @staticmethod
     def _stump_column(stump: _Stump, Z: np.ndarray) -> np.ndarray:
@@ -510,7 +530,7 @@ class ResidualCostModel(CostModel):
     range observed in training, so a thin corpus can bend the analytic
     ranking but never overrule it with an extrapolated fantasy.
 
-    ``featurizer`` defaults to :func:`featurize` over the analytic
+    ``featurizer`` defaults to :func:`featurize_many` over the analytic
     model's memoized stats/cluster when ``analytic`` is a
     :class:`SimCostModel`; any other analytic model needs an explicit
     one.  The default deliberately leaves the trace block zeroed: the
@@ -519,7 +539,7 @@ class ResidualCostModel(CostModel):
     the analytic model already priced — folding them in would pin the
     correction to the training family's absolute flop/byte counts and
     defeat cross-family transfer.  Pass an explicit featurizer with
-    ``trace=`` filled to opt back in.
+    ``trace=`` filled to opt back in; it is applied row by row.
     """
 
     name = "residual"
@@ -539,7 +559,7 @@ class ResidualCostModel(CostModel):
         self.num_fallbacks = 0
         #: corpus rows used by the last fit_from_cache
         self.corpus_size = 0
-        self._sources: dict[str, str] = {}
+        self._batch = _RankedBatch((), np.zeros(0, dtype=bool))
 
     @property
     def active(self) -> bool:
@@ -548,24 +568,52 @@ class ResidualCostModel(CostModel):
             and self.learned.num_samples >= self.min_samples
 
     # ------------------------------------------------------------------ #
-    def features(self, config: dict) -> np.ndarray:
+    def features_many(self, configs: Sequence[dict]) -> np.ndarray:
+        """The ``(N, F)`` feature matrix of ``configs``: one
+        :func:`featurize_many` per distinct trace of the analytic model,
+        or the explicit ``featurizer`` stacked row by row."""
         if self._featurizer is not None:
-            return self._featurizer(config)
+            if not configs:
+                return np.zeros((0, len(FEATURE_NAMES)))
+            return np.stack([self._featurizer(config) for config in configs])
         traced = getattr(self.analytic, "_traced", None)
         cluster = getattr(self.analytic, "cluster", None)
         if traced is None:
             raise ValueError(
                 "ResidualCostModel needs an explicit featurizer when the "
                 "analytic model is not a SimCostModel")
-        model, trace = traced(config)
-        stats = model_stats_for(trace, model)
-        return featurize(config, stats, cluster)
+        groups: dict[int, tuple[ModelStats, list[int]]] = {}
+        for i, config in enumerate(configs):
+            model, trace = traced(config)
+            group = groups.get(id(trace))
+            if group is None:
+                group = groups[id(trace)] = (model_stats_for(trace, model),
+                                             [])
+            group[1].append(i)
+        X = np.zeros((len(configs), len(FEATURE_NAMES)))
+        for stats, rows in groups.values():
+            X[rows] = featurize_many([configs[i] for i in rows], stats,
+                                     cluster)
+        return X
+
+    @staticmethod
+    def matching_rows(cache: TrialCache, context: dict | None = None
+                      ) -> list[dict]:
+        """The cache rows :meth:`fit_from_cache` trains on: measured
+        valid with positive throughput, and recorded under a context
+        carrying every ``context`` key/value pair.  In canonical config
+        key order (:meth:`TrialCache.entries` order)."""
+        return [entry for entry in cache.entries()
+                if entry["valid"] and entry["throughput"] > 0
+                and (not context or all(
+                    entry.get("context", {}).get(key) == value
+                    for key, value in context.items()))]
 
     def fit_from_cache(self, cache: TrialCache,
                        context: dict | None = None) -> int:
         """Train the correction on every usable cached measurement.
 
-        Usable = measured valid with positive throughput *and* priced
+        Usable = a :meth:`matching_rows` row *and* priced
         feasible-and-positive by the analytic model (the residual is
         undefined otherwise).  ``context`` restricts the corpus to
         entries whose recorded context carries matching key/value pairs
@@ -575,13 +623,7 @@ class ResidualCostModel(CostModel):
         were recorded in.  Returns the corpus size actually fitted (0
         leaves any previous fit untouched).
         """
-        entries = sorted(
-            (entry for entry in cache.entries()
-             if entry["valid"] and entry["throughput"] > 0
-             and (not context or all(
-                 entry.get("context", {}).get(key) == value
-                 for key, value in context.items()))),
-            key=lambda entry: config_key(entry["config"]))
+        entries = self.matching_rows(cache, context)
         configs = [entry["config"] for entry in entries]
         estimates = self.analytic.predict_many(configs)
         rows = [(config, entry["throughput"], estimate.throughput)
@@ -591,48 +633,87 @@ class ResidualCostModel(CostModel):
         self.corpus_size = len(rows)
         if not rows:
             return 0
-        X = np.stack([self.features(config) for config, _, _ in rows])
+        X = self.features_many([config for config, _, _ in rows])
         y = np.array([math.log(measured / predicted)
                       for _, measured, predicted in rows])
         self.learned.fit(X, y)
         return len(rows)
 
     # ------------------------------------------------------------------ #
+    def _correct(self, configs: Sequence[dict], rates: np.ndarray,
+                 usable: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Corrected copies of the analytic ``rates`` and the mask of
+        rows the correction applied to; only ``usable`` rows are
+        candidates.  Publishes the batch for :meth:`rank_source`."""
+        out = rates.copy()
+        applied = np.zeros(len(configs), dtype=bool)
+        rows = np.flatnonzero(usable)
+        if len(rows) and self.active:
+            X = self.features_many([configs[i] for i in rows])
+            inside = self.learned.in_distribution(X, margin=self.ood_margin)
+            corrections = np.exp(self.learned.predict_features(X))
+            self.num_fallbacks += int(len(rows) - inside.sum())
+            rows = rows[inside]
+            out[rows] = rates[rows] * corrections[inside]
+            applied[rows] = True
+        # One assignment, so a concurrent batch on a shared model can
+        # never interleave its rows with this one's.
+        self._batch = _RankedBatch(tuple(configs), applied)
+        return out, applied
+
     def _corrected(self, configs: Sequence[dict],
                    base: Sequence[CostEstimate]) -> list[CostEstimate]:
-        out = list(base)
-        rows = [i for i, estimate in enumerate(base)
-                if estimate.fits and estimate.throughput > 0]
-        # Sources cover only the current batch (rank_source is consulted
-        # for just-ranked configs); retaining every config ever priced
-        # would grow without bound in a long-lived PlanService.
-        self._sources = {config_key(config): "analytic"
-                         for config in configs}
-        if not rows or not self.active:
-            return out
-        X = np.stack([self.features(configs[i]) for i in rows])
-        inside = self.learned.in_distribution(X, margin=self.ood_margin)
-        corrections = np.exp(self.learned.predict_features(X))
-        for row, i in enumerate(rows):
-            if not inside[row]:
-                self.num_fallbacks += 1
-                continue
-            self._sources[config_key(configs[i])] = "residual"
-            out[i] = CostEstimate(
-                throughput=float(base[i].throughput * corrections[row]),
-                fits=base[i].fits,
-                memory_bytes=base[i].memory_bytes)
-        return out
+        rates = np.array([estimate.throughput for estimate in base],
+                         dtype=np.float64)
+        usable = np.array([estimate.fits and estimate.throughput > 0
+                           for estimate in base], dtype=bool)
+        out, applied = self._correct(configs, rates, usable)
+        return [CostEstimate(throughput=float(out[i]), fits=estimate.fits,
+                             memory_bytes=estimate.memory_bytes)
+                if applied[i] else estimate
+                for i, estimate in enumerate(base)]
 
     def estimate(self, config: dict) -> CostEstimate:
         return self._corrected([config],
                                [self.analytic.estimate(config)])[0]
 
-    def predict_many(self, configs: Sequence[dict]) -> list[CostEstimate]:
-        return self._corrected(configs,
-                               self.analytic.predict_many(configs))
+    def predict_many(self, configs: Sequence[dict], base=None
+                     ) -> list[CostEstimate]:
+        """Corrected estimates for ``configs``.
+
+        ``base``, when given, holds the analytic throughputs of configs
+        the caller already priced and knows to be feasible (one per
+        config, on this model's analytic basis); they are corrected
+        as they are, without re-pricing.
+        """
+        if base is None:
+            return self._corrected(configs,
+                                   self.analytic.predict_many(configs))
+        rates = np.array(base, dtype=np.float64)
+        if rates.shape != (len(configs),):
+            raise ValueError(f"base must hold one rate per config: "
+                             f"{len(configs)} configs, base of shape "
+                             f"{rates.shape}")
+        out, _ = self._correct(configs, rates, rates > 0)
+        return list(map(CostEstimate, out.tolist()))
 
     def rank_source(self, config: dict) -> str:
         """Which model ranked this config in the most recent prediction
         batch (earlier batches are forgotten)."""
-        return self._sources.get(config_key(config), "analytic")
+        return "residual" if config_key(config) in \
+            self._batch.residual_keys else "analytic"
+
+
+class _RankedBatch:
+    """The configs of one prediction batch and the rows the correction
+    applied to.  Config keys are only built when :meth:`rank_source
+    <ResidualCostModel.rank_source>` first asks."""
+
+    def __init__(self, configs: tuple, applied: np.ndarray):
+        self.configs = configs
+        self.applied = applied
+
+    @functools.cached_property
+    def residual_keys(self) -> frozenset[str]:
+        return frozenset(config_key(self.configs[i])
+                         for i in np.flatnonzero(self.applied))

@@ -399,3 +399,215 @@ class TestResidualGuidedSearch:
             assert second.report.num_lost == 0
         finally:
             pool.close()
+
+
+# --------------------------------------------------------------------- #
+# Vectorized stump search vs the scalar oracle
+# --------------------------------------------------------------------- #
+def oracle_stump(model, Z, residual):
+    """The scalar per-feature split scan the vectorized search replaced:
+    strictly-greater gain, features in schema order, thresholds
+    ascending, gains <= 1e-12 skipped."""
+    from repro.slapo.tuner.learned import _Stump
+
+    n = Z.shape[0]
+    total = residual.sum()
+    best = None
+    for j in range(Z.shape[1]):
+        order = np.argsort(Z[:, j], kind="stable")
+        zs = Z[order, j]
+        left_sum = np.cumsum(residual[order])[:-1]
+        counts = np.arange(1, n)
+        splittable = zs[:-1] < zs[1:]
+        if not splittable.any():
+            continue
+        right_sum = total - left_sum
+        gain = left_sum ** 2 / counts + right_sum ** 2 / (n - counts)
+        gain = np.where(splittable, gain, -np.inf)
+        pick = int(gain.argmax())
+        if gain[pick] <= 1e-12:
+            continue
+        if best is None or gain[pick] > best[0]:
+            stump = _Stump(
+                feature=j,
+                threshold=float((zs[pick] + zs[pick + 1]) / 2),
+                left=model.learning_rate
+                * float(left_sum[pick] / counts[pick]),
+                right=model.learning_rate
+                * float(right_sum[pick] / (n - counts[pick])),
+            )
+            best = (float(gain[pick]), stump)
+    return None if best is None else best[1]
+
+
+class TestStumpSearch:
+    def search(self, Z, residual):
+        Z = np.asarray(Z, dtype=np.float64)
+        residual = np.asarray(residual, dtype=np.float64)
+        model = LearnedCostModel()
+        got = model._fit_stump(Z, residual,
+                               np.argsort(Z, axis=0, kind="stable"))
+        assert got == oracle_stump(model, Z, residual)
+        return got
+
+    def test_single_row_never_splits(self):
+        assert self.search([[0.5, -1.0]], [2.0]) is None
+
+    def test_two_rows(self):
+        stump = self.search([[1.0, 0.0], [-1.0, 0.0]], [1.0, -1.0])
+        assert stump.feature == 0 and stump.threshold == 0.0
+        # a tied pair of rows cannot be split
+        assert self.search([[1.0], [1.0]], [1.0, -1.0]) is None
+
+    def test_constant_columns_never_split(self):
+        assert self.search(np.zeros((6, 3)), [1, -2, 3, 0, 5, -1]) is None
+
+    def test_zero_gain_is_skipped(self):
+        Z = np.arange(12.0).reshape(6, 2)
+        assert self.search(Z, np.zeros(6)) is None
+
+    def test_equal_gain_across_features_takes_the_first(self):
+        column = np.array([0.0, 1.0, 2.0, 3.0])
+        Z = np.stack([np.zeros(4), column, column, -column], axis=1)
+        stump = self.search(Z, [3.0, 1.0, -1.0, -3.0])
+        assert stump.feature == 1
+
+    def test_equal_gain_within_a_feature_takes_the_lowest_threshold(self):
+        stump = self.search([[0.0], [1.0], [2.0], [3.0]],
+                            [1.0, -1.0, -1.0, 1.0])
+        assert stump.threshold == 0.5
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_corpora(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 60))
+        # few distinct levels per column: many tied thresholds
+        Z = rng.integers(0, 4, size=(n, 7)).astype(np.float64)
+        Z[:, 2] = 0.0
+        Z[:, 5] = rng.normal(size=n)
+        residual = rng.normal(size=n)
+        self.search(Z, residual)
+
+    def test_fitted_weights_match_an_oracle_driven_fit(self, monkeypatch):
+        _, X, y = synthetic_corpus(n=40, seed=5)
+        fast = LearnedCostModel(boost_rounds=16).fit(X, y)
+        monkeypatch.setattr(
+            LearnedCostModel, "_fit_stump",
+            lambda self, Z, residual, orders: oracle_stump(self, Z,
+                                                           residual))
+        slow = LearnedCostModel(boost_rounds=16).fit(X, y)
+        assert fast._stumps
+        assert fast.to_json() == slow.to_json()
+
+
+# --------------------------------------------------------------------- #
+# Batch featurization and correcting a priced batch
+# --------------------------------------------------------------------- #
+class TestBatchFeatures:
+    def test_rows_do_not_depend_on_the_batch(self):
+        configs = [{"tp": 4, "micro_batch": 3, "ckpt_ratio": 0.5},
+                   {"tp": 4.0, "micro_batch": None, "placement": "dp,tp"},
+                   {"tp": True, "batch_size": "96", "zero_stage": 1},
+                   {"pipeline_schedule": "1f1b", "overlap_grad_sync": 1,
+                    "overlap_bucket_mb": 2.5},
+                   {}]
+        X = featurize_many(configs, None, P3DN_NODE)
+        for k, config in enumerate(configs):
+            assert np.array_equal(X[k], featurize(config, None, P3DN_NODE))
+            assert np.array_equal(
+                X[k], featurize_many(configs[k::-1], None, P3DN_NODE)[0])
+        assert featurize_many([], None, None).shape == \
+            (0, len(FEATURE_NAMES))
+
+    def test_log_features_are_scalar_log2(self):
+        values = [1, 3, 5, 6, 7, 12, 96, 100, 1000]
+        X = featurize_many([{"micro_batch": v} for v in values], None, None)
+        column = X[:, list(FEATURE_NAMES).index("log_micro_batch")]
+        assert column.tolist() == [math.log2(v) for v in values]
+
+    def test_features_many_groups_configs_by_trace(self):
+        from repro.models import data
+        from repro.sim import trace_model
+        from repro.slapo.tuner import SimCostModel
+
+        traced = {}
+        for family in ("GPT", "BERT"):
+            cls, config = MODEL_ZOO[family]
+            model = cls(config.tiny(), device="meta")
+            ids, _ = data.lm_batch(config.tiny(), 1, device="meta")
+            traced[family] = (model, trace_model(model, ids))
+        analytic = SimCostModel(
+            lambda config: traced[config["family"]], P3DN_NODE,
+            trace_key_fn=lambda config: config["family"])
+        residual = ResidualCostModel(analytic)
+        configs = [{"family": family, "micro_batch": micro}
+                   for micro in (1, 2, 4) for family in ("GPT", "BERT")]
+        X = residual.features_many(configs)
+        for row, config in zip(X, configs):
+            model, trace = traced[config["family"]]
+            stats = compute_model_stats(model)
+            assert np.array_equal(row, featurize(config, stats, P3DN_NODE))
+        assert not np.array_equal(X[0], X[1])
+
+
+class TestCorrectPricedBatch:
+    def trained(self, tmp_path):
+        configs = [{"batch_size": batch, "ckpt_ratio": ratio}
+                   for batch in range(104, 177, 8)
+                   for ratio in (0.25, 0.5, 1.0)]
+        cache = TrialCache(tmp_path / "trials.json")
+        for config in configs:
+            cache.put(config, measured_rate(config), True)
+        residual = ResidualCostModel(CallableCostModel(analytic_rate),
+                                     featurizer=config_featurizer)
+        residual.fit_from_cache(cache)
+        assert residual.active
+        return residual
+
+    def test_base_rates_match_repricing(self, tmp_path):
+        residual = self.trained(tmp_path)
+        probes = [{"batch_size": batch, "ckpt_ratio": ratio}
+                  for batch in (100, 128, 150, 4096)
+                  for ratio in (0.25, 0.67)]
+        repriced = residual.predict_many(probes)
+        sources = [residual.rank_source(c) for c in probes]
+        given = residual.predict_many(
+            probes, base=[analytic_rate(c) for c in probes])
+        assert [e.throughput for e in given] == \
+            [e.throughput for e in repriced]
+        assert [residual.rank_source(c) for c in probes] == sources
+        assert set(sources) == {"analytic", "residual"}
+        with pytest.raises(ValueError, match="one rate per config"):
+            residual.predict_many(probes, base=[1.0])
+
+    def test_concurrent_batches_keep_their_own_rank_sources(self,
+                                                            tmp_path):
+        import sys
+        import threading
+
+        residual = self.trained(tmp_path)
+        batches = [[{"batch_size": batch, "ckpt_ratio": ratio}
+                    for batch in range(104 + 4 * k, 177, 8)
+                    for ratio in (0.25, 0.34, 0.5, 0.67, 1.0)]
+                   for k in (0, 1)]
+        keys = [{config_key(c) for c in batch} for batch in batches]
+
+        def predict(batch):
+            residual.predict_many(batch)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(40):
+                threads = [threading.Thread(target=predict, args=(batch,))
+                           for batch in batches]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                ranked = {config_key(c) for batch in batches for c in batch
+                          if residual.rank_source(c) == "residual"}
+                # the last published batch, whole: never a mixture
+                assert ranked and any(ranked <= k for k in keys)
+        finally:
+            sys.setswitchinterval(interval)

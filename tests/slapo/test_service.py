@@ -399,3 +399,44 @@ class TestResidualBasis:
             assert estimate.fits
             assert math.isclose(estimate.throughput, batch.throughput[i],
                                 rel_tol=1e-12), configs[i]
+
+
+class TestRefitOnChangedCorpus:
+    def test_refits_only_when_the_matching_rows_change(self, tmp_path):
+        request = PlanRequest("GPT", world_size=8)
+        context = {"family": "GPT", "world_size": 8}
+        cache = TrialCache(tmp_path / "trials.json")
+        with plan_service(gpt_trace) as clean:
+            clean.query(request)
+            configs, _ = clean._space(request)
+        rows = [dict(c) for c in configs[::3]]
+        for k, config in enumerate(rows[:10]):
+            cache.put(config, 40.0 + k, True, context=context)
+        with plan_service(gpt_trace, cache=cache, min_corpus=4) as service:
+            assert service.query(request).cost_model == "residual"
+            assert service.refits == 1
+            fitted = service._corrections[("GPT", 8)][1]
+            weights = fitted.learned.to_json()
+
+            # a measurement in another context: nothing to refit
+            cache.put(rows[10], 55.0, True,
+                      context={"family": "BERT", "world_size": 8})
+            service.query(request)
+            assert service.refits == 1
+            assert service._corrections[("GPT", 8)][1] is fitted
+            assert fitted.learned.to_json() == weights
+
+            # a new matching row: one refit
+            cache.put(rows[11], 57.0, True, context=context)
+            service.query(request)
+            service.query(request)
+            assert service.refits == 2
+
+            # an overwrite leaves len(cache) unchanged but is a new corpus
+            size = len(cache)
+            cache.put(rows[0], 99.0, True, context=context)
+            assert len(cache) == size
+            service.query(request)
+            assert service.refits == 3
+            assert service._corrections[("GPT", 8)][1].learned.to_json() \
+                != weights
