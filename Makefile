@@ -1,16 +1,17 @@
 PYTHON ?= python
 
-.PHONY: test test-fast fuzz bench perf docs docs-check train-model loc
+.PHONY: test test-fast fuzz bench perf profile-train docs docs-check train-model loc
 
 # tier-1 verification (pyproject.toml already pins pythonpath=src) — the
 # full suite includes the seeded fuzz corpus (marked `slow`) — then the
 # benchmark's own tests (tiny perfbench runs whose shims must still find
 # the planning path's probe points), the learned-cost-model training
-# gate (see train-model), the fast fuzz sweep and the BENCH_*.json
-# perf-trajectory guard
+# gate (see train-model), the fast fuzz sweep, the eager-profile smoke
+# run (see profile-train) and the BENCH_*.json perf-trajectory guard
 test:
 	$(PYTHON) -m pytest -x -q
 	$(PYTHON) -m pytest -q perfbench/tests
+	$(PYTHON) scripts/profile_train.py --size tiny --steps 2
 	$(PYTHON) scripts/train_cost_model.py --check
 	$(PYTHON) scripts/validate_schedules.py
 	$(PYTHON) scripts/check_functional.py
@@ -39,6 +40,12 @@ perf:
 	$(PYTHON) benchmarks/bench_topology.py
 	$(PYTHON) benchmarks/bench_learned.py
 	$(PYTHON) benchmarks/bench_fusion.py
+
+# cProfile of the eager GPT tp=2 training step (the train_gpt_tp2
+# configuration): forward/backward/optimizer split plus the hottest
+# functions by self time, in ms per step (see docs/framework.md)
+profile-train:
+	$(PYTHON) scripts/profile_train.py --size full --steps 10 --top 25
 
 # Learned-cost-model training gate: fails if training is
 # nondeterministic, the weights JSON doesn't round-trip byte-stably, or

@@ -14,7 +14,7 @@ from . import dtype as dtypes
 from . import functional
 from . import init
 from . import random
-from .autograd import enable_grad, no_grad
+from .autograd import detect_anomaly, enable_grad, no_grad
 from .dtype import DType, bool_, float16, float32, float64, int32, int64
 from .events import recording, set_recorder
 from .layers import (
@@ -67,7 +67,8 @@ __all__ = [
     "AdaptiveAvgPool2d", "Sequential", "ModuleList", "Identity",
     "MoEExpert", "MoEFeedForward",
     "SGD", "AdamW", "Optimizer",
-    "no_grad", "enable_grad", "manual_seed", "get_rng_state", "set_rng_state",
+    "no_grad", "enable_grad", "detect_anomaly",
+    "manual_seed", "get_rng_state", "set_rng_state",
     "recording", "set_recorder",
     "tensor", "zeros", "ones", "full", "arange", "randn", "rand", "randint",
     "zeros_like", "ones_like", "allclose", "astensor",

@@ -9,6 +9,9 @@ Design notes
 * Gradients are plain numpy arrays during propagation and are stored into
   ``tensor.grad`` as framework tensors only at leaves.
 * ``no_grad()`` suppresses tape construction, mirroring PyTorch.
+* ``detect_anomaly()`` makes every forward op and every tape node check
+  its result for NaN/Inf and raise ``FloatingPointError`` naming the
+  culprit; outside it the check costs one thread-local read per op.
 * Nodes hold references to their input tensors; tapes are short-lived so the
   resulting reference cycles are acceptable.
 """
@@ -51,6 +54,35 @@ def enable_grad():
         yield
     finally:
         _GRAD_MODE.enabled = prev
+
+
+# Per-thread for the same reason: one rank debugging an overflow must not
+# slow down (or raise inside) a concurrent rank.
+_ANOMALY = threading.local()
+
+
+def is_anomaly_enabled() -> bool:
+    return getattr(_ANOMALY, "enabled", False)
+
+
+@contextmanager
+def detect_anomaly():
+    """Raise ``FloatingPointError`` at the first op (forward) or tape node
+    (backward) that produces a NaN or Inf, on this thread."""
+    prev = is_anomaly_enabled()
+    _ANOMALY.enabled = True
+    try:
+        yield
+    finally:
+        _ANOMALY.enabled = prev
+
+
+def check_finite(array, where: str) -> None:
+    """Raise ``FloatingPointError`` if floating ``array`` holds NaN/Inf."""
+    array = np.asarray(array)
+    if array.dtype.kind in "fc" and not np.isfinite(array).all():
+        raise FloatingPointError(
+            f"detect_anomaly: {where} produced a non-finite value")
 
 
 class GradNode:
@@ -137,6 +169,7 @@ def backward(root, grad: np.ndarray | None = None) -> None:
         grad = grad.data
 
     grads: dict[int, np.ndarray] = {id(root): np.asarray(grad, root.data.dtype)}
+    anomaly = is_anomaly_enabled()
     for tensor in reversed(_topo_order(root)):
         out_grad = grads.pop(id(tensor), None)
         if out_grad is None:
@@ -152,6 +185,11 @@ def backward(root, grad: np.ndarray | None = None) -> None:
                 f"{tensor.grad_fn.name}: backward returned {len(in_grads)} "
                 f"grads for {len(inputs)} inputs"
             )
+        if anomaly:
+            for parent_grad in in_grads:
+                if parent_grad is not None:
+                    check_finite(parent_grad,
+                                 f"backward of {tensor.grad_fn!r}")
         for parent, parent_grad in zip(inputs, in_grads):
             if parent is None or parent_grad is None:
                 continue

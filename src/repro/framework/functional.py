@@ -25,7 +25,8 @@ import numpy as np
 from scipy import special as _sp_special
 
 from . import dtype as dtypes, events, random as frandom
-from .autograd import GradNode, is_grad_enabled, unbroadcast
+from .autograd import (GradNode, check_finite, is_anomaly_enabled,
+                       is_grad_enabled, unbroadcast)
 from .dtype import DType, promote
 from .tensor import Tensor, astensor
 
@@ -128,13 +129,22 @@ def _numel(shape) -> int:
 
 def _finalize(name, data, inputs, backward_fn, dtype=None, flops=0,
               bytes_moved=None, meta=None):
-    """Wrap raw output data into a tensor with event + tape bookkeeping."""
+    """Wrap raw output data into a tensor with event + tape bookkeeping.
+
+    The event payload is only built when a recorder is installed, and the
+    finiteness check only runs under :func:`~.autograd.detect_anomaly`.
+    """
     out = Tensor(data, dtype=dtype)
-    if bytes_moved is None:
-        bytes_moved = out.nbytes + builtins.sum(
-            t.nbytes for t in inputs if isinstance(t, Tensor)
-        )
-    events.record_op(name, tuple(out.shape), out.dtype, flops, bytes_moved, meta)
+    if is_anomaly_enabled():
+        check_finite(out.data, f"op {name!r}")
+    recorder = events.get_recorder()
+    if recorder is not None:
+        if bytes_moved is None:
+            bytes_moved = out.nbytes + builtins.sum(
+                t.nbytes for t in inputs if isinstance(t, Tensor)
+            )
+        recorder.record_op(name, tuple(out.shape), out.dtype, flops,
+                           bytes_moved, meta)
     if is_grad_enabled() and any(
         isinstance(t, Tensor) and (t.requires_grad or t.grad_fn is not None)
         for t in inputs
@@ -335,23 +345,46 @@ def relu(x):
 
 
 def _erf(v: np.ndarray) -> np.ndarray:
-    return _sp_special.erf(v.astype(np.float32)).astype(v.dtype)
+    return _sp_special.erf(v.astype(np.float32, copy=False)).astype(
+        v.dtype, copy=False)
 
 
 @traceable
 def gelu(x):
-    """Exact (erf) GELU, matching HF BERT's default activation."""
+    """Exact (erf) GELU, matching HF BERT's default activation.
 
-    def fwd(v):
-        return (0.5 * v * (1.0 + _erf(v * _INV_SQRT2))).astype(v.dtype)
+    For fp32 the forward's ``1 + erf(v / sqrt 2)`` is saved and reused by
+    the backward.  Other dtypes recompute it in fp32 there: their forward
+    ``erf`` is rounded to the input dtype, the backward's is not.
+    """
+    x = astensor(x)
+    if x.is_meta:
+        return _meta_result("gelu", tuple(x.shape), x.dtype, (x,),
+                            flops=10 * x.numel())
+    v = x.data
+    one_plus_erf = 1.0 + _erf(v * _INV_SQRT2)
+    data = (0.5 * v * one_plus_erf).astype(v.dtype, copy=False)
+    saved = one_plus_erf if v.dtype == np.float32 else None
 
-    def bwd(g, v, o):
-        v32 = v.astype(np.float32)
-        cdf = 0.5 * (1.0 + _sp_special.erf(v32 * _INV_SQRT2))
-        pdf = np.exp(-0.5 * v32 * v32) / math.sqrt(2 * math.pi)
-        return (g * (cdf + v32 * pdf)).astype(v.dtype)
+    def backward(grad):
+        v32 = v.astype(np.float32, copy=False)
+        if saved is None:
+            cdf = 0.5 * (1.0 + _sp_special.erf(v32 * _INV_SQRT2))
+        else:
+            cdf = 0.5 * saved
+        pdf = -0.5 * v32
+        pdf *= v32
+        np.exp(pdf, out=pdf)
+        pdf /= math.sqrt(2 * math.pi)
+        pdf *= v32
+        pdf += cdf
+        if np.result_type(grad, pdf) != pdf.dtype:
+            return ((grad * pdf).astype(v.dtype, copy=False),)
+        pdf *= grad
+        return (pdf.astype(v.dtype, copy=False),)
 
-    return _unary("gelu", x, fwd, bwd, flops_per_elem=10)
+    return _finalize("gelu", data, (x,), backward, dtype=x.dtype,
+                     flops=10 * x.numel())
 
 
 @traceable
@@ -359,12 +392,13 @@ def silu(x):
     """SiLU / swish, used by LLaMA's MLP."""
 
     def fwd(v):
-        s = 1.0 / (1.0 + np.exp(-v.astype(np.float32)))
-        return (v * s.astype(v.dtype)).astype(v.dtype)
+        s = 1.0 / (1.0 + np.exp(-v.astype(np.float32, copy=False)))
+        return (v * s.astype(v.dtype, copy=False)).astype(v.dtype, copy=False)
 
     def bwd(g, v, o):
-        s = 1.0 / (1.0 + np.exp(-v.astype(np.float32)))
-        return (g * (s * (1 + v.astype(np.float32) * (1 - s)))).astype(v.dtype)
+        v32 = v.astype(np.float32, copy=False)
+        s = 1.0 / (1.0 + np.exp(-v32))
+        return (g * (s * (1 + v32 * (1 - s)))).astype(v.dtype, copy=False)
 
     return _unary("silu", x, fwd, bwd, flops_per_elem=5)
 
@@ -536,6 +570,40 @@ def expand(x, shape):
     return _finalize("expand", data, (x,), backward, dtype=x.dtype)
 
 
+_BASIC_INDEX = (int, np.integer, slice, type(None), type(Ellipsis))
+
+
+def _is_basic_index(index) -> bool:
+    """True when ``index`` selects a view: ints, slices, None, Ellipsis."""
+    parts = index if isinstance(index, tuple) else (index,)
+    return all(isinstance(p, _BASIC_INDEX) and not isinstance(p, bool)
+               for p in parts)
+
+
+def _unwrap_index(index):
+    """Replace framework tensors inside ``index`` by numpy arrays.
+
+    A meta integer tensor stands in as zeros of its own shape (only the
+    output shape is needed); a meta boolean mask has no such stand-in.
+    """
+    if isinstance(index, tuple):
+        return tuple(_unwrap_index(part) for part in index)
+    if not isinstance(index, Tensor):
+        return index
+    if not index.is_meta:
+        return index.data
+    if index.dtype == dtypes.bool_:
+        raise TypeError(
+            "getitem: a meta boolean-mask index makes the output shape "
+            "data-dependent")
+    return np.zeros(tuple(index.shape), dtype=np.intp)
+
+
+def _index_is_meta(index) -> bool:
+    parts = index if isinstance(index, tuple) else (index,)
+    return any(isinstance(p, Tensor) and p.is_meta for p in parts)
+
+
 @traceable
 def getitem(x, index):
     if isinstance(x, dict):
@@ -543,22 +611,30 @@ def getitem(x, index):
         # (e.g. an MoE routing dict) that traced code indexes by key.
         return x[index]
     x = astensor(x)
-    if x.is_meta:
+    if x.is_meta or _index_is_meta(index):
         # Infer the sliced shape with a zero-stride dummy array.
         dummy = np.broadcast_to(np.zeros(1, dtype=np.int8), tuple(x.shape))
-        shape = dummy[index].shape
+        shape = dummy[_unwrap_index(index)].shape
         return _meta_result("getitem", shape, x.dtype, (x,), bytes_moved=0)
-    data = x.data[index]
-    if np.isscalar(data) or data.ndim == 0:
-        data = np.asarray(data)
-    else:
-        data = data.copy()
+    index = _unwrap_index(index)
+    basic = _is_basic_index(index)
+    data = np.asarray(x.data[index])
+    if np.may_share_memory(data, x.data):
+        data = data.copy()  # a view: the output must not alias the input
     src_shape = tuple(x.shape)
     src_np_dtype = x.data.dtype
 
     def backward(grad):
         full = np.zeros(src_shape, dtype=src_np_dtype)
-        np.add.at(full, index, grad)
+        if not basic:
+            # Advanced indices may repeat an element: accumulate unbuffered.
+            np.add.at(full, index, grad)
+            return (full,)
+        view = full[index]
+        if isinstance(view, np.ndarray):
+            view += grad
+        else:  # an int on every axis: numpy returns a scalar, not a view
+            full[index] = grad
         return (full,)
 
     return _finalize("getitem", data, (x,), backward, dtype=x.dtype,
@@ -785,7 +861,10 @@ def linear(x, weight, bias=None):
     data = x2d @ weight.data.T
     if bias is not None:
         bias = astensor(bias)
-        data = data + bias.data
+        if bias.data.dtype == data.dtype:
+            data += bias.data  # into the fresh GEMM output
+        else:
+            data = data + bias.data
     data = data.reshape(out_shape)
 
     def backward(grad):
@@ -811,16 +890,19 @@ def softmax(x, dim: int = -1):
     if x.is_meta:
         return _meta_result("softmax", tuple(x.shape), x.dtype, (x,),
                             flops=5 * x.numel())
-    v = x.data.astype(np.float32)
-    v = v - v.max(axis=dim, keepdims=True)
-    e = np.exp(v)
-    data = (e / e.sum(axis=dim, keepdims=True)).astype(x.data.dtype)
+    v = x.data.astype(np.float32, copy=False)
+    e = v - v.max(axis=dim, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=dim, keepdims=True)
+    data = e.astype(x.data.dtype, copy=False)
 
     def backward(grad):
-        y = data.astype(np.float32)
-        g = grad.astype(np.float32)
+        y = data.astype(np.float32, copy=False)
+        g = grad.astype(np.float32, copy=False)
         inner = (g * y).sum(axis=dim, keepdims=True)
-        return ((y * (g - inner)).astype(x.data.dtype),)
+        gx = g - inner
+        gx *= y
+        return (gx.astype(x.data.dtype, copy=False),)
 
     return _finalize("softmax", data, (x,), backward, dtype=x.dtype,
                      flops=5 * x.numel())
@@ -832,16 +914,18 @@ def log_softmax(x, dim: int = -1):
     if x.is_meta:
         return _meta_result("log_softmax", tuple(x.shape), x.dtype, (x,),
                             flops=5 * x.numel())
-    v = x.data.astype(np.float32)
+    v = x.data.astype(np.float32, copy=False)
     v = v - v.max(axis=dim, keepdims=True)
     lse = np.log(np.exp(v).sum(axis=dim, keepdims=True))
-    data = (v - lse).astype(x.data.dtype)
+    v -= lse
+    data = v.astype(x.data.dtype, copy=False)
 
     def backward(grad):
-        g = grad.astype(np.float32)
-        soft = np.exp(data.astype(np.float32))
-        return ((g - soft * g.sum(axis=dim, keepdims=True))
-                .astype(x.data.dtype),)
+        g = grad.astype(np.float32, copy=False)
+        soft = np.exp(data.astype(np.float32, copy=False))
+        soft *= g.sum(axis=dim, keepdims=True)
+        return (np.subtract(g, soft, out=soft)
+                .astype(x.data.dtype, copy=False),)
 
     return _finalize("log_softmax", data, (x,), backward, dtype=x.dtype,
                      flops=5 * x.numel())
@@ -862,38 +946,42 @@ def layer_norm(x, normalized_shape, weight=None, bias=None, eps: float = 1e-5):
     if _any_meta(*inputs):
         return _meta_result("layer_norm", tuple(x.shape), x.dtype,
                             tuple(inputs), flops=8 * x.numel())
-    v = x.data.astype(np.float32)
-    mu = v.mean(axis=axes, keepdims=True)
-    diff = v - mu
-    variance = (diff * diff).mean(axis=axes, keepdims=True)
-    inv_std = 1.0 / np.sqrt(variance + eps)
-    x_hat = diff * inv_std
-    data = x_hat
-    w = weight.data.astype(np.float32) if weight is not None else None
+    v = x.data.astype(np.float32, copy=False)
+    x_hat = v - v.mean(axis=axes, keepdims=True)
+    scratch = x_hat * x_hat
+    inv_std = scratch.mean(axis=axes, keepdims=True)
+    inv_std += eps
+    inv_std = 1.0 / np.sqrt(inv_std)
+    x_hat *= inv_std
+    w = weight.data.astype(np.float32, copy=False) \
+        if weight is not None else None
+    data = scratch  # the variance's square is dead: reuse it for the output
     if w is not None:
-        data = data * w
+        np.multiply(x_hat, w, out=data)
+    else:
+        data[...] = x_hat
     if bias is not None:
-        data = data + bias.data.astype(np.float32)
-    data = data.astype(x.data.dtype)
-    n = 1
-    for s in normalized_shape:
-        n *= s
+        data += bias.data.astype(np.float32, copy=False)
+    data = data.astype(x.data.dtype, copy=False)
+    reduce_axes = tuple(range(x.ndim - ndims))
 
     def backward(grad):
-        g = grad.astype(np.float32)
+        g = grad.astype(np.float32, copy=False)
         g_hat = g * w if w is not None else g
-        term1 = g_hat
-        term2 = g_hat.mean(axis=axes, keepdims=True)
-        term3 = x_hat * (g_hat * x_hat).mean(axis=axes, keepdims=True)
-        gx = (inv_std * (term1 - term2 - term3)).astype(x.data.dtype)
-        grads = [gx]
+        # gx = inv_std * ((g_hat - mean(g_hat)) - x_hat * mean(g_hat * x_hat))
+        scratch = g_hat * x_hat
+        gx = g_hat - g_hat.mean(axis=axes, keepdims=True)
+        gx -= np.multiply(x_hat, scratch.mean(axis=axes, keepdims=True),
+                          out=scratch)
+        gx *= inv_std
+        grads = [gx.astype(x.data.dtype, copy=False)]
         if weight is not None:
-            reduce_axes = tuple(range(x.ndim - ndims))
-            grads.append((g * x_hat).sum(axis=reduce_axes)
-                         .astype(weight.data.dtype))
+            grads.append(np.multiply(g, x_hat, out=scratch)
+                         .sum(axis=reduce_axes)
+                         .astype(weight.data.dtype, copy=False))
         if bias is not None:
-            reduce_axes = tuple(range(x.ndim - ndims))
-            grads.append(g.sum(axis=reduce_axes).astype(bias.data.dtype))
+            grads.append(g.sum(axis=reduce_axes)
+                         .astype(bias.data.dtype, copy=False))
         return tuple(grads)
 
     return _finalize("layer_norm", data, tuple(inputs), backward,
@@ -907,22 +995,22 @@ def rms_norm(x, weight, eps: float = 1e-6):
     if _any_meta(x, weight):
         return _meta_result("rms_norm", tuple(x.shape), x.dtype, (x, weight),
                             flops=6 * x.numel())
-    v = x.data.astype(np.float32)
+    v = x.data.astype(np.float32, copy=False)
     ms = (v * v).mean(axis=-1, keepdims=True)
     inv_rms = 1.0 / np.sqrt(ms + eps)
     x_hat = v * inv_rms
-    w = weight.data.astype(np.float32)
-    data = (x_hat * w).astype(x.data.dtype)
-    n = x.shape[-1]
+    w = weight.data.astype(np.float32, copy=False)
+    data = (x_hat * w).astype(x.data.dtype, copy=False)
 
     def backward(grad):
-        g = grad.astype(np.float32)
+        g = grad.astype(np.float32, copy=False)
         gw_hat = g * w
         inner = (gw_hat * v).mean(axis=-1, keepdims=True)
         gx = (inv_rms * gw_hat - v * inner * inv_rms ** 3)
         reduce_axes = tuple(range(x.ndim - 1))
         gweight = (g * x_hat).sum(axis=reduce_axes)
-        return (gx.astype(x.data.dtype), gweight.astype(weight.data.dtype))
+        return (gx.astype(x.data.dtype, copy=False),
+                gweight.astype(weight.data.dtype, copy=False))
 
     return _finalize("rms_norm", data, (x, weight), backward, dtype=x.dtype,
                      flops=6 * x.numel())
@@ -1051,10 +1139,9 @@ def cross_entropy(logits, targets, ignore_index: int = -100):
     idx = targets.data.astype(np.int64)
     valid = idx != ignore_index
     count = int(valid.sum())
-    v = logits.data.astype(np.float32)
-    v = v - v.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(v).sum(axis=1, keepdims=True))
-    logp = v - lse
+    v = logits.data.astype(np.float32, copy=False)
+    logp = v - v.max(axis=1, keepdims=True)
+    logp -= np.log(np.exp(logp).sum(axis=1, keepdims=True))
     safe_idx = np.where(valid, idx, 0)
     picked = logp[np.arange(n), safe_idx]
     loss = -(picked * valid).sum() / np.maximum(count, 1)
@@ -1062,10 +1149,12 @@ def cross_entropy(logits, targets, ignore_index: int = -100):
     def backward(grad):
         g = float(np.asarray(grad))
         soft = np.exp(logp)
-        one_hot = np.zeros_like(soft)
-        one_hot[np.arange(n), safe_idx] = 1.0
-        gl = (soft - one_hot) * valid[:, None] / np.maximum(count, 1) * g
-        return (gl.astype(logits.data.dtype), None)
+        soft[np.arange(n), safe_idx] -= 1.0  # soft - one_hot(targets)
+        soft *= valid[:, None]
+        # np.maximum returns an int64 scalar, so this divides in float64
+        gl = soft / np.maximum(count, 1)
+        gl *= g
+        return (gl.astype(logits.data.dtype, copy=False), None)
 
     return _finalize("cross_entropy", np.asarray(loss, np.float32),
                      (logits, targets), backward, dtype=dtypes.float32,

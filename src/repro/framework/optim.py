@@ -4,6 +4,15 @@ AdamW keeps, per parameter, the fp32 master copy plus two fp32 moments —
 the 16-bytes-per-parameter optimizer state that dominates large-model memory
 and that ZeRO partitions.  The memory model in :mod:`repro.sim` mirrors this
 layout exactly.
+
+Both optimizers update their state and the fp32 weights in place, with
+the operation order and rounding of the textbook expressions: a Python
+scalar hyper-parameter is rounded to float32 first (NumPy's weak-scalar
+rule for ``scalar * float32_array``), then applied with ``out=``.  The
+fp32 target is the fp16 parameter's master copy, the fp32 parameter's own
+storage (``param.data`` stays the same object, so views of it stay live),
+or a float32 copy for any other dtype; only a target that is not the
+parameter's storage is written back.
 """
 
 from __future__ import annotations
@@ -56,16 +65,23 @@ class SGD(Optimizer):
             for param in group["params"]:
                 if param.grad is None:
                     continue
-                grad = param.grad.data.astype(np.float32)
+                grad = param.grad.data.astype(np.float32, copy=False)
                 if weight_decay:
-                    grad = grad + weight_decay * param.data.astype(np.float32)
+                    decay = param.data.astype(np.float32, copy=False) \
+                        * np.float32(weight_decay)
+                    decay += grad
+                    grad = decay
                 if momentum:
                     state = self.state.setdefault(id(param), {})
                     buf = state.get("momentum")
-                    buf = grad if buf is None else momentum * buf + grad
-                    state["momentum"] = buf
+                    if buf is None:
+                        buf = state["momentum"] = np.array(grad, np.float32)
+                    else:
+                        buf *= np.float32(momentum)
+                        buf += grad
                     grad = buf
-                param.data -= (lr * grad).astype(param.data.dtype)
+                update = grad * np.float32(lr)
+                param.data -= update.astype(param.data.dtype, copy=False)
 
     def state_bytes_per_param(self) -> int:
         return 4 if self.param_groups[0]["momentum"] else 0
@@ -97,24 +113,34 @@ class AdamW(Optimizer):
                         state["master"] = param.data.astype(np.float32)
                 state["step"] += 1
                 step = state["step"]
-                grad = param.grad.data.astype(np.float32)
-                master = state.get("master")
-                target = master if master is not None \
-                    else param.data.astype(np.float32)
+                grad = param.grad.data.astype(np.float32, copy=False)
+                exp_avg, exp_avg_sq = state["exp_avg"], state["exp_avg_sq"]
+                target = state.get("master")
+                if target is None:
+                    target = param.data.astype(np.float32, copy=False)
                 # Decoupled weight decay.
-                target = target * (1.0 - lr * weight_decay)
-                state["exp_avg"] = beta1 * state["exp_avg"] + (1 - beta1) * grad
-                state["exp_avg_sq"] = (beta2 * state["exp_avg_sq"]
-                                       + (1 - beta2) * grad * grad)
+                target *= np.float32(1.0 - lr * weight_decay)
+                # exp_avg = beta1 * exp_avg + (1 - beta1) * grad
+                scratch = grad * np.float32(1 - beta1)
+                exp_avg *= np.float32(beta1)
+                exp_avg += scratch
+                # exp_avg_sq = beta2 * exp_avg_sq + (1 - beta2) * grad * grad
+                np.multiply(grad, np.float32(1 - beta2), out=scratch)
+                scratch *= grad
+                exp_avg_sq *= np.float32(beta2)
+                exp_avg_sq += scratch
                 bias1 = 1 - beta1 ** step
                 bias2 = 1 - beta2 ** step
                 step_size = lr / bias1
-                denom = np.sqrt(state["exp_avg_sq"] / bias2) + eps
-                target = target - step_size * state["exp_avg"] / denom
-                if master is not None:
-                    state["master"] = target
-                    param.data[...] = target.astype(np.float16)
-                else:
+                # target -= step_size * exp_avg / (sqrt(exp_avg_sq / bias2)
+                #                                  + eps)
+                denom = np.divide(exp_avg_sq, np.float32(bias2))
+                np.sqrt(denom, out=denom)
+                denom += np.float32(eps)
+                np.multiply(exp_avg, np.float32(step_size), out=scratch)
+                scratch /= denom
+                target -= scratch
+                if target is not param.data:
                     param.data[...] = target.astype(param.data.dtype)
 
     def state_bytes_per_param(self) -> int:

@@ -18,34 +18,54 @@ import math
 import numpy as np
 
 from repro.framework import events
-from repro.framework.autograd import GradNode, is_grad_enabled
+from repro.framework import functional as F
 from repro.framework.module import Module
 from repro.framework.tensor import Tensor, astensor
 
 
+def _causal_rows(causal: bool, s_q: int, s_k: int, start: int) -> int:
+    """First query row that key block ``start`` can reach.
+
+    Under a square causal mask, rows ``< start`` see only masked keys in
+    this block: their tile adds ``exp(-1e9 - max) == 0`` and is skipped
+    (the tile skip of Dao et al., 2022).
+    """
+    return start if causal and s_q == s_k else 0
+
+
+def _block_scores(q_rows, k_blk, scale, causal, row0, start):
+    """Scaled, causally masked scores of query rows ``row0:`` vs a block."""
+    scores = q_rows @ np.swapaxes(k_blk, -1, -2)
+    scores *= scale
+    if causal:
+        qi = np.arange(row0, row0 + q_rows.shape[-2])[:, None]
+        kj = np.arange(start, start + k_blk.shape[-2])[None, :]
+        np.copyto(scores, np.float32(-1e9), where=kj > qi)
+    return scores
+
+
 def _online_softmax_forward(q32, k32, v32, scale, causal, block):
-    """Block-wise attention forward; returns (out, row_max, row_lse)."""
+    """Block-wise attention forward; returns (out, row_lse)."""
     s_q, s_k = q32.shape[-2], k32.shape[-2]
     out = np.zeros(q32.shape[:-1] + (v32.shape[-1],), np.float32)
     row_max = np.full(q32.shape[:-1], -np.inf, np.float32)
     row_sum = np.zeros(q32.shape[:-1], np.float32)
     for start in range(0, s_k, block):
         stop = min(start + block, s_k)
-        k_blk = k32[..., start:stop, :]
-        v_blk = v32[..., start:stop, :]
-        scores = q32 @ np.swapaxes(k_blk, -1, -2) * scale
-        if causal:
-            qi = np.arange(s_q)[:, None]
-            kj = np.arange(start, stop)[None, :]
-            scores = np.where(kj > qi, -1e9, scores)
-        blk_max = scores.max(axis=-1)
-        new_max = np.maximum(row_max, blk_max)
-        correction = np.exp(row_max - new_max)
-        p = np.exp(scores - new_max[..., None])
-        row_sum = row_sum * correction + p.sum(axis=-1)
-        out = out * correction[..., None] + p @ v_blk
-        row_max = new_max
-    out = out / row_sum[..., None]
+        row0 = _causal_rows(causal, s_q, s_k, start)
+        scores = _block_scores(q32[..., row0:, :], k32[..., start:stop, :],
+                               scale, causal, row0, start)
+        new_max = np.maximum(row_max[..., row0:], scores.max(axis=-1))
+        correction = np.exp(row_max[..., row0:] - new_max)
+        scores -= new_max[..., None]
+        p = np.exp(scores, out=scores)
+        sums, acc = row_sum[..., row0:], out[..., row0:, :]  # views
+        sums *= correction
+        sums += p.sum(axis=-1)
+        acc *= correction[..., None]
+        acc += p @ v32[..., start:stop, :]
+        row_max[..., row0:] = new_max
+    out /= row_sum[..., None]
     lse = row_max + np.log(row_sum)
     return out, lse
 
@@ -65,51 +85,49 @@ class FlashAttentionFunction:
             batch *= s
         flops = 4 * batch * s_q * s_k * d
         io_bytes = q.nbytes + k.nbytes + v.nbytes
+        meta = {"kernel": "flash_attention"}
         if q.is_meta or k.is_meta or v.is_meta:
             events.record_op("flash_attention", out_shape, q.dtype,
                              flops=flops, bytes_moved=io_bytes * 2,
-                             meta={"kernel": "flash_attention"})
+                             meta=meta)
             return Tensor.meta(out_shape, q.dtype)
-        q32 = q.data.astype(np.float32)
-        k32 = k.data.astype(np.float32)
-        v32 = v.data.astype(np.float32)
+        q32 = q.data.astype(np.float32, copy=False)
+        k32 = k.data.astype(np.float32, copy=False)
+        v32 = v.data.astype(np.float32, copy=False)
         out, lse = _online_softmax_forward(q32, k32, v32, scale, is_causal,
                                            block_size)
-        result = Tensor(out.astype(q.data.dtype), dtype=q.dtype)
-        events.record_op("flash_attention", out_shape, q.dtype, flops=flops,
-                         bytes_moved=io_bytes * 2,
-                         meta={"kernel": "flash_attention"})
 
-        if is_grad_enabled() and any(
-                t.requires_grad or t.grad_fn for t in (q, k, v)):
-            def backward(grad):
-                g = grad.astype(np.float32)
-                gq = np.zeros_like(q32)
-                gk = np.zeros_like(k32)
-                gv = np.zeros_like(v32)
-                # delta_i = sum_j P_ij * dP_ij = rowsum(dO * O)
-                delta = (g * out).sum(axis=-1)
-                for start in range(0, s_k, block_size):
-                    stop = min(start + block_size, s_k)
-                    k_blk = k32[..., start:stop, :]
-                    v_blk = v32[..., start:stop, :]
-                    scores = q32 @ np.swapaxes(k_blk, -1, -2) * scale
-                    if is_causal:
-                        qi = np.arange(s_q)[:, None]
-                        kj = np.arange(start, stop)[None, :]
-                        scores = np.where(kj > qi, -1e9, scores)
-                    p = np.exp(scores - lse[..., None])
-                    gv[..., start:stop, :] += np.swapaxes(p, -1, -2) @ g
-                    dp = g @ np.swapaxes(v_blk, -1, -2)
-                    ds = p * (dp - delta[..., None]) * scale
-                    gq += ds @ k_blk
-                    gk[..., start:stop, :] += np.swapaxes(ds, -1, -2) @ q32
-                return (gq.astype(q.data.dtype), gk.astype(k.data.dtype),
-                        gv.astype(v.data.dtype))
+        def backward(grad):
+            g = grad.astype(np.float32, copy=False)
+            gq = np.zeros_like(q32)
+            gk = np.zeros_like(k32)
+            gv = np.zeros_like(v32)
+            # delta_i = sum_j P_ij * dP_ij = rowsum(dO * O)
+            delta = (g * out).sum(axis=-1)
+            for start in range(0, s_k, block_size):
+                stop = min(start + block_size, s_k)
+                row0 = _causal_rows(is_causal, s_q, s_k, start)
+                q_rows, g_rows = q32[..., row0:, :], g[..., row0:, :]
+                k_blk = k32[..., start:stop, :]
+                scores = _block_scores(q_rows, k_blk, scale, is_causal,
+                                       row0, start)
+                scores -= lse[..., row0:, None]
+                p = np.exp(scores, out=scores)
+                gv[..., start:stop, :] += np.swapaxes(p, -1, -2) @ g_rows
+                ds = g_rows @ np.swapaxes(v32[..., start:stop, :], -1, -2)
+                ds -= delta[..., row0:, None]
+                ds *= p
+                ds *= scale
+                gq[..., row0:, :] += ds @ k_blk
+                gk[..., start:stop, :] += np.swapaxes(ds, -1, -2) @ q_rows
+            return (gq.astype(q.data.dtype, copy=False),
+                    gk.astype(k.data.dtype, copy=False),
+                    gv.astype(v.data.dtype, copy=False))
 
-            result.grad_fn = GradNode("flash_attention", (q, k, v), backward)
-            result.requires_grad = True
-        return result
+        return F._finalize("flash_attention",
+                           out.astype(q.data.dtype, copy=False), (q, k, v),
+                           backward, dtype=q.dtype, flops=flops,
+                           bytes_moved=io_bytes * 2, meta=meta)
 
 
 def flash_attention(query, key, value, scale=None, is_causal=False,
