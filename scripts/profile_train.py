@@ -1,10 +1,11 @@
 """Profile the eager GPT tp=2 training step: phase split and hot functions.
 
 Builds the ``train_gpt_tp2`` benchmark configuration from public APIs
-(``MODEL_ZOO["GPT"]``, ``schedule_gpt(ckpt_ratio=0.5)``, ``slapo.build``,
-``AdamW``, ``LocalCluster(2)``): a tiny GPT sharded over two rank
-threads, batch 4.  Each rank runs one warm-up step, then ``--steps``
-steps timed by phase (forward + loss, backward, optimizer), then
+(``MODEL_ZOO["GPT"]`` at ``GPT_TRAIN_SIZES``,
+``schedule_gpt(ckpt_ratio=0.5)``, ``slapo.build``, ``AdamW``,
+``LocalCluster(2)``): a tiny GPT sharded over two rank threads, batch 4,
+seed 0.  Each rank runs one warm-up step, then ``--steps`` steps timed
+by phase (forward + loss, backward, optimizer), then
 ``--steps`` more under its own ``cProfile`` profiler (cProfile follows
 one thread, so every rank thread gets one).  Prints the per-rank phase
 split and rank 0's top ``--top`` functions by self time, in ms per step.
@@ -41,22 +42,17 @@ from repro import framework as fw  # noqa: E402
 from repro.distributed import (DeviceMesh, LocalCluster,  # noqa: E402
                                ParallelConfig)
 from repro.framework import functional as F  # noqa: E402
-from repro.models import MODEL_ZOO  # noqa: E402
+from repro.models import GPT_TRAIN_SIZES, MODEL_ZOO  # noqa: E402
 from repro.schedules import schedule_gpt  # noqa: E402
 
-SIZES = {
-    "full": dict(hidden_size=256, num_layers=4, num_heads=8,
-                 intermediate_size=1024, max_seq_len=128, vocab_size=1024),
-    "tiny": dict(hidden_size=32, num_layers=2, num_heads=4,
-                 intermediate_size=64, max_seq_len=16, vocab_size=64),
-}
 TP = 2
 BATCH = 4
+SEED = 0
 PHASES = ("forward", "backward", "optimizer")
 
 
-def build_rank(ctx, config, seed: int):
-    fw.manual_seed(seed)  # every rank builds identical full weights
+def build_rank(ctx, config):
+    fw.manual_seed(SEED)  # every rank builds identical full weights
     model = MODEL_ZOO["GPT"][0](config)
     sch = slapo.create_schedule(
         model, mesh=DeviceMesh(ParallelConfig(tp=TP), ctx=ctx))
@@ -82,17 +78,17 @@ def train_step(model, opt, batch, vocab: int) -> dict:
     return times
 
 
-def profile(size: str, steps: int, seed: int = 0):
+def profile(size: str, steps: int):
     """Run the profile; returns (per-rank phase times, per-rank pstats)."""
-    config = MODEL_ZOO["GPT"][1].tiny(**SIZES[size])
-    rng = np.random.default_rng([seed, 1])
+    config = MODEL_ZOO["GPT"][1].tiny(**GPT_TRAIN_SIZES[size])
+    rng = np.random.default_rng([SEED, 1])
     seq, vocab = config.max_seq_len, config.vocab_size
     batches = [(fw.tensor(rng.integers(0, vocab, (BATCH, seq))),
                 fw.tensor(rng.integers(0, vocab, (BATCH * seq,))))
                for _ in range(2 * steps + 1)]
 
     def rank(ctx):
-        model, opt = build_rank(ctx, config, seed)
+        model, opt = build_rank(ctx, config)
         train_step(model, opt, batches[0], vocab)  # warm-up
         phases = [train_step(model, opt, batch, vocab)
                   for batch in batches[1:steps + 1]]
@@ -141,14 +137,14 @@ def report(phases, stats, steps: int, top: int) -> str:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--size", choices=sorted(SIZES), default="full")
+    parser.add_argument("--size", choices=sorted(GPT_TRAIN_SIZES),
+                        default="full")
     parser.add_argument("--steps", type=int, default=10)
     parser.add_argument("--top", type=int, default=25)
-    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
     if args.steps < 1 or args.top < 1:
         parser.error("--steps and --top must be positive")
-    phases, stats = profile(args.size, args.steps, args.seed)
+    phases, stats = profile(args.size, args.steps)
     print(f"GPT tp={TP} training step, size={args.size}, batch {BATCH}, "
           f"{args.steps} timed + {args.steps} profiled steps per rank\n")
     print(report(phases, stats, args.steps, args.top))

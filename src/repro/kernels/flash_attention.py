@@ -23,16 +23,6 @@ from repro.framework.module import Module
 from repro.framework.tensor import Tensor, astensor
 
 
-def _causal_rows(causal: bool, s_q: int, s_k: int, start: int) -> int:
-    """First query row that key block ``start`` can reach.
-
-    Under a square causal mask, rows ``< start`` see only masked keys in
-    this block: their tile adds ``exp(-1e9 - max) == 0`` and is skipped
-    (the tile skip of Dao et al., 2022).
-    """
-    return start if causal and s_q == s_k else 0
-
-
 def _block_scores(q_rows, k_blk, scale, causal, row0, start):
     """Scaled, causally masked scores of query rows ``row0:`` vs a block."""
     scores = q_rows @ np.swapaxes(k_blk, -1, -2)
@@ -46,13 +36,18 @@ def _block_scores(q_rows, k_blk, scale, causal, row0, start):
 
 def _online_softmax_forward(q32, k32, v32, scale, causal, block):
     """Block-wise attention forward; returns (out, row_lse)."""
-    s_q, s_k = q32.shape[-2], k32.shape[-2]
+    s_k = k32.shape[-2]
     out = np.zeros(q32.shape[:-1] + (v32.shape[-1],), np.float32)
     row_max = np.full(q32.shape[:-1], -np.inf, np.float32)
     row_sum = np.zeros(q32.shape[:-1], np.float32)
     for start in range(0, s_k, block):
         stop = min(start + block, s_k)
-        row0 = _causal_rows(causal, s_q, s_k, start)
+        # Under the causal mask (key > query hidden), rows < start see
+        # only masked keys in this block: their tile would add
+        # exp(-1e9 - max) == 0, so it is skipped (Dao et al., 2022).  Every
+        # row sees key 0 in the first block, so its running max is already
+        # finite and the skip is exact for any s_q, s_k.
+        row0 = start if causal else 0
         scores = _block_scores(q32[..., row0:, :], k32[..., start:stop, :],
                                scale, causal, row0, start)
         new_max = np.maximum(row_max[..., row0:], scores.max(axis=-1))
@@ -106,7 +101,7 @@ class FlashAttentionFunction:
             delta = (g * out).sum(axis=-1)
             for start in range(0, s_k, block_size):
                 stop = min(start + block_size, s_k)
-                row0 = _causal_rows(is_causal, s_q, s_k, start)
+                row0 = start if is_causal else 0  # as in the forward
                 q_rows, g_rows = q32[..., row0:, :], g[..., row0:, :]
                 k_blk = k32[..., start:stop, :]
                 scores = _block_scores(q_rows, k_blk, scale, is_causal,

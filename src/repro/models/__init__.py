@@ -6,6 +6,7 @@ from .configs import (
     BERT_1B,
     GPT_2_9B,
     GPT_10B,
+    GPT_TRAIN_SIZES,
     LLAMA_7B,
     MOE_GPT_8E,
     OPT_2_7B,
@@ -49,6 +50,7 @@ __all__ = [
     "TransformerConfig", "ResNetConfig", "MoEConfig",
     "BERT_1B", "ROBERTA_1_3B", "GPT_2_9B", "OPT_2_7B", "T5_2_9B",
     "WIDERESNET_2_4B", "GPT_10B", "LLAMA_7B", "OPT_350M", "MOE_GPT_8E",
+    "GPT_TRAIN_SIZES",
     "TABLE3_CONFIGS", "TABLE3_PARAMS_BILLION", "MODEL_ZOO",
     "data",
 ]

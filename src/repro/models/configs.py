@@ -161,6 +161,20 @@ OPT_350M = TransformerConfig(
     name="opt-350m", vocab_size=50272, hidden_size=1024, num_layers=24,
     num_heads=16, intermediate_size=4096, max_seq_len=1024, causal=True)
 
+# --------------------------------------------------------------------- #
+# Eager training sizes
+# --------------------------------------------------------------------- #
+#: ``GPT_2_9B.tiny(**sizes)`` overrides of the eager GPT tp=2 training
+#: step, a copy of ``SIZES`` in ``perfbench/train.py`` (a test keeps the
+#: two equal): ``full`` is the ``train_gpt_tp2`` benchmark, ``tiny`` its
+#: smoke size
+GPT_TRAIN_SIZES = {
+    "full": dict(hidden_size=256, num_layers=4, num_heads=8,
+                 intermediate_size=1024, max_seq_len=128, vocab_size=1024),
+    "tiny": dict(hidden_size=32, num_layers=2, num_heads=4,
+                 intermediate_size=64, max_seq_len=16, vocab_size=64),
+}
+
 
 TABLE3_CONFIGS = {
     "BERT": BERT_1B,

@@ -20,6 +20,13 @@ must reproduce every entry bit for bit.  Regenerate (only for an
 intended numerical change) with::
 
     PYTHONPATH=src python tests/framework/test_eager_golden.py
+
+The bits also depend on the platform: the BLAS build and the CPU
+features NumPy dispatches on decide how matrix products and
+transcendentals round.  The fixture records the platform it was
+generated on, and the bit-for-bit tests skip with a message on any other
+platform; regenerating there from a commit known to be good re-arms
+them.
 """
 
 from __future__ import annotations
@@ -27,10 +34,13 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import platform
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 import repro.slapo as slapo
 from repro import framework as fw
@@ -38,21 +48,31 @@ from repro.distributed import DeviceMesh, LocalCluster, ParallelConfig
 from repro.framework import dtypes
 from repro.framework import functional as F
 from repro.kernels import flash_attention
-from repro.models import MODEL_ZOO
+from repro.models import GPT_TRAIN_SIZES, MODEL_ZOO
 from repro.schedules import schedule_bert, schedule_gpt, schedule_llama
 
+ROOT = Path(__file__).resolve().parents[2]
 GOLDEN = Path(__file__).parent / "data" / "eager_golden.json"
-#: the ``train_gpt_tp2`` model sizes
-GPT_SIZES = {
-    "full": dict(hidden_size=256, num_layers=4, num_heads=8,
-                 intermediate_size=1024, max_seq_len=128, vocab_size=1024),
-    "tiny": dict(hidden_size=32, num_layers=2, num_heads=4,
-                 intermediate_size=64, max_seq_len=16, vocab_size=64),
-}
 BATCH = 4
 SEED = 7
 #: arrays up to this many bytes are pinned in full, larger ones by hash
 INLINE_BYTES = 1024
+
+
+def platform_fingerprint() -> dict:
+    """What the pinned bits depend on besides the code: the machine, the
+    NumPy/SciPy versions, the BLAS build and the SIMD extensions NumPy
+    found on this CPU."""
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
+    return {
+        "machine": platform.machine(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": blas.get("openblas configuration")
+        or f"{blas.get('name')} {blas.get('version')}",
+        "simd": config["SIMD Extensions"]["found"],
+    }
 
 
 def _loss_bits(value) -> str:
@@ -124,7 +144,7 @@ def _train_single(family: str, config, steps: int, make_opt) -> dict:
 
 
 def _gpt(size: str):
-    return MODEL_ZOO["GPT"][1].tiny(**GPT_SIZES[size])
+    return MODEL_ZOO["GPT"][1].tiny(**GPT_TRAIN_SIZES[size])
 
 
 def training_runs() -> dict:
@@ -257,7 +277,8 @@ def op_edges() -> dict:
 
 
 def outputs() -> dict:
-    return {"training": training_runs(), "ops": op_edges()}
+    return {"platform": platform_fingerprint(), "training": training_runs(),
+            "ops": op_edges()}
 
 
 # ---------------------------------------------------------------------- #
@@ -265,7 +286,16 @@ def outputs() -> dict:
 # ---------------------------------------------------------------------- #
 @pytest.fixture(scope="module")
 def golden():
-    return json.loads(GOLDEN.read_text())
+    golden = json.loads(GOLDEN.read_text())
+    here = json.loads(json.dumps(platform_fingerprint()))
+    if golden["platform"] != here:
+        pytest.skip(
+            f"{GOLDEN.name} was generated on {golden['platform']}, not on "
+            f"this platform {here}; its bits depend on the BLAS and the CPU, "
+            "so a mismatch here is not a numerical regression.  Regenerate "
+            "it on this platform from a commit known to be good to compare "
+            "bit for bit.")
+    return golden
 
 
 @functools.lru_cache(maxsize=1)
@@ -276,6 +306,16 @@ def _training():
 @functools.lru_cache(maxsize=1)
 def _ops():
     return json.loads(json.dumps(op_edges()))
+
+
+def test_gpt_sizes_match_the_benchmark():
+    """The fixture's GPT runs are ``train_gpt_tp2``'s model."""
+    if str(ROOT) not in sys.path:
+        sys.path.insert(0, str(ROOT))
+    from perfbench import train
+
+    assert GPT_TRAIN_SIZES == train.SIZES
+    assert (BATCH, 0.5) == (train.BATCH, train.CKPT_RATIO)
 
 
 def test_fixture_covers_every_case(golden):
