@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: test test-fast fuzz bench perf profile-train docs docs-check train-model loc
+.PHONY: test test-fast fuzz bench perf profile-train time-pricing docs docs-check train-model loc
 
 # tier-1 verification (pyproject.toml already pins pythonpath=src) — the
 # full suite includes the seeded fuzz corpus (marked `slow`) — then the
@@ -46,6 +46,12 @@ perf:
 # functions by self time, in ms per step (see docs/framework.md)
 profile-train:
 	$(PYTHON) scripts/profile_train.py --size full --steps 10 --top 25
+
+# µs per call of the simulator's pricing entry points (scalar
+# predict_config and step_time, one-row and whole-space predict_batch)
+# over the GPT@64 and LLaMA-7B@128 plan spaces; not part of `make test`
+time-pricing:
+	$(PYTHON) scripts/time_pricing.py
 
 # Learned-cost-model training gate: fails if training is
 # nondeterministic, the weights JSON doesn't round-trip byte-stably, or

@@ -4,35 +4,28 @@
 scalar Python.  That is fine for a coordinate-descent probe but not for
 exhaustive-by-prediction ranking of Megatron-scale spaces (tp × pp × dp
 × ep × micro-batch × schedule at world size 1024 is >10⁴ points).
-:func:`predict_batch` prices the whole enumerated space as numpy array
-expressions over the trace's :class:`~repro.sim.compiled.CompiledTrace`
-aggregates and :class:`~repro.sim.memory.ModelStats`:
+:func:`predict_batch` prices the whole enumerated space with the
+simulator's **one** step-time composition — the same
+:func:`~repro.sim.pipeline.stage_time`,
+:func:`~repro.sim.throughput.compose_step` and
+:func:`~repro.sim.memory.model_memory` that :func:`step_time` and
+:func:`predict_config` call with floats, called here with numpy columns:
 
 * per-config *compute* collapses to a lookup: forward/backward kernel
   sums depend only on the micro-batch scale, of which a sweep has ~10
   distinct values (each memoized on the compiled trace);
-* per-config *collectives* are affine (α·count + β·bytes) with
-  coefficients that depend only on the parallel mesh **and its axis
-  placement** (``ParallelConfig.order`` decides which topology tier each
-  group crosses), of which a space has a few dozen distinct values —
-  gathered from small tables that are themselves memoized on the
-  compiled trace, so steady-state pricing never re-derives a mesh it has
-  seen;
-* per-config *overlap* (``overlap_grad_sync``) is an affine bucketed
-  expression over the per-mesh dp α-β coefficients and the per-row
-  backward window, so overlap × placement spaces vectorize too;
-* per-config *memory* is the fixed ZeRO state (a function of the
-  distinct (pp, dp, zero) triples) plus activation/workspace terms
-  linear in the micro-batch.
+* every per-mesh constant — collective α–β coefficients, the stage hop,
+  the dp collectives and the optimizer update, as
+  :class:`~repro.sim.pipeline.MeshTerms` — depends only on the parallel
+  mesh **and its axis placement**, of which a space has a few dozen
+  distinct values; each is memoized on the compiled trace and gathered
+  into columns.
 
 Configurations that genuinely need per-config work — explicit pipeline
 cuts, stage-balancing "auto" cuts on a layer-marked trace, non-default
 tick-program timelines, planner sweeps (``micro_batch=None``) and
-``global_batch`` derivations — fall back to the scalar oracle, so the
-batch result **equals** :func:`predict_config` on every config:
-identical feasibility, throughput within 1e-9 (the vectorized rows
-replicate the scalar expression trees operation-for-operation in IEEE
-float64, so they are in fact bit-identical).
+``global_batch`` derivations — are priced by :func:`predict_config`
+itself, so every row gets the same answer either way.
 """
 
 from __future__ import annotations
@@ -43,20 +36,16 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from repro.distributed.mesh import (
-    DEFAULT_AXIS_ORDER,
-    ParallelConfig,
-    axis_ranks,
-    axis_stride,
-)
+from repro.distributed.mesh import DEFAULT_AXIS_ORDER, ParallelConfig
 from repro.distributed.topology import ClusterSpec
 from repro.pipeline import DEFAULT_SCHEDULE
 
 from .events import ModelTrace
 from .kernel_cost import KernelCostModel
-from .memory import MemoryBreakdown, fixed_state_bytes, model_stats_for
+from .memory import MemoryBreakdown, model_memory, model_stats_for
 from .planner import Prediction, _schedule_expressible, predict_config
-from .throughput import DEFAULT_BUCKET_MB, overlap_exposed
+from .pipeline import MeshTerms, mesh_terms, stage_time
+from .throughput import DEFAULT_BUCKET_MB, bucket_valid, compose_step
 
 #: packing radix for composite integer group keys (axis degrees, micro
 #: counts and ZeRO stages are all far below 2^13; four 13-bit fields
@@ -100,29 +89,22 @@ class BatchPoints:
     bucket_mb: np.ndarray | None = None
     #: rows whose parallel resolver failed (infeasible, never priced)
     invalid: np.ndarray | None = None
-    #: (row, predict_config kwargs) pairs needing the scalar oracle
+    #: (row, predict_config kwargs) pairs needing per-row scalar work
     scalar_rows: list = field(default_factory=list)
 
     def __post_init__(self):
-        as_ints = lambda v: np.asarray(v, dtype=np.int64)  # noqa: E731
-        self.tp, self.dp = as_ints(self.tp), as_ints(self.dp)
-        self.pp, self.ep = as_ints(self.pp), as_ints(self.ep)
-        self.micro_batch = as_ints(self.micro_batch)
+        for name in ("tp", "dp", "pp", "ep", "micro_batch"):
+            setattr(self, name, np.asarray(getattr(self, name), np.int64))
         n = self.tp.shape[0]
-        self.num_micro_batches = np.ones(n, np.int64) \
-            if self.num_micro_batches is None \
-            else as_ints(self.num_micro_batches)
-        self.zero_stage = np.zeros(n, np.int64) \
-            if self.zero_stage is None else as_ints(self.zero_stage)
-        self.place = np.full(n, _DEFAULT_PLACE, np.int64) \
-            if self.place is None else as_ints(self.place)
-        self.overlap = np.zeros(n, bool) if self.overlap is None \
-            else np.asarray(self.overlap, dtype=bool)
-        self.bucket_mb = np.full(n, DEFAULT_BUCKET_MB, np.float64) \
-            if self.bucket_mb is None \
-            else np.asarray(self.bucket_mb, dtype=np.float64)
-        if self.invalid is None:
-            self.invalid = np.zeros(n, bool)
+        for name, dtype, default in (
+                ("num_micro_batches", np.int64, 1),
+                ("zero_stage", np.int64, 0),
+                ("place", np.int64, _DEFAULT_PLACE), ("overlap", bool, False),
+                ("bucket_mb", np.float64, DEFAULT_BUCKET_MB),
+                ("invalid", bool, False)):
+            value = getattr(self, name)
+            setattr(self, name, np.full(n, default, dtype) if value is None
+                    else np.asarray(value, dtype))
 
     def __len__(self) -> int:
         return int(self.tp.shape[0])
@@ -150,7 +132,7 @@ class BatchPoints:
         ``parallel_fn`` resolves mesh coordinates the way
         :meth:`SimCostModel.parallel_fn` does; a resolver ``ValueError``
         marks the row infeasible rather than raising (the tuner's oracle
-        contract).  Rows needing the scalar oracle — planner sweeps
+        contract).  Rows needing per-row scalar work — planner sweeps
         (``micro_batch=None``), ``global_batch`` derivations, resolved
         pipeline cuts (``num_layers`` gates "auto") and non-default
         expressible timelines — are collected into ``scalar_rows``.
@@ -255,13 +237,13 @@ class BatchPrediction:
     num_micro_batches: np.ndarray
     #: rows priced by the vectorized path
     num_vectorized: int
-    #: rows delegated to the scalar oracle (cuts/timelines/sweeps)
+    #: rows priced by predict_config (cuts/timelines/sweeps)
     num_fallback: int
     _has_memory: np.ndarray
     #: (N, 5) params/grads/optimizer/activations/workspace columns
     _memory: np.ndarray
     _points: BatchPoints
-    #: scalar-oracle Prediction objects for fallback rows, by index
+    #: predict_config answers for the fallback rows, by index
     _scalar: dict
 
     def __len__(self) -> int:
@@ -301,49 +283,6 @@ class BatchPrediction:
         return [self.prediction(i) for i in range(len(self))]
 
 
-def _parallel_terms(cluster: ClusterSpec, parallel: ParallelConfig,
-                    stats, cost: KernelCostModel, compiled) -> dict:
-    """Per-mesh constants of the step-time model, computed once per
-    distinct (:class:`ParallelConfig`, placement) with the exact scalar
-    routines — the rank groups (and therefore the topology tier each
-    axis pays) follow ``parallel.order``."""
-    groups = axis_ranks(0, parallel)
-    pp = parallel.pp
-    param_bytes = stats.param_bytes / pp
-    param_count = stats.param_count / pp
-    coeffs: dict[tuple[str, str], tuple[float, float]] = {}
-    for axis in ("tp", "ep"):
-        if getattr(parallel, axis) <= 1:
-            continue
-        for (tag, kind), (count, _total) in compiled.comm_totals.items():
-            if tag != axis or count == 0:
-                continue
-            coeffs[(axis, kind)] = cluster.collective_coeffs(
-                kind, groups[axis])
-    dp_ranks = groups["dp"]
-    gather = cluster.all_gather_time(param_bytes, dp_ranks)
-    scatter = cluster.reduce_scatter_time(param_bytes, dp_ranks)
-    ar_alpha, ar_beta = cluster.collective_coeffs("all_reduce", dp_ranks)
-    rs_alpha, rs_beta = cluster.collective_coeffs("reduce_scatter",
-                                                  dp_ranks)
-    # adjacent pipeline stages sit one pp-axis stride apart
-    hop_tier = cluster.tier_for((0, axis_stride(parallel, "pp")))
-    return {
-        "axis_coeffs": coeffs,
-        "param_bytes": param_bytes,
-        "zero_gather": gather,
-        "zero_exposed": (2 * gather + scatter)
-        * (1 - cluster.zero_prefetch_overlap),
-        "dp_allreduce": cluster.all_reduce_time(param_bytes, dp_ranks),
-        "dp_ar_alpha": ar_alpha, "dp_ar_beta": ar_beta,
-        "dp_rs_alpha": rs_alpha, "dp_rs_beta": rs_beta,
-        "opt_full": cost.optimizer_time(param_count),
-        "opt_sharded": cost.optimizer_time(param_count / parallel.dp),
-        "hop_bw": hop_tier.bandwidth,
-        "hop_lat": hop_tier.latency,
-    }
-
-
 def predict_batch(trace: ModelTrace, model, cluster: ClusterSpec,
                   configs: Sequence[Mapping] | BatchPoints,
                   cost_model: KernelCostModel | None = None,
@@ -366,7 +305,7 @@ def predict_batch(trace: ModelTrace, model, cluster: ClusterSpec,
     how a >10⁴-config space is priced in milliseconds.
     """
     cost = cost_model or KernelCostModel(cluster.gpu)
-    stats = model_stats_for(trace, model)
+    model_stats_for(trace, model)  # mesh_terms prices off the cached stats
     compiled = trace.compiled()
     if isinstance(configs, BatchPoints):
         points = configs
@@ -388,12 +327,12 @@ def predict_batch(trace: ModelTrace, model, cluster: ClusterSpec,
     invalid = points.invalid
     memo = compiled._time_cache  # per-trace memo shared across calls
 
-    # -- per-mesh lookup tables (memoized per distinct ParallelConfig) --- #
+    # -- per-mesh terms (memoized per distinct ParallelConfig) ---------- #
     mesh_key = ((((tp * _PACK + dp) * _PACK + pp) * _PACK + ep)
                 * _PLACE + place)
-    mesh_unique, mesh_first, mesh_inv = np.unique(
+    _, mesh_first, mesh_inv = np.unique(
         mesh_key, return_index=True, return_inverse=True)
-    par_table: list[dict] = []
+    table: list[list] = []
     for first in mesh_first:
         key = ("batch_mesh", cluster, cost, int(mesh_key[first]))
         entry = memo.get(key)
@@ -401,152 +340,53 @@ def predict_batch(trace: ModelTrace, model, cluster: ClusterSpec,
             parallel = ParallelConfig(tp=int(tp[first]), dp=int(dp[first]),
                                       pp=int(pp[first]), ep=int(ep[first]),
                                       order=_ORDERS[int(place[first])])
-            entry = memo[key] = _parallel_terms(cluster, parallel, stats,
-                                                cost, compiled)
-        par_table.append(entry)
-
-    def gather_column(name: str) -> np.ndarray:
-        return np.array([entry[name] for entry in par_table])[mesh_inv]
+            entry = memo[key] = mesh_terms(trace, cluster, parallel,
+                                           cost).row()
+        table.append(entry)
+    mesh = MeshTerms.from_rows(np.array(table)[mesh_inv])
 
     # -- compute: one kernel-sum pair per distinct micro-batch scale ----- #
     micro_unique, micro_inv = np.unique(micro, return_inverse=True)
-    fwd_u = np.empty(micro_unique.shape[0])
-    bwd_u = np.empty(micro_unique.shape[0])
-    for u, value in enumerate(micro_unique):
-        batch_scale = int(value) / trace.ref_batch
-        fwd_u[u] = cost.forward_time(trace, batch_scale)
-        bwd_u[u] = cost.backward_time(trace, batch_scale)
-    scale = micro.astype(np.float64) / trace.ref_batch
-    forward = fwd_u[micro_inv] / pp * m
-    backward = bwd_u[micro_inv] / pp * m
+    kernel = np.array([
+        (cost.forward_time(trace, s), cost.backward_time(trace, s))
+        for s in (int(u) / trace.ref_batch for u in micro_unique)])
+    scale = micro / trace.ref_batch
 
-    # -- tensor-/expert-parallel collectives (α·count + β·bytes) --------- #
-    per_micro = {"tp": np.zeros(n), "ep": np.zeros(n)}
-    for (tag, kind), (count, total) in compiled.comm_totals.items():
-        if tag not in per_micro or count == 0:
-            continue
-        ab = np.array([entry["axis_coeffs"].get((tag, kind), (0.0, 0.0))
-                       for entry in par_table])
-        alpha = ab[mesh_inv, 0]
-        beta = ab[mesh_inv, 1]
-        per_micro[tag] += count * alpha + beta * (total * scale)
-    tp_comm = 2 * per_micro["tp"] / pp * m
-    ep_comm = 2 * per_micro["ep"] / pp * m
-
-    # -- ZeRO / DP gradient traffic and the optimizer update ------------- #
-    # Bucketed overlap is throughput.overlap_exposed over columns: the
-    # window is the last micro-batch's backward (bwd/pp — the same lookup
-    # the scalar path divides).
-    zero3 = (zero >= 3) & (dp > 1)
-    dp_plain = ~zero3 & (dp > 1)
-    overlap = points.overlap
-    window = bwd_u[micro_inv] / pp
-    bucket_bytes = points.bucket_mb * float(1 << 20)
-    param_bytes = gather_column("param_bytes")
-    ar_exposed, _ = overlap_exposed(
-        gather_column("dp_ar_alpha"), gather_column("dp_ar_beta"),
-        param_bytes, bucket_bytes, window)
-    rs_exposed, _ = overlap_exposed(
-        gather_column("dp_rs_alpha"), gather_column("dp_rs_beta"),
-        param_bytes, bucket_bytes, window)
-
-    two_gather = 2 * gather_column("zero_gather")
-    zero_hidden_g = two_gather * cluster.zero_prefetch_overlap
-    zero_comm = np.where(
-        zero3,
-        np.where(overlap,
-                 two_gather - zero_hidden_g + rs_exposed,
-                 gather_column("zero_exposed")),
-        0.0)
-    allreduce = gather_column("dp_allreduce")
-    dp_comm = np.where(
-        dp_plain,
-        np.where(overlap,
-                 ar_exposed,
-                 np.maximum(allreduce * (1 - cluster.dp_sync_overlap),
-                            allreduce
-                            - backward * cluster.dp_sync_overlap)),
-        0.0)
-    optimizer = np.where((zero >= 1) & (dp > 1),
-                         gather_column("opt_sharded"),
-                         gather_column("opt_full"))
-
-    # -- pipeline boundary sends + closed-form 1F1B bubble --------------- #
-    pipelined = pp > 1
-    boundary = compiled.boundary_bytes * scale
-    hop = np.where(boundary != 0.0,
-                   boundary / gather_column("hop_bw")
-                   + gather_column("hop_lat"),
-                   0.0)
-    pp_comm = np.where(pipelined, 2 * hop * m, 0.0)
-    steady = forward + backward + tp_comm + ep_comm + pp_comm
-    bubble = np.where(pipelined,
-                      steady * (pp - 1) / np.maximum(m, 1),
-                      0.0)
-
-    total_time = (forward + backward + tp_comm + ep_comm + zero_comm
-                  + dp_comm + pp_comm + bubble + optimizer)
-    samples = dp * micro * m
+    # -- the step: step_time's own composition, over columns ------------ #
+    stage = stage_time(mesh, *kernel[micro_inv].T, compiled.axis_kinds,
+                       (compiled.boundary_bytes,), scale, pp)
     with np.errstate(divide="ignore", invalid="ignore"):
-        throughput = samples / total_time
+        step = compose_step(stage, mesh, cluster, pp, dp, m, zero,
+                            points.overlap, points.bucket_mb)
+        throughput = dp * micro * m / step.total
     throughput = np.nan_to_num(throughput, nan=0.0, posinf=0.0)
 
-    # -- memory: fixed ZeRO state + linear activation/workspace terms ---- #
-    fs_key = (pp * _PACK + dp) * _PACK + zero
-    fs_unique, fs_first, fs_inv = np.unique(
-        fs_key, return_index=True, return_inverse=True)
-    fs_rows = []
-    for first in fs_first:
-        key = ("batch_fixed", int(fs_key[first]))
-        row = memo.get(key)
-        if row is None:
-            row = memo[key] = fixed_state_bytes(
-                stats.param_bytes / int(pp[first]),
-                stats.param_count / int(pp[first]),
-                stats.layer_count, int(zero[first]), int(dp[first]))
-        fs_rows.append(row)
-    fixed = np.array(fs_rows, dtype=np.float64)[fs_inv]
-    act_scale = scale * pp
-    activations = trace.activation_bytes() / pp * act_scale
-    workspace = fixed[:, 3] + compiled.max_out_bytes * scale * 2
-    memory = np.column_stack(
-        (fixed[:, 0], fixed[:, 1], fixed[:, 2], activations, workspace))
-    memory_total = (fixed[:, 0] + fixed[:, 1] + fixed[:, 2]
-                    + activations + workspace)
+    # -- memory: the uniform shard's peak, 1F1B's pp micro-batches alive -- #
+    breakdown = model_memory(model, trace, micro, zero, dp, pp, pp)
+    memory = np.column_stack(tuple(breakdown.components().values()))
+    memory_total = breakdown.total
 
-    # -- feasibility verdicts, in the scalar oracle's check order -------- #
-    fits = np.ones(n, bool)
-    has_memory = np.ones(n, bool)
-    oom = memory_total > cluster.gpu.usable_memory
-    fits[oom] = False
-    throughput = np.where(oom, 0.0, throughput)
-    # fewer than one micro-batch (or than pp of them) cannot fill a step;
-    # invalid rows already carry micro 0 and are reported as such
-    unfillable = ~invalid & ((micro < 1) | (m < pp))
+    # -- feasibility verdicts, in predict_config's check order ---------- #
+    # fewer than one micro-batch (or than pp of them) cannot fill a step
     inexpressible = np.zeros(n, bool)
     if isinstance(points.schedules, str):
-        expr_key = pp * _PACK * _PACK + m
-        for unique, first in zip(*np.unique(expr_key,
-                                            return_index=True)[:2]):
-            key = ("batch_expr", points.schedules, int(unique))
-            ok = memo.get(key)
-            if ok is None:
-                ok = memo[key] = _schedule_expressible(
-                    points.schedules, int(pp[first]), int(m[first]))
-            if not ok:
-                inexpressible |= expr_key == unique
+        names, code = [points.schedules], np.zeros(n, np.int64)
     else:
-        expr_cache: dict[tuple, bool] = {}
-        for i in np.flatnonzero(~invalid & ~unfillable):
-            key = (points.schedules[i], int(pp[i]), int(m[i]))
-            ok = expr_cache.get(key)
-            if ok is None:
-                ok = expr_cache[key] = _schedule_expressible(*key)
-            inexpressible[i] = not ok
-    early = invalid | unfillable | inexpressible
-    fits[early] = False
-    throughput = np.where(early, 0.0, throughput)
-    has_memory[early] = False
+        names, code = np.unique(points.schedules, return_inverse=True)
+    expr_key = (code * _PACK + pp) * _PACK + m
+    for unique, first in zip(*np.unique(expr_key, return_index=True)[:2]):
+        key = ("batch_expr", str(names[code[first]]), int(pp[first]),
+               int(m[first]))
+        ok = memo.get(key)
+        if ok is None:
+            ok = memo[key] = _schedule_expressible(*key[1:])
+        if not ok:
+            inexpressible |= expr_key == unique
+    early = invalid | (micro < 1) | (m < pp) \
+        | ~bucket_valid(points.bucket_mb) | inexpressible
+    has_memory = ~early
+    fits = has_memory & (memory_total <= cluster.gpu.usable_memory)
+    throughput = np.where(fits, throughput, 0.0)
     memory_total = np.where(early, 0.0, memory_total)
 
     # -- scalar fallback: cuts, timelines, sweeps ------------------------ #

@@ -56,6 +56,8 @@ class CompiledTrace:
     checkpoint_boundary: np.ndarray
     #: (group_tag, kind) -> (count of non-empty comms, summed bytes)
     comm_totals: dict[tuple[str, str], tuple[int, float]]
+    #: (tag, kind, count, bytes) of the tp/ep ``comm_totals`` with traffic
+    axis_kinds: list[tuple[str, str, int, float]]
     #: per-comm-event (group_tag, kind) keys, in recording order
     comm_keys: tuple
     #: per-comm-event payload bytes, in recording order
@@ -174,6 +176,9 @@ class CompiledTrace:
             in_checkpoint=in_checkpoint,
             checkpoint_boundary=checkpoint_boundary,
             comm_totals=comm_totals,
+            axis_kinds=[(*key, count, total)
+                        for key, (count, total) in comm_totals.items()
+                        if key[0] in ("tp", "ep") and count],
             comm_keys=tuple(comm_keys),
             comm_bytes=comm_bytes,
             boundary_bytes=boundary,

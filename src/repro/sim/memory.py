@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.framework.module import Module
 
 from .events import ModelTrace
@@ -101,6 +103,18 @@ def model_stats_for(trace: ModelTrace, model: Module) -> ModelStats:
     return trace.stats
 
 
+def _where(flags, yes, no):
+    """``yes if flags else no``, elementwise over numpy columns — the
+    branch of every formula that prices numbers and columns alike."""
+    if isinstance(flags, np.ndarray):
+        return np.where(flags, yes, no)
+    return yes if flags else no
+
+
+def _any(flags) -> bool:
+    return flags.any() if isinstance(flags, np.ndarray) else flags
+
+
 def fixed_state_bytes(param_bytes: float, param_count: float,
                       layer_count: int, zero_stage: int, dp_size: int
                       ) -> tuple[float, float, float, float]:
@@ -110,22 +124,20 @@ def fixed_state_bytes(param_bytes: float, param_count: float,
     (16 B/param total, stage 1 partitions optimizer state, stage 2 adds
     gradients, stage 3 adds parameters with a 2-layer gathered working
     set) — shared by the whole-model and per-pipeline-stage memory
-    models so their feasibility verdicts can never drift apart.
+    models so their feasibility verdicts can never drift apart.  Numbers
+    or numpy columns.
     """
-    grad_bytes = param_bytes
     # fp32 master + m + v for fp16 params; m + v for fp32 params = 16B/param
-    # total minus what params+grads already account for.
-    optimizer_bytes = param_count * 16.0 - param_bytes - grad_bytes
-    if zero_stage >= 1:
-        optimizer_bytes /= dp_size
-    if zero_stage >= 2:
-        grad_bytes /= dp_size
-    working = 0.0
-    if zero_stage >= 3:
-        # Parameters live sharded; one layer's worth is gathered at a time.
-        layer_params = param_bytes / max(layer_count, 1)
-        working += 2 * layer_params  # current + prefetched next layer
-        param_bytes /= dp_size
+    # total minus what params + grads already account for.
+    optimizer_bytes = param_count * 16.0 - param_bytes - param_bytes
+    optimizer_bytes = _where(zero_stage >= 1, optimizer_bytes / dp_size,
+                             optimizer_bytes)
+    grad_bytes = _where(zero_stage >= 2, param_bytes / dp_size, param_bytes)
+    # Parameters live sharded; one layer's worth is gathered at a time
+    # (current + prefetched next layer).
+    zero3 = zero_stage >= 3
+    working = _where(zero3, 2 * (param_bytes / max(layer_count, 1)), 0.0)
+    param_bytes = _where(zero3, param_bytes / dp_size, param_bytes)
     return param_bytes, grad_bytes, optimizer_bytes, working
 
 
@@ -153,24 +165,30 @@ def model_memory(model: Module, trace: ModelTrace, micro_batch: int,
     ``trace`` must have been recorded at ``trace.ref_batch``; activations
     scale linearly to ``micro_batch`` and with the number of in-flight
     micro-batches (1F1B keeps up to ``pp`` alive on the first stage).
+    Numbers, or numpy columns when ``predict_batch`` prices a space.
     """
     stats = model_stats_for(trace, model)
-    param_bytes, grad_bytes, optimizer_bytes, working = fixed_state_bytes(
-        stats.param_bytes / num_pipeline_stages,
-        stats.param_count / num_pipeline_stages,
-        stats.layer_count, zero_stage, dp_size)
+    pp = num_pipeline_stages
+    scale = micro_batch / trace.ref_batch
+    inflight = _where(inflight_micro_batches < pp, inflight_micro_batches,
+                      pp)
+    return shard_memory(
+        trace, fixed_state_bytes(stats.param_bytes / pp,
+                                 stats.param_count / pp, stats.layer_count,
+                                 zero_stage, dp_size),
+        trace.activation_bytes() / pp * (scale * inflight), scale)
 
-    act_scale = (micro_batch / trace.ref_batch) \
-        * min(inflight_micro_batches, num_pipeline_stages)
-    activations = trace.activation_bytes() / num_pipeline_stages * act_scale
 
-    # Transient workspace: gradient of the widest activation + temp buffers.
-    widest = trace.compiled().max_out_bytes
-    working += widest * (micro_batch / trace.ref_batch) * 2
-
-    return MemoryBreakdown(params=param_bytes, grads=grad_bytes,
-                           optimizer=optimizer_bytes,
-                           activations=activations, workspace=working)
+def shard_memory(trace: ModelTrace, fixed, activations, scale
+                 ) -> MemoryBreakdown:
+    """A shard's peak: its :func:`fixed_state_bytes`, its ``activations``
+    and a transient workspace — the gradient of the widest activation at
+    batch ``scale``."""
+    params, grads, optimizer, working = fixed
+    return MemoryBreakdown(
+        params=params, grads=grads, optimizer=optimizer,
+        activations=activations,
+        workspace=working + trace.compiled().max_out_bytes * scale * 2)
 
 
 def _layer_count_estimate(model: Module) -> int:

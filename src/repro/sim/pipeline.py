@@ -29,8 +29,11 @@ disagree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from typing import Sequence
+
+import numpy as np
 
 from repro.distributed.mesh import ParallelConfig, axis_ranks, axis_stride
 from repro.distributed.topology import ClusterSpec
@@ -52,6 +55,7 @@ from .memory import (
     MemoryBreakdown,
     fixed_state_bytes,
     model_stats_for,
+    shard_memory,
     stage_inflight,
 )
 
@@ -95,6 +99,14 @@ def validate_cuts(cuts: Sequence[int], num_layers: int) -> tuple[int, ...]:
         )
     if any(b <= a for a, b in zip(cuts, cuts[1:])):
         raise ValueError(f"pipeline cuts must strictly increase: {cuts}")
+    return cuts
+
+
+def _check_stage_count(cuts: tuple[int, ...], pp: int) -> tuple[int, ...]:
+    """``cuts``, if they make the ``pp`` stages of the parallel config."""
+    if len(cuts) + 1 != pp:
+        raise ValueError(f"{len(cuts)} pipeline cuts make {len(cuts) + 1} "
+                         f"stages but the parallel config has pp={pp}")
     return cuts
 
 
@@ -209,69 +221,142 @@ class StageTime:
                 + self.pp_comm)
 
 
+@dataclass(frozen=True)
+class MeshTerms:
+    """Per-mesh constants of the step-time model, memoized by
+    :func:`mesh_terms`: they depend only on the cluster, the cost model
+    and the :class:`ParallelConfig` (whose ``order`` decides the tier
+    each group crosses).  Floats, or numpy columns in a batch."""
+
+    #: α and β of each :attr:`CompiledTrace.axis_kinds` entry (0 where
+    #: the axis has one rank)
+    axis_alpha: tuple
+    axis_beta: tuple
+    #: one stage hop, a pp-axis stride (``inf``/0 without pipelining)
+    hop_bw: float
+    hop_lat: float
+    #: the ``1/pp`` parameter shard (see :func:`shard_sync`): ZeRO-3
+    #: gather/scatter, dp all-reduce, bucketed-stream α–β, optimizer
+    param_bytes: float
+    gather: float
+    scatter: float
+    allreduce: float
+    ar_alpha: float
+    ar_beta: float
+    rs_alpha: float
+    rs_beta: float
+    opt_full: float
+    opt_sharded: float
+
+    def row(self) -> list[float]:
+        """The terms flattened to one row of numbers."""
+        return [*self.axis_alpha, *self.axis_beta,
+                *(getattr(self, f.name) for f in fields(self)[2:])]
+
+    @classmethod
+    def from_rows(cls, rows: np.ndarray) -> "MeshTerms":
+        """Columnar terms from an ``(n, width)`` matrix of rows."""
+        columns = list(rows.T)
+        kinds = (len(columns) - len(fields(cls)) + 2) // 2
+        return cls(tuple(columns[:kinds]), tuple(columns[kinds:2 * kinds]),
+                   *columns[2 * kinds:])
+
+
+def shard_sync(cluster: ClusterSpec, parallel: ParallelConfig,
+               param_bytes: float, param_count: float,
+               cost: KernelCostModel) -> dict[str, float]:
+    """The :class:`MeshTerms` fields of a ``param_bytes`` shard."""
+    ranks = axis_ranks(0, parallel)["dp"]
+    ar_alpha, ar_beta = cluster.collective_coeffs("all_reduce", ranks)
+    rs_alpha, rs_beta = cluster.collective_coeffs("reduce_scatter", ranks)
+    return dict(param_bytes=param_bytes,
+                gather=cluster.all_gather_time(param_bytes, ranks),
+                scatter=cluster.reduce_scatter_time(param_bytes, ranks),
+                allreduce=cluster.all_reduce_time(param_bytes, ranks),
+                ar_alpha=ar_alpha, ar_beta=ar_beta,
+                rs_alpha=rs_alpha, rs_beta=rs_beta,
+                opt_full=cost.optimizer_time(param_count),
+                opt_sharded=cost.optimizer_time(param_count / parallel.dp))
+
+
+def mesh_terms(trace: ModelTrace, cluster: ClusterSpec,
+               parallel: ParallelConfig, cost: KernelCostModel
+               ) -> MeshTerms:
+    """The mesh's memoized :class:`MeshTerms` (rank groups from
+    :func:`repro.distributed.mesh.axis_ranks`, never hand-rolled)."""
+    compiled = trace.compiled()
+    key = ("mesh", cluster, cost, parallel)
+    terms = compiled._time_cache.get(key)
+    if terms is None:
+        if trace.stats is None:
+            raise ValueError("pricing needs ModelStats: use trace_model")
+        groups = axis_ranks(0, parallel)
+        coeffs = [cluster.collective_coeffs(kind, groups[tag])
+                  if getattr(parallel, tag) > 1 else (0.0, 0.0)
+                  for tag, kind, _, _ in compiled.axis_kinds]
+        pp = parallel.pp
+        hop = cluster.tier_for((0, axis_stride(parallel, "pp"))) \
+            if pp > 1 else None
+        terms = compiled._time_cache[key] = MeshTerms(
+            tuple(alpha for alpha, _ in coeffs),
+            tuple(beta for _, beta in coeffs),
+            hop.bandwidth if hop else math.inf, hop.latency if hop else 0.0,
+            **shard_sync(cluster, parallel, trace.stats.param_bytes / pp,
+                         trace.stats.param_count / pp, cost))
+    return terms
+
+
+def stage_time(mesh: MeshTerms, forward, backward, comms, sends, scale,
+               pp=1) -> StageTime:
+    """Per-micro-batch times of one stage — the one stage formula.
+
+    ``comms`` (one entry per ``axis_kinds`` kind) and ``sends`` (its
+    boundary tensors) are in reference-batch bytes that ``scale``
+    rescales; a collective kind prices in one α–β evaluation, and every
+    forward collective and send has a backward twin.  The uniform
+    estimate passes the whole trace and ``pp``.  Numbers or columns.
+    """
+    comm = {"tp": 0.0, "ep": 0.0}
+    for (tag, _, count, nbytes), alpha, beta in zip(
+            comms, mesh.axis_alpha, mesh.axis_beta):
+        comm[tag] += count * alpha + beta * (nbytes * scale)
+    hops = sum((nbytes * scale / mesh.hop_bw + mesh.hop_lat
+                for nbytes in sends if nbytes), 0.0)
+    return StageTime(forward=forward / pp, backward=backward / pp,
+                     tp_comm=2 * comm["tp"] / pp, pp_comm=2 * hops,
+                     ep_comm=2 * comm["ep"] / pp)
+
+
 class _StageTimer:
     """Prices a stage profile's per-micro-batch steady time.
 
     Built once per (trace, cluster, parallel, micro-batch, cost model):
-    kernel-time prefix sums, the α–β coefficients of every tp/ep
-    collective kind (hoisted — they depend only on the rank group), and
-    the P2P hop stride are all precomputed, so pricing a span is O(kinds).
+    kernel-time and per-kind comm prefix sums plus the mesh's
+    :class:`MeshTerms`, so pricing a span is O(kinds).
     """
 
     def __init__(self, trace: ModelTrace, cluster: ClusterSpec,
                  parallel: ParallelConfig, micro_batch: int,
                  cost_model: KernelCostModel | None = None):
         self.cost = cost_model or KernelCostModel(cluster.gpu)
-        self.cluster = cluster
         self.scale = micro_batch / trace.ref_batch
         self.time_cum, self.ckpt_cum = \
             self.cost.op_time_cumsums(trace, self.scale)
-        # same mesh layout DeviceMesh uses — never hand-rolled
-        mesh_groups = axis_ranks(0, parallel)
-        self.axis_comms: dict[str, tuple[dict, dict]] = {}
-        for axis in ("tp", "ep"):
-            if getattr(parallel, axis) <= 1:
-                continue
-            ranks = mesh_groups[axis]
-            cums = trace.compiled().comm_cumsums(axis)
-            coeffs = {kind: cluster.collective_coeffs(kind, ranks)
-                      for kind in cums}
-            self.axis_comms[axis] = (cums, coeffs)
-        #: adjacent pipeline stages sit one pp-axis stride apart — tp·ep·dp
-        #: ranks under the default Megatron placement, whatever
-        #: ``parallel.order`` dictates otherwise
-        self.hop_stride = axis_stride(parallel, "pp")
-
-    def _axis_comm(self, axis: str, p: StageProfile) -> float:
-        if axis not in self.axis_comms:
-            return 0.0
-        cums, coeffs = self.axis_comms[axis]
-        total = 0.0
-        for kind, (count_cum, bytes_cum) in cums.items():
-            count = count_cum[p.comm_end] - count_cum[p.comm_start]
-            if count == 0:
-                continue
-            alpha, beta = coeffs[kind]
-            nbytes = (bytes_cum[p.comm_end] - bytes_cum[p.comm_start]) \
-                * self.scale
-            total += count * alpha + beta * nbytes
-        return total * 2  # each forward collective has a backward twin
+        self.mesh = mesh_terms(trace, cluster, parallel, self.cost)
+        compiled = trace.compiled()
+        self.comm_cums = [(tag, kind, *compiled.comm_cumsums(tag)[kind])
+                          for tag, kind, _, _ in compiled.axis_kinds]
 
     def stage_time(self, p: StageProfile) -> StageTime:
         fwd = float(self.time_cum[p.op_end] - self.time_cum[p.op_start])
         recompute = float(self.ckpt_cum[p.op_end]
                           - self.ckpt_cum[p.op_start])
-        bwd = fwd * self.cost.backward_multiplier + recompute
-        tp_comm = self._axis_comm("tp", p)
-        ep_comm = self._axis_comm("ep", p)
-        #: fwd activation send/recv + the matching bwd gradient traffic
-        pp_comm = 2 * (
-            self.cluster.p2p_time(p.send_bytes * self.scale, 0,
-                                  self.hop_stride)
-            + self.cluster.p2p_time(p.recv_bytes * self.scale, 0,
-                                    self.hop_stride))
-        return StageTime(forward=fwd, backward=bwd, tp_comm=tp_comm,
-                         pp_comm=pp_comm, ep_comm=ep_comm)
+        comms = [(tag, kind, counts[p.comm_end] - counts[p.comm_start],
+                  nbytes[p.comm_end] - nbytes[p.comm_start])
+                 for tag, kind, counts, nbytes in self.comm_cums]
+        return stage_time(self.mesh, fwd,
+                          fwd * self.cost.backward_multiplier + recompute,
+                          comms, (p.send_bytes, p.recv_bytes), self.scale)
 
 
 def stage_step_times(trace: ModelTrace, profiles: Sequence[StageProfile],
@@ -318,19 +403,15 @@ def stage_memory(trace: ModelTrace, profile: StageProfile, micro_batch: int,
     other schedules the count comes from the tick program — see
     :func:`schedule_stage_inflight`).
     """
-    param_bytes, grad_bytes, optimizer_bytes, working = fixed_state_bytes(
-        profile.param_bytes, profile.param_count,
-        profile.layer_end - profile.layer_start, zero_stage, dp_size)
-
     scale = micro_batch / trace.ref_batch
     inflight = schedule_stage_inflight(schedule, profile.index,
                                        profile.num_stages,
                                        num_micro_batches)
-    activations = profile.activation_bytes * scale * inflight
-    working += trace.compiled().max_out_bytes * scale * 2
-    return MemoryBreakdown(params=param_bytes, grads=grad_bytes,
-                           optimizer=optimizer_bytes,
-                           activations=activations, workspace=working)
+    return shard_memory(
+        trace, fixed_state_bytes(profile.param_bytes, profile.param_count,
+                                 profile.layer_end - profile.layer_start,
+                                 zero_stage, dp_size),
+        profile.activation_bytes * scale * inflight, scale)
 
 
 # --------------------------------------------------------------------- #
@@ -584,12 +665,8 @@ def plan_pipeline_schedule(trace: ModelTrace, model, cluster: ClusterSpec,
             return None
         cuts = plan.cuts
     else:
-        cuts = validate_cuts(tuple(pipeline_cuts), len(trace.layers))
-        if len(cuts) + 1 != pp:
-            raise ValueError(
-                f"{len(cuts)} pipeline cuts make {len(cuts) + 1} stages "
-                f"but the parallel config has pp={pp}"
-            )
+        cuts = _check_stage_count(
+            validate_cuts(pipeline_cuts, len(trace.layers)), pp)
     profiles = stage_profiles(trace, cuts)
     times = stage_step_times(trace, profiles, cluster, parallel,
                              micro_batch, cost_model)

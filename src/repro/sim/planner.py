@@ -29,13 +29,14 @@ from .events import ModelTrace
 from .kernel_cost import KernelCostModel
 from .memory import MemoryBreakdown, model_memory, model_stats_for
 from .pipeline import (
+    _check_stage_count,
     plan_pipeline_cuts,
     schedule_stage_inflight,
     stage_memory,
     stage_profiles,
     validate_cuts,
 )
-from .throughput import DEFAULT_BUCKET_MB, throughput
+from .throughput import DEFAULT_BUCKET_MB, bucket_valid, throughput
 
 #: candidate micro-batch sizes swept by the planner
 MICRO_BATCH_CANDIDATES = (1, 2, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128)
@@ -103,15 +104,10 @@ def _resolve_cuts(pipeline_cuts, trace: ModelTrace, model,
                                   zero_stage, cost_model)
         return plan.cuts if plan is not None else None
     try:
-        cuts = validate_cuts(tuple(pipeline_cuts), len(trace.layers))
+        return _check_stage_count(
+            validate_cuts(pipeline_cuts, len(trace.layers)), parallel.pp)
     except ValueError as error:
         raise _InvalidCuts(str(error)) from None
-    if len(cuts) + 1 != parallel.pp:
-        raise _InvalidCuts(
-            f"{len(cuts)} pipeline cuts make {len(cuts) + 1} stages but "
-            f"the parallel config has pp={parallel.pp}"
-        )
-    return cuts
 
 
 def _peak_memory(trace: ModelTrace, model, parallel: ParallelConfig,
@@ -189,11 +185,13 @@ def _price_point(trace: ModelTrace, model, cluster: ClusterSpec,
     The single per-point pricer behind :func:`predict_config` and
     :func:`plan_micro_batch`.  Its checks run once, in order:
     unfillable (fewer than one micro-batch, or fewer than ``pp`` of
-    them) → schedule expressible → cuts valid → memory → OOM → rate.
-    Every failed check is reported infeasible, never raised.
+    them) or an invalid overlap bucket → schedule expressible → cuts
+    valid → memory → OOM → rate.  Every failed check is reported
+    infeasible, never raised.
     """
     pp = parallel.pp
     if micro_batch < 1 or num_micro_batches < pp \
+            or not bucket_valid(overlap_bucket_mb) \
             or not _schedule_expressible(pipeline_schedule, pp,
                                          num_micro_batches):
         return Prediction(0.0, False, None, micro_batch, num_micro_batches,

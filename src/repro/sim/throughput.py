@@ -34,31 +34,41 @@ share of the whole trace's compute, collectives and parameters, sending
 the trace's typical boundary tensor.  With ``pipeline_cuts``
 (leading-layer counts, see :mod:`repro.sim.pipeline`) each stage is its
 actual slice of the trace — its compute, its collectives, its parameters
-and the true cut-tensor bytes crossing its boundaries.  One composition
-then prices both: the **bottleneck stage** paces the step, 1F1B's bubble
-is the closed form ``(pp-1)/m`` of that stage's steady work, and every
-other schedule is list-scheduled on the tick timeline.
+and the true cut-tensor bytes crossing its boundaries.  The **bottleneck
+stage** paces the step, 1F1B's bubble is the closed form ``(pp-1)/m`` of
+that stage's steady work, and every other schedule is list-scheduled on
+the tick timeline.
+
+One composition, two callers: :func:`~repro.sim.pipeline.stage_time`
+and :func:`compose_step` take floats (:func:`step_time`, one config) or
+numpy columns (:func:`repro.sim.predict_batch`, a space).  Cut slicing
+and tick timelines are per-row work that feeds the same composition.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
-from repro.distributed.mesh import ParallelConfig, axis_ranks, axis_stride
+from repro.distributed.mesh import ParallelConfig
 from repro.distributed.topology import ClusterSpec
 from repro.pipeline import DEFAULT_SCHEDULE, schedule_info
 
 from .events import ModelTrace
 from .kernel_cost import KernelCostModel
-from .memory import model_stats_for
+from .memory import _any, _where, model_stats_for
 from .pipeline import (
+    MeshTerms,
     StageTime,
+    _check_stage_count,
+    mesh_terms,
     schedule_timeline,
+    shard_sync,
     stage_profiles,
     stage_step_times,
+    stage_time,
 )
 
 #: default gradient bucket for ``overlap_grad_sync`` pricing (MiB),
@@ -120,20 +130,19 @@ def overlap_exposed(alpha, beta, nbytes, bucket_bytes, window):
     """(exposed, total) seconds of a bucketed collective inside a window.
 
     ``nbytes`` of traffic is split into ``ceil(nbytes / bucket_bytes)``
-    buckets, each costing ``α + β·bucket``; buckets launch as their
-    inputs become ready during ``window`` seconds of compute, so at most
-    ``window`` of the total hides — except the **final** bucket, whose
-    inputs only exist when the window ends, so it is always exposed.
+    buckets (at least one), each costing ``α + β·bucket``; buckets launch
+    as their inputs become ready during ``window`` seconds of compute, so
+    at most ``window`` of the total hides — except the **final** bucket,
+    whose inputs only exist when the window ends, so it is always exposed.
     Smaller buckets hide more but pay more α; a single huge bucket
     degenerates to fully-exposed (the pre-overlap serial model).
     Traffic of ``nbytes <= 0`` costs nothing.
 
     Every argument may be a scalar or a numpy array (broadcast
-    elementwise), so the scalar step time and the columnar
-    :func:`repro.sim.predict_batch` share this one formula.
+    elementwise).
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        buckets = np.ceil(nbytes / bucket_bytes)
+        buckets = np.maximum(np.ceil(nbytes / bucket_bytes), 1)
     total = buckets * alpha + beta * nbytes
     tail = alpha + beta * np.minimum(bucket_bytes, nbytes)
     exposed = np.maximum(total - window, tail)
@@ -143,36 +152,71 @@ def overlap_exposed(alpha, beta, nbytes, bucket_bytes, window):
             np.where(empty, 0.0, total)[()])
 
 
-def _uniform_stage_time(trace: ModelTrace, cluster: ClusterSpec,
-                        parallel: ParallelConfig, micro_batch: int,
-                        cost: KernelCostModel) -> StageTime:
-    """One of ``pp`` equal stages: whole-trace aggregates ÷ ``pp``.
+def bucket_valid(bucket_mb):
+    """Whether ``overlap_bucket_mb`` is usable (> 0; ``inf`` is one
+    bucket, NaN is invalid), for a number or a column."""
+    return bucket_mb > 0
 
-    The trace's comm events are pre-folded into per-(tag, kind)
-    (count, byte-sum) pairs; each collective is affine in its size
-    (α latency + β·bytes), so the per-event scan collapses to one α–β
-    evaluation per collective kind over that axis's rank group.  The
-    stage hop sends :attr:`CompiledTrace.boundary_bytes` (the typical
-    hidden activation) one pp-axis stride away.
+
+def compose_step(stage: StageTime, mesh: MeshTerms, cluster: ClusterSpec,
+                 pp, dp, num_micro_batches, zero_stage, overlap_grad_sync,
+                 overlap_bucket_mb, chunks=1, bubble=None) -> StepBreakdown:
+    """The step of the bottleneck ``stage`` — the one composition, on
+    floats (:func:`step_time`) or numpy columns (``predict_batch``).
+
+    ``bubble=None`` is 1F1B's closed form ``(pp-1)/m`` of the stage's
+    steady work; a timeline-priced schedule passes its own bubble and
+    chunk count.  Gradient sync runs on ``mesh``'s shard: fractional
+    ``ClusterSpec`` overlap knobs, or with ``overlap_grad_sync`` the
+    bucketed stream (:func:`overlap_exposed`) inside the **last**
+    micro-batch's backward (the others run ``no_sync``); ZeRO-3's
+    gathers keep the prefetch model either way.
     """
-    pp = parallel.pp
-    scale = micro_batch / trace.ref_batch
-    compiled = trace.compiled()
-    groups = None
-    comm = {"tp": 0.0, "ep": 0.0}
-    for (tag, kind), (count, total) in compiled.comm_totals.items():
-        if tag not in comm or count == 0 or getattr(parallel, tag) <= 1:
-            continue
-        groups = groups or axis_ranks(0, parallel)
-        alpha, beta = cluster.collective_coeffs(kind, groups[tag])
-        comm[tag] += count * alpha + beta * (total * scale)
-    hop = cluster.p2p_time(compiled.boundary_bytes * scale, 0,
-                           axis_stride(parallel, "pp")) if pp > 1 else 0.0
-    # forward collectives + their backward counterparts; fwd + bwd hops
-    return StageTime(forward=cost.forward_time(trace, scale) / pp,
-                     backward=cost.backward_time(trace, scale) / pp,
-                     tp_comm=2 * comm["tp"] / pp, pp_comm=2 * hop,
-                     ep_comm=2 * comm["ep"] / pp)
+    m = num_micro_batches
+    step = StepBreakdown(forward=stage.forward * m,
+                         backward=stage.backward * m,
+                         tp_comm=stage.tp_comm * m, ep_comm=stage.ep_comm * m,
+                         pp_comm=stage.pp_comm * m * chunks)
+    if bubble is None:
+        bubble = (step.forward + step.backward + step.tp_comm + step.ep_comm
+                  + step.pp_comm) * (pp - 1) / m
+    step.bubble = bubble
+
+    prefetch, dp_overlap = (cluster.zero_prefetch_overlap,
+                            cluster.dp_sync_overlap)
+    zero3 = (zero_stage >= 3) & (dp > 1)
+    plain = (zero_stage < 3) & (dp > 1)
+    two_gather = 2 * mesh.gather
+    zero_total = two_gather + mesh.scatter
+    zero_comm = zero_total * (1 - prefetch)
+    zero_hidden = zero_total - zero_comm
+    fraction = mesh.allreduce * (1 - dp_overlap)
+    beyond = mesh.allreduce - step.backward * dp_overlap
+    dp_comm = _where(fraction >= beyond, fraction, beyond)
+    dp_hidden = mesh.allreduce - dp_comm
+    bucket_bytes = overlap_bucket_mb * float(1 << 20)
+    if _any(zero3 & overlap_grad_sync):
+        exposed, total = overlap_exposed(mesh.rs_alpha, mesh.rs_beta,
+                                         mesh.param_bytes, bucket_bytes,
+                                         stage.backward)
+        hidden_gather = two_gather * prefetch
+        zero_comm = _where(overlap_grad_sync,
+                           two_gather - hidden_gather + exposed, zero_comm)
+        zero_hidden = _where(overlap_grad_sync,
+                             hidden_gather + (total - exposed), zero_hidden)
+    if _any(plain & overlap_grad_sync):
+        exposed, total = overlap_exposed(mesh.ar_alpha, mesh.ar_beta,
+                                         mesh.param_bytes, bucket_bytes,
+                                         stage.backward)
+        dp_comm = _where(overlap_grad_sync, exposed, dp_comm)
+        dp_hidden = _where(overlap_grad_sync, total - exposed, dp_hidden)
+    step.zero_comm = _where(zero3, zero_comm, 0.0)
+    step.zero_comm_hidden = _where(zero3, zero_hidden, 0.0)
+    step.dp_comm = _where(plain, dp_comm, 0.0)
+    step.dp_comm_hidden = _where(plain, dp_hidden, 0.0)
+    step.optimizer = _where((zero_stage >= 1) & (dp > 1), mesh.opt_sharded,
+                            mesh.opt_full)
+    return step
 
 
 def step_time(trace: ModelTrace, model, cluster: ClusterSpec,
@@ -194,14 +238,18 @@ def step_time(trace: ModelTrace, model, cluster: ClusterSpec,
     schedule is priced by the exact per-stage timeline
     (:func:`repro.sim.pipeline.schedule_timeline` — see
     :func:`_schedule_breakdown`).  ``overlap_grad_sync`` prices the
-    bucketed dp gradient sync of the schedule primitive of the same name.
-    ``detail`` reports the per-stage steady times, the bottleneck stage
-    and the cuts (empty when uniform).
+    bucketed dp gradient sync of the schedule primitive of the same name
+    (``overlap_bucket_mb`` must be > 0).  ``detail`` reports the
+    per-stage steady times, the bottleneck stage and the cuts (empty
+    when uniform).
     """
     if micro_batch < 1 or num_micro_batches < 1:
         name, value = ("micro_batch", micro_batch) if micro_batch < 1 \
             else ("num_micro_batches", num_micro_batches)
         raise ValueError(f"{name} must be >= 1, got {value!r}")
+    if not bucket_valid(overlap_bucket_mb):
+        raise ValueError(f"overlap_bucket_mb must be > 0, "
+                         f"got {overlap_bucket_mb!r}")
     schedule_info(pipeline_schedule)  # reject unknown schedules up front
     if isinstance(pipeline_cuts, str):
         raise ValueError(
@@ -211,55 +259,45 @@ def step_time(trace: ModelTrace, model, cluster: ClusterSpec,
             f"repro.sim.plan_pipeline_cuts yourself and pass plan.cuts)"
         )
     cost = cost_model or KernelCostModel(cluster.gpu)
-    stats = model_stats_for(trace, model)
+    model_stats_for(trace, model)  # mesh_terms prices off the cached stats
     pp, m = parallel.pp, num_micro_batches
+    mesh = mesh_terms(trace, cluster, parallel, cost)
     if pp > 1 and pipeline_cuts:
         cuts = tuple(pipeline_cuts)
         profiles = stage_profiles(trace, cuts)
-        if len(profiles) != pp:
-            raise ValueError(
-                f"{len(cuts)} pipeline cuts make {len(profiles)} stages "
-                f"but the parallel config has pp={pp}"
-            )
+        _check_stage_count(cuts, pp)
         times = stage_step_times(trace, profiles, cluster, parallel,
                                  micro_batch, cost)
-        shards = [(p.param_bytes, p.param_count) for p in profiles]
         steady = [t.steady for t in times]
     else:
         cuts = ()
-        times = [_uniform_stage_time(trace, cluster, parallel, micro_batch,
-                                     cost)] * pp
-        shards = [(stats.param_bytes / pp, stats.param_count / pp)] * pp
+        scale = micro_batch / trace.ref_batch
+        compiled = trace.compiled()
+        times = [stage_time(mesh, cost.forward_time(trace, scale),
+                            cost.backward_time(trace, scale),
+                            compiled.axis_kinds,
+                            (compiled.boundary_bytes,), scale, pp)] * pp
         steady = [times[0].steady] * pp
 
-    breakdown = StepBreakdown()
+    detail: dict = {}
     if pp > 1 and pipeline_schedule != DEFAULT_SCHEDULE:
-        b, chunks, bubble = _schedule_breakdown(breakdown, times, m,
+        b, chunks, bubble = _schedule_breakdown(detail, times, m,
                                                 pipeline_schedule)
     else:
         b, chunks, bubble = steady.index(max(steady)), 1, None
-    t = times[b]
-    breakdown.forward = t.forward * m
-    breakdown.backward = t.backward * m
-    breakdown.tp_comm = t.tp_comm * m
-    breakdown.ep_comm = t.ep_comm * m
-    breakdown.pp_comm = t.pp_comm * m * chunks
-    if bubble is None:  # 1F1B's closed form — exact on equal stages
-        bubble = (breakdown.forward + breakdown.backward + breakdown.tp_comm
-                  + breakdown.ep_comm + breakdown.pp_comm) * (pp - 1) / m
-    breakdown.bubble = bubble
-    param_bytes, param_count = shards[b]
-    _shared_step_terms(breakdown, cluster, parallel, param_bytes,
-                       param_count, zero_stage, cost,
-                       backward_window=t.backward,
-                       overlap_grad_sync=overlap_grad_sync,
-                       overlap_bucket_mb=overlap_bucket_mb)
-    breakdown.detail.update(stage_times=tuple(steady), bottleneck_stage=b,
-                            pipeline_cuts=cuts)
+    if cuts:  # the bottleneck stage's own parameter shard
+        mesh = replace(mesh, **shard_sync(cluster, parallel,
+                                          profiles[b].param_bytes,
+                                          profiles[b].param_count, cost))
+    breakdown = compose_step(times[b], mesh, cluster, pp, parallel.dp, m,
+                             zero_stage, overlap_grad_sync,
+                             overlap_bucket_mb, chunks, bubble)
+    breakdown.detail.update(detail, stage_times=tuple(steady),
+                            bottleneck_stage=b, pipeline_cuts=cuts)
     return breakdown
 
 
-def _schedule_breakdown(breakdown: StepBreakdown, times, num_micro_batches,
+def _schedule_breakdown(detail: dict, times, num_micro_batches,
                         schedule: str) -> tuple[int, int, float]:
     """(bottleneck stage, chunks per stage, bubble) off the exact timeline.
 
@@ -268,12 +306,12 @@ def _schedule_breakdown(breakdown: StepBreakdown, times, num_micro_batches,
     is the *busiest* stage of the timeline, and the bubble becomes that
     stage's true idle time (``makespan − busy``).  The chunk count is the
     schedule's boundary-traffic factor (interleaved chunks each cross
-    GPUs).  The timeline lands in ``breakdown.detail``.
+    GPUs).  The timeline lands in ``detail``.
     """
     timeline = schedule_timeline(times, num_micro_batches, schedule)
     busy = timeline.stage_busy
     b = busy.index(max(busy))
-    breakdown.detail.update(
+    detail.update(
         pipeline_schedule=schedule,
         pipeline_makespan=timeline.makespan,
         stage_busy=busy,
@@ -282,63 +320,6 @@ def _schedule_breakdown(breakdown: StepBreakdown, times, num_micro_batches,
     )
     return (b, timeline.program.num_chunks,
             max(timeline.makespan - busy[b], 0.0))
-
-
-def _shared_step_terms(breakdown: StepBreakdown, cluster: ClusterSpec,
-                       parallel: ParallelConfig, param_bytes: float,
-                       param_count: float, zero_stage: int,
-                       cost: KernelCostModel,
-                       backward_window: float = 0.0,
-                       overlap_grad_sync: bool = False,
-                       overlap_bucket_mb: float = DEFAULT_BUCKET_MB
-                       ) -> None:
-    """ZeRO / DP gradient traffic and the optimizer update, for one
-    stage's local parameter shard.
-
-    ``backward_window`` is the backward-compute time of **one**
-    micro-batch — under gradient accumulation the sync only runs during
-    the last micro-batch's backward (``no_sync`` on the others), so that
-    is the window bucketed comm can hide in.
-    """
-    bucket_bytes = overlap_bucket_mb * float(1 << 20)
-    dp_ranks = axis_ranks(0, parallel)["dp"] if parallel.dp > 1 else ()
-    if zero_stage >= 3 and parallel.dp > 1:
-        gather = cluster.all_gather_time(param_bytes, dp_ranks)
-        if overlap_grad_sync:
-            # the gradient reduce-scatter rides the bucketed overlap
-            # stream; gathers keep the prefetch model
-            alpha, beta = cluster.collective_coeffs(
-                "reduce_scatter", dp_ranks)
-            exposed_s, total_s = overlap_exposed(
-                alpha, beta, param_bytes, bucket_bytes, backward_window)
-            hidden_g = 2 * gather * cluster.zero_prefetch_overlap
-            breakdown.zero_comm = 2 * gather - hidden_g + exposed_s
-            breakdown.zero_comm_hidden = hidden_g + (total_s - exposed_s)
-        else:
-            scatter = cluster.reduce_scatter_time(param_bytes, dp_ranks)
-            exposed = (2 * gather + scatter) \
-                * (1 - cluster.zero_prefetch_overlap)
-            breakdown.zero_comm = exposed
-            breakdown.zero_comm_hidden = (2 * gather + scatter) - exposed
-    elif parallel.dp > 1:
-        # plain data parallelism: all-reduce full local gradients
-        if overlap_grad_sync:
-            alpha, beta = cluster.collective_coeffs("all_reduce", dp_ranks)
-            exposed, total = overlap_exposed(
-                alpha, beta, param_bytes, bucket_bytes, backward_window)
-            breakdown.dp_comm = exposed
-            breakdown.dp_comm_hidden = total - exposed
-        else:
-            comm = cluster.all_reduce_time(param_bytes, dp_ranks)
-            breakdown.dp_comm = max(
-                comm * (1 - cluster.dp_sync_overlap),
-                comm - breakdown.backward * cluster.dp_sync_overlap,
-            )
-            breakdown.dp_comm_hidden = comm - breakdown.dp_comm
-    opt_params = param_count
-    if zero_stage >= 1 and parallel.dp > 1:
-        opt_params /= parallel.dp
-    breakdown.optimizer = cost.optimizer_time(opt_params)
 
 
 def throughput(trace: ModelTrace, model, cluster: ClusterSpec,

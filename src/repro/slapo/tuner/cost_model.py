@@ -246,35 +246,42 @@ class SimCostModel(CostModel):
             self._traces[key] = (model, trace)
         return self._traces[key]
 
+    def _point(self, config: dict) -> dict | None:
+        """The config's ``predict_config`` keywords: parallel mesh,
+        micro-batch, ZeRO stage, micro-batch count, schedule, overlap and
+        bucket.  None when the mesh does not resolve (infeasible)."""
+        try:
+            parallel = self._resolve_parallel(config)
+        except ValueError:
+            return None
+        return dict(
+            parallel=parallel,
+            micro_batch=self._resolve_micro_batch(config, parallel),
+            zero_stage=int(config.get("zero_stage", self.zero_stage)),
+            num_micro_batches=int(config.get("num_micro_batches",
+                                             self.num_micro_batches)),
+            pipeline_schedule=str(config.get("pipeline_schedule",
+                                             DEFAULT_SCHEDULE)),
+            overlap_grad_sync=bool(config.get("overlap_grad_sync", False)),
+            overlap_bucket_mb=float(config.get("overlap_bucket_mb",
+                                               DEFAULT_BUCKET_MB)),
+        )
+
     # ------------------------------------------------------------------ #
     def estimate(self, config: dict) -> CostEstimate:
         key = tuple(sorted(config.items()))
         if key in self._estimates:
             return self._estimates[key]
         self.num_estimates += 1
-        try:
-            parallel = self._resolve_parallel(config)
-        except ValueError:
+        point = self._point(config)
+        if point is None:
             estimate = CostEstimate(throughput=0.0, fits=False)
             self._estimates[key] = estimate
             return estimate
-        micro = self._resolve_micro_batch(config, parallel)
-        num_micro = int(config.get("num_micro_batches",
-                                   self.num_micro_batches))
         model, trace = self._traced(config)
         prediction = predict_config(
-            trace, model, self.cluster, parallel, micro,
-            zero_stage=int(config.get("zero_stage", self.zero_stage)),
-            num_micro_batches=num_micro,
-            cost_model=self.kernel_cost,
-            pipeline_cuts=self.pipeline_cuts,
-            pipeline_schedule=str(config.get("pipeline_schedule",
-                                             DEFAULT_SCHEDULE)),
-            overlap_grad_sync=bool(config.get("overlap_grad_sync",
-                                              False)),
-            overlap_bucket_mb=float(config.get("overlap_bucket_mb",
-                                               DEFAULT_BUCKET_MB)),
-        )
+            trace, model, self.cluster, cost_model=self.kernel_cost,
+            pipeline_cuts=self.pipeline_cuts, **point)
         estimate = CostEstimate(throughput=prediction.throughput,
                                 fits=prediction.fits,
                                 memory_bytes=prediction.memory_bytes)
@@ -285,10 +292,10 @@ class SimCostModel(CostModel):
         """Vectorized pricing via :func:`repro.sim.predict_batch`.
 
         Configs are normalized exactly as :meth:`estimate` would (same
-        parallel/micro-batch resolvers, same memo), grouped by trace key
-        so each distinct trace is priced in one batched call, and the
-        answers land in the estimate memo — a later :meth:`estimate` of
-        any priced config is a dict hit.
+        :meth:`_point`, same memo), grouped by trace key so each distinct
+        trace is priced in one batched call, and the answers land in the
+        estimate memo — a later :meth:`estimate` of any priced config is
+        a dict hit.
         """
         results: list[CostEstimate | None] = [None] * len(configs)
         groups: dict[object, list[tuple[int, dict]]] = {}
@@ -299,25 +306,11 @@ class SimCostModel(CostModel):
                 results[i] = cached
                 continue
             self.num_estimates += 1
-            try:
-                parallel = self._resolve_parallel(config)
-            except ValueError:
+            row = self._point(config)
+            if row is None:
                 results[i] = self._estimates[key] = CostEstimate(
                     throughput=0.0, fits=False)
                 continue
-            row = dict(
-                parallel=parallel,
-                micro_batch=self._resolve_micro_batch(config, parallel),
-                zero_stage=int(config.get("zero_stage", self.zero_stage)),
-                num_micro_batches=int(config.get("num_micro_batches",
-                                                 self.num_micro_batches)),
-                pipeline_schedule=str(config.get("pipeline_schedule",
-                                                 DEFAULT_SCHEDULE)),
-                overlap_grad_sync=bool(config.get("overlap_grad_sync",
-                                                  False)),
-                overlap_bucket_mb=float(config.get("overlap_bucket_mb",
-                                                   DEFAULT_BUCKET_MB)),
-            )
             trace_key = tuple(sorted(config.items())) \
                 if self._trace_key_fn is None else self._trace_key_fn(config)
             groups.setdefault(trace_key, []).append((i, row))

@@ -128,6 +128,17 @@ class TestStageAccurateStepTime:
         assert sum(t.backward for t in times) == pytest.approx(
             cost.backward_time(trace, 1.0), rel=1e-9)
 
+    def test_stage_times_need_model_stats(self, gpt_trace):
+        """Stage times price off the trace's cached ModelStats; a trace
+        built without them is refused with a clear error."""
+        import dataclasses
+
+        _, trace = gpt_trace
+        bare = dataclasses.replace(trace, stats=None)
+        profiles = stage_profiles(bare, even_cuts(len(bare.layers), 2))
+        with pytest.raises(ValueError, match="ModelStats"):
+            stage_step_times(bare, profiles, P3DN_NODE, PP2, 1)
+
     def test_cut_count_must_match_pp(self, gpt_trace):
         model, trace = gpt_trace
         with pytest.raises(ValueError, match="pp="):

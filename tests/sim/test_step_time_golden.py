@@ -7,7 +7,8 @@ feasibility, peak memory, resolved cuts).  The grid covers GPT, BERT, T5
 and MoE-GPT (ep=2) at pp ∈ {1, 2, 4}, all four tick schedules, uniform /
 "auto" / explicit cuts, overlapped and fractional gradient sync, and
 ZeRO stages 0/1/3.  Any refactor of the step-time composition must
-reproduce every row to a relative 1e-12.
+reproduce every row to a relative 1e-12, through scalar
+``predict_config``/``step_time`` and through ``predict_batch`` alike.
 
 Regenerate (only for an intended modelling change) with::
 
@@ -28,7 +29,7 @@ from repro.distributed import DeviceMesh, ParallelConfig, p3dn_cluster
 from repro.models import MODEL_ZOO, data
 from repro.pipeline import SCHEDULE_NAMES
 from repro.schedules import SCHEDULES
-from repro.sim import predict_config, step_time, trace_model
+from repro.sim import predict_batch, predict_config, step_time, trace_model
 
 GOLDEN = Path(__file__).parent / "data" / "step_time_golden.json"
 CLUSTER = p3dn_cluster(4)
@@ -94,21 +95,26 @@ def grid() -> list[dict]:
     return rows
 
 
+def config_of(row: dict) -> dict:
+    """A grid row as ``predict_config`` keywords (also the mapping
+    ``predict_batch`` reads)."""
+    return dict(parallel=ParallelConfig(tp=row["tp"], dp=row["dp"],
+                                        pp=row["pp"], ep=row["ep"]),
+                micro_batch=row["micro_batch"],
+                zero_stage=row["zero_stage"],
+                num_micro_batches=row["num_micro_batches"],
+                pipeline_schedule=row["pipeline_schedule"],
+                pipeline_cuts=row["pipeline_cuts"],
+                overlap_grad_sync=row["overlap_grad_sync"])
+
+
 def price(row: dict) -> dict:
     """The golden outputs of one grid row."""
     model, trace = family_trace(row["family"])
-    parallel = ParallelConfig(tp=row["tp"], dp=row["dp"], pp=row["pp"],
-                              ep=row["ep"])
-    kwargs = dict(zero_stage=row["zero_stage"],
-                  num_micro_batches=row["num_micro_batches"],
-                  pipeline_schedule=row["pipeline_schedule"],
-                  overlap_grad_sync=row["overlap_grad_sync"])
-    pred = predict_config(trace, model, CLUSTER, parallel,
-                          row["micro_batch"],
-                          pipeline_cuts=row["pipeline_cuts"], **kwargs)
-    breakdown = step_time(trace, model, CLUSTER, parallel,
-                          row["micro_batch"],
-                          pipeline_cuts=pred.pipeline_cuts or None, **kwargs)
+    config = config_of(row)
+    pred = predict_config(trace, model, CLUSTER, **config)
+    config.update(pipeline_cuts=pred.pipeline_cuts or None)
+    breakdown = step_time(trace, model, CLUSTER, **config)
     return dict(components=breakdown.components(),
                 hidden=breakdown.hidden_components(),
                 throughput=pred.throughput, fits=pred.fits,
@@ -157,6 +163,25 @@ def test_rows_reproduce(family):
             assert got[group].keys() == want[group].keys(), context
             for name, value in want[group].items():
                 assert _close(got[group][name], value), (name, context)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_rows_reproduce_through_predict_batch(family):
+    """The columnar path answers every golden row too — vectorized rows
+    and the scalar fallback (cuts, timelines) alike."""
+    rows = [row for row in _golden() if row["input"]["family"] == family]
+    model, trace = family_trace(family)
+    batch = predict_batch(trace, model, CLUSTER,
+                          [config_of(row["input"]) for row in rows])
+    assert batch.num_vectorized > 0 and batch.num_fallback > 0
+    assert batch.num_vectorized + batch.num_fallback == len(rows)
+    for i, row in enumerate(rows):
+        want, context = row["output"], row["input"]
+        assert bool(batch.fits[i]) == want["fits"], context
+        assert _close(float(batch.throughput[i]), want["throughput"]), \
+            context
+        assert _close(float(batch.memory_total[i]),
+                      want["memory_total"]), context
 
 
 if __name__ == "__main__":
