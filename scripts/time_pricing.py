@@ -9,7 +9,15 @@ prints the median of 5 timed passes, after one warm-up pass, for:
   only (those that fit, so ``step_time`` runs);
 * ``step_time`` on the priced rows with ``pp == 1``;
 * ``predict_batch`` on one config at a time (lowering included);
-* ``predict_batch`` on the whole pre-lowered space.
+* ``predict_batch`` on the whole pre-lowered space;
+* the residual correction of the feasible rows' rates, through config
+  dicts (``ResidualCostModel.predict_many``) and through the plan
+  service's memoized feature block (``correct_rates``), fitted on every
+  7th feasible config against a synthetic bias.
+
+Then, for the four space shapes of the ``tune_budgeted`` benchmark, one
+space build: the define-by-run replay plus ``BatchPoints.from_configs``
+against the plan service's columnar build.
 
 BLAS is pinned to one thread.  Takes no options::
 
@@ -37,10 +45,15 @@ from repro.models import MODEL_ZOO, data  # noqa: E402
 from repro.schedules import SCHEDULES  # noqa: E402
 from repro.sim import (BatchPoints, predict_batch,  # noqa: E402
                        predict_config, step_time, trace_model)
+from repro.sim.memory import model_stats_for  # noqa: E402
 from repro.slapo import PlanRequest  # noqa: E402
-from repro.slapo.tuner import SimCostModel, enumerate_space  # noqa: E402
+from repro.slapo import service as service_module  # noqa: E402
+from repro.slapo.tuner import (ResidualCostModel,  # noqa: E402
+                               SimCostModel, enumerate_space)
 
 SPACES = (("GPT", 64), ("LLaMA-7B", 128))
+#: the (family, world) shapes a ``tune_budgeted`` episode queries
+TUNE_SHAPES = (("GPT", 64), ("BERT", 32), ("LLaMA-7B", 128), ("OPT", 16))
 RUNS = 5
 
 
@@ -107,12 +120,61 @@ def time_space(family: str, world: int) -> None:
     print(f"{family} @ world {world}: {len(configs)} configs, "
           f"{len(priced)} priced, {len(flat)} at pp=1")
     for name, fn, args in timings:
-        print(f"  {name:<32} {per_call_us(fn, args):10.1f} µs/call")
+        print(f"  {name:<40} {per_call_us(fn, args):10.1f} µs/call")
+    time_correction(family, world, model, trace, cluster)
+
+
+def time_correction(family: str, world: int, model, trace,
+                    cluster) -> None:
+    """µs per residual correction of a shape's feasible rows: config
+    dicts against the memoized feature block."""
+    request = PlanRequest(family, world)
+    shape = service_module.SpaceShape.of(
+        service_module.enumerate_space(request))
+    batch = predict_batch(trace, model, cluster, shape.points)
+    feasible = [i for i in range(len(batch)) if batch.fits[i]]
+    configs = [shape.columns.config(i) for i in feasible]
+    rates = batch.throughput[feasible]
+    residual = ResidualCostModel(SimCostModel(
+        lambda _config: (model, trace), cluster,
+        parallel=SimCostModel.parallel_fn(world), pipeline_cuts=None,
+        trace_key_fn=lambda _config: family))
+    corpus = configs[::7]
+    residual.learned.fit(residual.features_many(corpus), [
+        0.05 * config["zero_stage"] - 0.1 * config["pp"] / config["tp"]
+        for config in corpus])
+    stats = model_stats_for(trace, model)
+    block = shape.features[feasible]
+    for name, fn in (
+            ("correction, config dicts",
+             lambda: residual.predict_many(configs, base=rates)),
+            ("correction, feature block",
+             lambda: residual.correct_rates(block, stats, rates))):
+        print(f"  {name + f' ({len(feasible)} rows)':<40} "
+              f"{per_call_us(fn, [()]):10.1f} µs/call")
+
+
+def time_space_builds() -> None:
+    """µs per space build of each tune_budgeted shape."""
+    print("space builds of the tune_budgeted shapes:")
+    for family, world in TUNE_SHAPES:
+        request = PlanRequest(family, world)
+        parallel_fn = SimCostModel.parallel_fn(world)
+        for name, fn in (
+                ("replay + from_configs",
+                 lambda: BatchPoints.from_configs(
+                     enumerate_space(request.space_fn()),
+                     parallel_fn=parallel_fn)),
+                ("columnar", lambda: service_module.SpaceShape.of(
+                    service_module.enumerate_space(request)))):
+            print(f"  {f'{family} @ {world}, {name}':<40} "
+                  f"{per_call_us(fn, [()]):10.1f} µs/call")
 
 
 def main() -> None:
     for family, world in SPACES:
         time_space(family, world)
+    time_space_builds()
 
 
 if __name__ == "__main__":

@@ -319,6 +319,11 @@ def predict_batch(trace: ModelTrace, model, cluster: ClusterSpec,
             overlap_grad_sync=overlap_grad_sync,
             overlap_bucket_mb=overlap_bucket_mb)
     n = len(points)
+    if n == 0:  # nothing to price, and no mesh row to size tables by
+        none, no = np.zeros(0), np.zeros(0, bool)
+        return BatchPrediction(none, no, none, points.micro_batch,
+                               points.num_micro_batches, 0, 0, no,
+                               np.zeros((0, 5)), points, {})
     tp, dp, pp, ep = points.tp, points.dp, points.pp, points.ep
     place = points.place
     micro = points.micro_batch.copy()

@@ -32,7 +32,13 @@ from .registry import (
     register_primitive,
 )
 from .schedule import PrimitiveRecord, Schedule, ScheduleContext, create_schedule
-from .service import PlanRequest, PlanResponse, PlanService, plan_service
+from .service import (
+    PlanRequest,
+    PlanResponse,
+    PlanService,
+    UnknownFamilyError,
+    plan_service,
+)
 from .tuner import (
     AutoTuner,
     LearnedCostModel,
@@ -64,6 +70,7 @@ __all__ = [
     "SimCostModel", "TrialCache",
     "LearnedCostModel", "ResidualCostModel",
     "PlanService", "plan_service", "PlanRequest", "PlanResponse",
+    "UnknownFamilyError",
     "ShardSpec", "PipelineModule", "partition_pipeline", "DecomposedLinear",
     "op", "pattern",
 ]

@@ -14,9 +14,11 @@ concurrent query API:
   lock, and every subsequent query against that family prices off the
   cached trace;
 * **spaces are shared**: each space *shape* (world size, mesh bounds,
-  micro-batch and ZeRO menus) is enumerated and lowered to columnar
-  :class:`~repro.sim.batch.BatchPoints` once per service, so a repeat
-  query costs one ``predict_batch`` call plus an argsort;
+  micro-batch and ZeRO menus) is built once per service straight as
+  columns — its :class:`~repro.sim.batch.BatchPoints` and its config
+  feature block with it — so a repeat query costs one ``predict_batch``
+  call plus an argsort, and config dicts are built only for the answer
+  and the measured candidates;
 * **identical in-flight queries coalesce**: a request equal to one
   currently being answered joins its future instead of re-pricing the
   space, so a thundering herd of identical queries does the work once
@@ -41,25 +43,34 @@ import threading
 from collections import OrderedDict
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from repro.distributed.topology import ClusterSpec, p3dn_cluster
 
 from ..sim.batch import BatchPoints, predict_batch
+from ..sim.memory import model_stats_for
 from .tuner.cache import TrialCache
 from .tuner.cost_model import SimCostModel
-from .tuner.learned import ResidualCostModel
-from .tuner.space import enumerate_space, parallelism_symbols
+from .tuner.learned import ResidualCostModel, config_features
+from .tuner.space import (
+    SpaceColumns,
+    factorization_columns,
+    parallelism_symbols,
+)
 from .tuner.workers import MeasurementPool
 
 
 #: ZeRO stages a request may ask for
 ZERO_STAGES = frozenset({0, 1, 2, 3})
 
-#: space shapes a service keeps enumerated and lowered (LRU beyond this)
+#: space shapes a service keeps built (LRU beyond this)
 _SPACE_MEMO_SIZE = 64
+
+
+class UnknownFamilyError(KeyError):
+    """The service's ``trace_fn`` does not know the requested family."""
 
 
 @dataclass(frozen=True)
@@ -114,9 +125,9 @@ class PlanRequest:
 
     @property
     def space_key(self) -> tuple:
-        """What the enumerated space depends on.  The family is not part
-        of it: the service never sets cuts or schedules, so its spaces
-        and their columnar lowering are trace-independent."""
+        """What the space depends on.  The family is not part of it: the
+        service never sets cuts or schedules, so its spaces, their
+        ``BatchPoints`` and their config features are trace-independent."""
         return (self.world_size, self.max_tp, self.max_pp,
                 self.micro_batches, self.zero_stages)
 
@@ -128,6 +139,37 @@ class PlanRequest:
             space.create_symbol("zero_stage", list(self.zero_stages))
             space.create_symbol("micro_batch", list(self.micro_batches))
         return update
+
+
+def enumerate_space(request: PlanRequest) -> SpaceColumns:
+    """The request's space as columns, in the row order the define-by-run
+    replay ``tuner.enumerate_space(request.space_fn())`` yields."""
+    return factorization_columns(request.world_size, request.max_tp,
+                                 request.max_pp, request.zero_stages,
+                                 request.micro_batches)
+
+
+class SpaceShape(NamedTuple):
+    """One memoized space shape.  Shared between queries, so every
+    array is read-only."""
+
+    columns: SpaceColumns
+    points: BatchPoints
+    #: the rows' config feature block (``learned.config_features``)
+    features: np.ndarray
+
+    @classmethod
+    def of(cls, columns: SpaceColumns) -> "SpaceShape":
+        """The shape of ``columns``, with no per-row Python."""
+        shape = cls(columns,
+                    BatchPoints(ep=np.ones(len(columns), np.int64),
+                                **vars(columns)),
+                    config_features(len(columns), **vars(columns)))
+        for array in (*vars(columns).values(), *vars(shape.points).values(),
+                      shape.features):
+            if isinstance(array, np.ndarray):
+                array.flags.writeable = False
+        return shape
 
 
 @dataclass
@@ -207,8 +249,8 @@ class PlanService:
         self._inflight: dict[PlanRequest, Future] = {}
         self._traces: dict[str, tuple] = {}
         self._trace_lock = threading.Lock()
-        #: PlanRequest.space_key → (configs, read-only BatchPoints)
-        self._spaces: OrderedDict[tuple, tuple] = OrderedDict()
+        #: PlanRequest.space_key → SpaceShape
+        self._spaces: OrderedDict[tuple, SpaceShape] = OrderedDict()
         self._space_lock = threading.Lock()
         self._measure_lock = threading.Lock()
         #: (family, world_size) → (matching cache rows at fit,
@@ -221,7 +263,7 @@ class PlanService:
         self.coalesced = 0
         #: traces built (≤ number of distinct families queried)
         self.traces_built = 0
-        #: spaces enumerated and lowered (≤ distinct space shapes queried)
+        #: space shapes built (≤ distinct space shapes queried)
         self.spaces_built = 0
         #: residual-correction refits triggered by a changed corpus
         self.refits = 0
@@ -260,16 +302,18 @@ class PlanService:
             with self._trace_lock:  # double-checked: build once only
                 entry = self._traces.get(family)
                 if entry is None:
-                    entry = self._trace_fn(family)
+                    try:
+                        entry = self._trace_fn(family)
+                    except KeyError as err:  # not memoized: raises again
+                        raise UnknownFamilyError(
+                            f"unknown model family {family!r}") from err
                     self._traces[family] = entry
                     self.traces_built += 1
         return entry
 
-    def _space(self, request: PlanRequest) -> tuple:
-        """The request's enumerated space and its columnar lowering,
-        built once per space shape.  Both are shared between queries, so
-        the arrays are read-only and configs leave the service only as
-        copies."""
+    def _space(self, request: PlanRequest) -> SpaceShape:
+        """The request's space shape — columns, ``BatchPoints`` and
+        config features — built once per shape."""
         key = request.space_key
         entry = self._spaces.get(key)
         if entry is not None:
@@ -281,14 +325,7 @@ class PlanService:
         with self._space_lock:  # double-checked: build once only
             entry = self._spaces.get(key)
             if entry is None:
-                configs = tuple(enumerate_space(request.space_fn()))
-                points = BatchPoints.from_configs(
-                    configs,
-                    parallel_fn=SimCostModel.parallel_fn(request.world_size))
-                for column in vars(points).values():
-                    if isinstance(column, np.ndarray):
-                        column.flags.writeable = False
-                entry = (configs, points)
+                entry = SpaceShape.of(enumerate_space(request))
                 self._spaces[key] = entry
                 self.spaces_built += 1
                 if len(self._spaces) > _SPACE_MEMO_SIZE:
@@ -341,49 +378,48 @@ class PlanService:
     def _answer(self, request: PlanRequest) -> PlanResponse:
         model, trace = self._traced(request.family)
         cluster = self._cluster_fn(request.world_size)
-        configs, points = self._space(request)
-        batch = predict_batch(trace, model, cluster, points)
+        shape = self._space(request)
+        batch = predict_batch(trace, model, cluster, shape.points)
         response = PlanResponse(
             request=request, config=None, throughput=0.0,
-            space_size=len(configs), num_feasible=batch.num_feasible)
+            space_size=len(shape.points), num_feasible=batch.num_feasible)
         if batch.num_feasible == 0:
             return response
         # Fastest first; a stable sort breaks ties by enumeration index.
         feasible = np.flatnonzero(batch.fits)
         feasible = feasible[np.argsort(-batch.throughput[feasible],
-                                       kind="stable")].tolist()
+                                       kind="stable")]
         correction = self._correction(request, model, trace)
         if correction is not None:
             # the batch already priced these rows on the correction's
             # analytic basis: correct its rates instead of re-pricing
-            estimates = correction.predict_many(
-                [configs[i] for i in feasible],
-                base=batch.throughput[feasible])
-            rates = np.array([e.throughput for e in estimates])
+            rates = correction.correct_rates(
+                shape.features[feasible], model_stats_for(trace, model),
+                batch.throughput[feasible])
             # primary key: corrected rate; ties by enumeration index
             ranked = np.lexsort((feasible, -rates))
-            feasible = [feasible[k] for k in ranked]
+            feasible = feasible[ranked]
             response.cost_model = "residual"
             response.throughput = float(rates[ranked[0]])
         else:
             response.throughput = float(batch.throughput[feasible[0]])
-        response.config = dict(configs[feasible[0]])
+        response.config = shape.columns.config(feasible[0])
         if request.budget > 0 and self._measure is not None:
-            self._measure_top(request, configs, batch, feasible, response)
+            self._measure_top(request, shape.columns, feasible, response)
         return response
 
-    def _measure_top(self, request: PlanRequest, configs, batch,
+    def _measure_top(self, request: PlanRequest, columns: SpaceColumns,
                      feasible, response: PlanResponse) -> None:
-        # copies: the cache and the response must never alias the
-        # service's shared space, nor see what a measure_fn mutates
-        candidates = [dict(configs[i]) for i in feasible[:request.budget]]
+        # fresh dicts, each owned by one measurement; measure_fn gets a
+        # copy, so what it mutates reaches neither the cache nor the answer
+        candidates = [columns.config(i) for i in feasible[:request.budget]]
         to_run: list[dict] = []
         for config in candidates:
             entry = None if self.cache is None else self.cache.get(config)
             if entry is not None:
                 response.num_cache_hits += 1
                 response.measurements.append(
-                    (dict(config), entry["throughput"], entry["valid"]))
+                    (config, entry["throughput"], entry["valid"]))
             else:
                 to_run.append(config)
         if to_run:
@@ -402,7 +438,7 @@ class PlanService:
                        "world_size": request.world_size}
             for config, value, valid in measured:
                 response.num_measured += 1
-                response.measurements.append((dict(config), value, valid))
+                response.measurements.append((config, value, valid))
                 if self.cache is not None:
                     self.cache.put(config, value, valid, context=context)
         winner = max((m for m in response.measurements if m[2]),

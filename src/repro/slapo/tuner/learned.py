@@ -11,7 +11,8 @@ value-function idea, kept residual):
 * :func:`featurize_many` maps configurations onto **stable, versioned
   feature vectors**, one ``(N, F)`` matrix filled column by column:
   config coordinates (tp/dp/pp/ep/micro/m/zero/placement/overlap/
-  schedule), :class:`~repro.sim.memory.ModelStats`,
+  schedule; :func:`config_features` builds that block from columns),
+  :class:`~repro.sim.memory.ModelStats`,
   :meth:`ClusterSpec.collective_coeffs` outputs and
   :class:`~repro.sim.compiled.CompiledTrace` aggregates (the latter
   blocks live in :mod:`repro.sim.features`; each is computed once per
@@ -46,8 +47,8 @@ value-function idea, kept residual):
   Fitting and prediction featurize a whole batch at once
   (:meth:`ResidualCostModel.features_many`); a caller that already
   priced a batch on the analytic basis hands its rates over
-  (``predict_many(configs, base=rates)``) instead of having them
-  re-priced.
+  (``predict_many(configs, base=rates)``, or ``correct_rates`` with the
+  batch's config feature block) instead of having them re-priced.
 """
 
 from __future__ import annotations
@@ -117,51 +118,48 @@ def _floats(values) -> np.ndarray:
 
 
 def _log2_column(values) -> np.ndarray:
-    """:func:`_log2` per value (``None`` read as 0), computed once per
-    distinct value with the scalar ``math.log2``."""
-    logs = {value: _log2(0 if value is None else value)
-            for value in set(values)}
-    return np.array([logs[value] for value in values])
+    """:func:`_log2` per value, computed once per distinct value with the
+    scalar ``math.log2`` (``np.log2`` may round a non-power of two
+    differently)."""
+    unique, inverse = np.unique(values, return_inverse=True)
+    return np.array([_log2(v) for v in unique.tolist()],
+                    dtype=np.float64)[inverse]
 
 
-def featurize_many(configs: Sequence[dict],
+def config_features(n: int, tp=1, dp=1, pp=1, ep=1, micro_batch=0,
+                    batch_size=0, num_micro_batches=1, zero_stage=0,
+                    ckpt_ratio=0.0, has_ckpt_ratio=False,
+                    overlap_grad_sync=False, overlap_bucket_mb=0.0,
+                    pipeline_schedule="", innermost="") -> np.ndarray:
+    """The ``(n, C)`` :data:`CONFIG_FEATURE_NAMES` block of ``n`` configs
+    from per-coordinate columns, numeric or string; a scalar (each
+    default is what a config without that key reads as) is broadcast
+    over the rows.  ``innermost`` is the placement's innermost axis."""
+    block = np.zeros((n, len(CONFIG_FEATURE_NAMES)))
+    columns = [_log2_column(v) for v in (tp, dp, pp, ep, micro_batch,
+                                         batch_size, num_micro_batches)]
+    columns += [zero_stage, ckpt_ratio, has_ckpt_ratio, overlap_grad_sync,
+                overlap_bucket_mb]
+    columns += [np.asarray(pipeline_schedule) == name
+                for name in _SCHEDULE_NAMES]
+    columns += [np.asarray(innermost) == axis for axis in _INNERMOST_AXES]
+    for j, column in enumerate(columns):
+        block[:, j] = column
+    return block
+
+
+def feature_matrix(config_block: np.ndarray,
                    model_stats: ModelStats | None,
                    cluster: ClusterSpec | None,
                    trace: ModelTrace | None = None) -> np.ndarray:
-    """Configs → an ``(N, F)`` float64 matrix aligned with
-    :data:`FEATURE_NAMES`, filled column by column.
-
-    ``model_stats``, ``cluster`` and ``trace`` may each be ``None``;
-    their blocks are then zero (the row length never changes — that is
-    the schema contract the property tests pin).  Each block is
-    computed once per call and broadcast over the rows.  Config
-    coordinates outside the known set are ignored, again so that the
-    schema cannot drift with the search space.
-    """
-    X = np.zeros((len(configs), len(FEATURE_NAMES)))
-    if not configs:
-        return X
-    (tp, dp, pp, ep, micro, batch, num_micro, zero, ckpt, overlap, bucket,
-     schedule, placement) = zip(*[
-        (c.get("tp", 1), c.get("dp", 1), c.get("pp", 1), c.get("ep", 1),
-         c.get("micro_batch"), c.get("batch_size"),
-         c.get("num_micro_batches", 1), c.get("zero_stage", 0),
-         c.get("ckpt_ratio"), c.get("overlap_grad_sync"),
-         c.get("overlap_bucket_mb", 0.0), c.get("pipeline_schedule", ""),
-         c.get("placement")) for c in configs])
-    schedule = np.array([str(v) for v in schedule])
-    innermost = np.array(["" if v is None else str(v).split(",")[0]
-                          for v in placement])
-    columns = [_log2_column(tp), _log2_column(dp), _log2_column(pp),
-               _log2_column(ep), _log2_column(micro), _log2_column(batch),
-               _log2_column(num_micro), _floats(zero), _floats(ckpt),
-               [v is not None for v in ckpt], [bool(v) for v in overlap],
-               _floats(bucket)]
-    columns += [schedule == name for name in _SCHEDULE_NAMES]
-    columns += [innermost == axis for axis in _INNERMOST_AXES]
-    for j, column in enumerate(columns):
-        X[:, j] = column
+    """``config_block`` (see :func:`config_features`) widened to the full
+    ``(N, F)`` :data:`FEATURE_NAMES` matrix: the stats, cluster and trace
+    blocks are each computed once and broadcast over the rows, or left
+    zero when their source is ``None`` (the row length never changes —
+    the schema contract the property tests pin)."""
+    X = np.zeros((len(config_block), len(FEATURE_NAMES)))
     cursor = len(CONFIG_FEATURE_NAMES)
+    X[:, :cursor] = config_block
     for block, names in (
         (None if model_stats is None else stats_features(model_stats),
          STATS_FEATURE_NAMES),
@@ -174,6 +172,31 @@ def featurize_many(configs: Sequence[dict],
             X[:, cursor:cursor + len(names)] = block
         cursor += len(names)
     return X
+
+
+def featurize_many(configs: Sequence[dict],
+                   model_stats: ModelStats | None,
+                   cluster: ClusterSpec | None,
+                   trace: ModelTrace | None = None) -> np.ndarray:
+    """Configs → an ``(N, F)`` float64 matrix aligned with
+    :data:`FEATURE_NAMES`: their columns' :func:`config_features` block
+    widened by :func:`feature_matrix`.  Config coordinates outside the
+    known set are ignored, so the schema cannot drift with the space."""
+    def column(key, default=None):
+        return [c.get(key, default) for c in configs]
+
+    numeric = [_floats(column(key, default)) for key, default in (
+        ("tp", 1), ("dp", 1), ("pp", 1), ("ep", 1), ("micro_batch", None),
+        ("batch_size", None), ("num_micro_batches", 1), ("zero_stage", 0))]
+    ckpt = column("ckpt_ratio")
+    block = config_features(
+        len(configs), *numeric, _floats(ckpt), [v is not None for v in ckpt],
+        [bool(v) for v in column("overlap_grad_sync")],
+        _floats(column("overlap_bucket_mb", 0.0)),
+        np.array([str(v) for v in column("pipeline_schedule", "")], str),
+        np.array(["" if v is None else str(v).split(",")[0]
+                  for v in column("placement")], str))
+    return feature_matrix(block, model_stats, cluster, trace)
 
 
 def featurize(config: dict, model_stats: ModelStats | None,
@@ -640,25 +663,29 @@ class ResidualCostModel(CostModel):
         return len(rows)
 
     # ------------------------------------------------------------------ #
-    def _correct(self, configs: Sequence[dict], rates: np.ndarray,
-                 usable: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _correct(self, rates: np.ndarray, usable: np.ndarray,
+                 configs: Sequence[dict] | None = None, X=None
+                 ) -> tuple[np.ndarray, np.ndarray]:
         """Corrected copies of the analytic ``rates`` and the mask of
         rows the correction applied to; only ``usable`` rows are
-        candidates.  Publishes the batch for :meth:`rank_source`."""
+        candidates.  Features are rows of ``X``, or those of ``configs``,
+        whose batch is then published for :meth:`rank_source`."""
         out = rates.copy()
-        applied = np.zeros(len(configs), dtype=bool)
+        applied = np.zeros(len(rates), dtype=bool)
         rows = np.flatnonzero(usable)
         if len(rows) and self.active:
-            X = self.features_many([configs[i] for i in rows])
+            X = X[rows] if configs is None else \
+                self.features_many([configs[i] for i in rows])
             inside = self.learned.in_distribution(X, margin=self.ood_margin)
             corrections = np.exp(self.learned.predict_features(X))
             self.num_fallbacks += int(len(rows) - inside.sum())
             rows = rows[inside]
             out[rows] = rates[rows] * corrections[inside]
             applied[rows] = True
-        # One assignment, so a concurrent batch on a shared model can
-        # never interleave its rows with this one's.
-        self._batch = _RankedBatch(tuple(configs), applied)
+        if configs is not None:
+            # One assignment, so a concurrent batch on a shared model can
+            # never interleave its rows with this one's.
+            self._batch = _RankedBatch(tuple(configs), applied)
         return out, applied
 
     def _corrected(self, configs: Sequence[dict],
@@ -667,7 +694,7 @@ class ResidualCostModel(CostModel):
                          dtype=np.float64)
         usable = np.array([estimate.fits and estimate.throughput > 0
                            for estimate in base], dtype=bool)
-        out, applied = self._correct(configs, rates, usable)
+        out, applied = self._correct(rates, usable, configs)
         return [CostEstimate(throughput=float(out[i]), fits=estimate.fits,
                              memory_bytes=estimate.memory_bytes)
                 if applied[i] else estimate
@@ -694,8 +721,20 @@ class ResidualCostModel(CostModel):
             raise ValueError(f"base must hold one rate per config: "
                              f"{len(configs)} configs, base of shape "
                              f"{rates.shape}")
-        out, _ = self._correct(configs, rates, rates > 0)
+        out, _ = self._correct(rates, rates > 0, configs)
         return list(map(CostEstimate, out.tolist()))
+
+    def correct_rates(self, config_block: np.ndarray,
+                      model_stats: ModelStats, base) -> np.ndarray:
+        """``predict_many(configs, base)``'s rates, with the configs given
+        by their :func:`config_features` block: the default featurizer's
+        ``model_stats`` and cluster blocks are broadcast onto it.  Leaves
+        :meth:`rank_source` alone."""
+        if self._featurizer is not None:
+            raise ValueError("correct_rates needs the default featurizer")
+        rates = np.asarray(base, dtype=np.float64)
+        X = feature_matrix(config_block, model_stats, self.analytic.cluster)
+        return self._correct(rates, rates > 0, X=X)[0]
 
     def rank_source(self, config: dict) -> str:
         """Which model ranked this config in the most recent prediction

@@ -5,12 +5,19 @@ Users write an ``update_space(space)`` function calling
 may depend on earlier symbols' *values* (the paper's conditional
 ``ckpt_ratio`` example), the space is a polygon rather than a rectangle.
 Enumeration re-executes ``update_space`` along every branch of the implied
-decision tree.
+decision tree.  :func:`factorization_columns` builds the plan service's
+space shape straight as columns, in the order that replay yields it.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
+
+import numpy as np
+
+#: micro-batches per stage ``parallelism_symbols`` offers at ``pp > 1``
+MIN_MICRO_BATCHES = (1, 2, 4, 8)
 
 
 class SpaceError(ValueError):
@@ -115,7 +122,8 @@ def _divisors(n: int) -> list[int]:
 def parallelism_symbols(space: Space, world_size: int,
                         max_tp: int | None = None,
                         max_pp: int | None = None,
-                        min_micro_batches: tuple[int, ...] = (1, 2, 4, 8),
+                        min_micro_batches: tuple[int, ...]
+                        = MIN_MICRO_BATCHES,
                         max_ep: int | None = None,
                         pipeline_schedules: Sequence[str] | None = None,
                         overlap_grad_sync: bool = False,
@@ -187,6 +195,65 @@ def parallelism_symbols(space: Space, world_size: int,
     if ep is None:
         return tp, dp, pp
     return tp, dp, pp, ep
+
+
+@dataclass(frozen=True)
+class SpaceColumns:
+    """A factorization space as int64 columns; ``num_micro_batches`` is 1
+    (what the absent key reads as) on ``pp == 1`` rows.  The fields are
+    in the replay's symbol order, which :meth:`config` keys follow."""
+
+    tp: np.ndarray
+    pp: np.ndarray
+    dp: np.ndarray
+    num_micro_batches: np.ndarray
+    zero_stage: np.ndarray
+    micro_batch: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.tp.shape[0])
+
+    def config(self, index: int) -> dict[str, int]:
+        """Row ``index`` as the dict :func:`enumerate_space` yields: equal
+        keys, in the same order."""
+        return {name: int(column[index])
+                for name, column in vars(self).items()
+                if name != "num_micro_batches" or self.pp[index] > 1}
+
+
+def _replay_order(candidates: Sequence, bound: int | None = None) -> list:
+    """``candidates`` (those ≤ ``bound``) in :func:`enumerate_space`'s
+    visiting order: its stack pops the last first, and a repeat only
+    yields rows again."""
+    return list(dict.fromkeys(c for c in reversed(candidates)
+                              if bound is None or c <= bound))
+
+
+def factorization_columns(world_size: int, max_tp: int | None = None,
+                          max_pp: int | None = None,
+                          zero_stages: Sequence[int] = (0,),
+                          micro_batches: Sequence[int] = (1,)
+                          ) -> SpaceColumns:
+    """The space of ``parallelism_symbols(space, world_size, max_tp,
+    max_pp)`` then ``zero_stage`` and ``micro_batch`` symbols over these
+    menus, as columns in the order :func:`enumerate_space` yields it
+    (planners break ties by it), with no per-row Python."""
+    meshes = np.array([(tp, pp)
+                       for tp in _replay_order(_divisors(world_size), max_tp)
+                       for pp in _replay_order(_divisors(world_size // tp),
+                                               max_pp)], np.int64)
+    factors, zero, micro = (np.array(_replay_order(menu), np.int64) for menu
+                            in (MIN_MICRO_BATCHES, zero_stages, micro_batches))
+    # every (mesh, micro-batch count, ZeRO stage, micro-batch) in replay
+    # order, less the counts a pp = 1 mesh does not declare
+    index = np.indices((len(meshes), len(factors), len(zero), len(micro))
+                       ).reshape(4, -1)
+    index = index[:, (meshes[index[0], 1] > 1) | (index[1] == 0)]
+    (tp, pp), f, z, m = meshes[index[0]].T, *index[1:]
+    return SpaceColumns(
+        tp=tp, pp=pp, dp=world_size // (tp * pp),
+        num_micro_batches=np.where(pp > 1, pp * factors[f], 1),
+        zero_stage=zero[z], micro_batch=micro[m])
 
 
 def sample_space(update_fn: Callable[[Space], object], rng,

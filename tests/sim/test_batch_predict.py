@@ -1,14 +1,18 @@
-"""`predict_batch` must *equal* `predict_config` — differentially, on
-every config of a real enumerated space, for every MODEL_ZOO family.
+"""`predict_batch` against `predict_config` on every config of a real
+enumerated space, for every MODEL_ZOO family.
 
-The batch planner replicates the scalar float64 expression trees
-operation-for-operation, so the contract is strict: identical
-feasibility verdicts, throughput within 1e-9 (in practice bit-equal),
-identical memory totals, for vectorized and fallback rows both.  Spaces
-deliberately include the awkward coordinates — ep, pipeline_schedule,
-num_micro_batches, zero — and each family is additionally priced on a
-memory-starved cluster so the OOM (non-fit) branch is exercised, not
-just the everything-fits happy path.
+Both planners call the same step-time formulas (`mesh_terms`,
+`stage_time`, `compose_step`, `model_memory`); the golden fixture
+`test_step_time_golden.py` pins their numbers.  This grid checks what the
+batch planner decides on its own:
+
+* row routing: rows priced by the vectorized path and rows sent to the
+  `predict_config` fallback (non-default pipeline schedules) both get the
+  scalar planner's verdict, throughput and memory;
+* the early verdicts: a schedule no point can express (the unknown
+  name "zero-bubble") and — on a memory-starved cluster — the OOM
+  branch;
+* the `BatchPrediction` surface, down to an empty batch.
 """
 
 import dataclasses
@@ -170,6 +174,15 @@ class TestBatchPredictionSurface:
         batch = predict_batch(trace, model, nothing, configs)
         assert batch.best_index() is None
         assert batch.num_feasible == 0
+
+    @pytest.mark.parametrize("build", ["from_configs", "columns"])
+    def test_empty_batch(self, build):
+        model, trace = family_trace("GPT")
+        points = BatchPoints.from_configs([]) if build == "from_configs" \
+            else BatchPoints(tp=[], dp=[], pp=[], ep=[], micro_batch=[])
+        batch = predict_batch(trace, model, CLUSTER, points)
+        assert len(batch) == 0 and batch.num_feasible == 0
+        assert batch.best_index() is None and batch.predictions() == []
 
     def test_columnar_points_match_mapping_input(self):
         """The zero-per-row-Python fast path answers identically."""

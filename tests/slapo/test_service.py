@@ -1,5 +1,6 @@
 """plan_service: concurrent queries, coalescing, trace and trial reuse."""
 
+import dataclasses
 import functools
 import math
 import threading
@@ -13,7 +14,12 @@ from repro.distributed import p3dn_cluster
 from repro.models import MODEL_ZOO, data
 from repro.schedules import SCHEDULES
 from repro.sim import predict_batch, predict_config, trace_model
-from repro.slapo import PlanRequest, PlanService, plan_service
+from repro.slapo import (
+    PlanRequest,
+    PlanService,
+    UnknownFamilyError,
+    plan_service,
+)
 from repro.slapo.tuner import MeasurementPool, SimCostModel, TrialCache
 from repro.slapo.tuner.space import enumerate_space
 
@@ -132,6 +138,12 @@ def family_trace(family):
 cached_trace = functools.lru_cache(maxsize=None)(family_trace)
 
 
+def space_configs(service, request) -> list:
+    """The service's memoized space for ``request``, as config dicts."""
+    columns = service._space(request).columns
+    return [columns.config(i) for i in range(len(columns))]
+
+
 def reference_answer(request, model, trace):
     """(config, throughput) by the dict-input ranking the service used
     before it memoized spaces, plus the best scalar ``predict_config``
@@ -229,15 +241,17 @@ class TestSpaceMemo:
     def test_memoized_arrays_are_read_only(self):
         with plan_service(cached_trace) as service:
             service.query(PlanRequest("GPT", world_size=8))
-            configs, points = service._space(PlanRequest("GPT", world_size=8))
-        assert isinstance(configs, tuple)
-        columns = [v for v in vars(points).values()
-                   if isinstance(v, np.ndarray)]
+            shape = service._space(PlanRequest("GPT", world_size=8))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            shape.columns.tp = np.zeros(1, np.int64)
+        columns = [v for part in (shape.columns, shape.points)
+                   for v in vars(part).values()
+                   if isinstance(v, np.ndarray)] + [shape.features]
         assert columns
         for column in columns:
             assert not column.flags.writeable
         with pytest.raises(ValueError):
-            points.micro_batch[0] = 99
+            shape.points.micro_batch[0] = 99
 
     def test_memo_is_bounded(self, monkeypatch):
         from repro.slapo import service as service_module
@@ -265,13 +279,44 @@ class TestSpaceMemo:
                           learned=False) as service:
             first = service.query(request)
             again = service.query(PlanRequest("GPT", world_size=8))
-            configs, _ = service._space(request)
+            configs = space_configs(service, request)
         assert all(c["micro_batch"] != 999 for c in configs)
         assert all(m[0]["micro_batch"] != 999 for m in first.measurements)
         assert first.config["micro_batch"] != 999
         assert again.config == predicted.config
         assert all(e["config"]["micro_batch"] != 999
                    for e in cache.entries())
+
+
+class TestUnknownFamily:
+    def test_direct_and_repeat_queries_raise_a_typed_error(self):
+        with plan_service(cached_trace) as service:
+            for _ in range(2):  # a failed family is not memoized
+                with pytest.raises(UnknownFamilyError) as info:
+                    service.query(PlanRequest("Nope", world_size=8))
+                assert isinstance(info.value, KeyError)
+                assert "'Nope'" in str(info.value)
+                assert isinstance(info.value.__cause__, KeyError)
+            assert service.traces_built == 0
+            assert service.query(PlanRequest("GPT", world_size=8)).config
+
+    def test_coalesced_duplicates_all_raise(self):
+        gate = threading.Event()
+
+        def gated(family):
+            gate.wait(timeout=30)
+            return cached_trace(family)
+
+        request = PlanRequest("Nope", world_size=8)
+        with plan_service(gated, max_workers=2) as service:
+            futures = [service.submit(request) for _ in range(4)]
+            gate.set()
+            for future in futures:
+                with pytest.raises(UnknownFamilyError):
+                    future.result(timeout=30)
+            assert service.coalesced == 3
+            with pytest.raises(KeyError):  # existing handlers still catch it
+                service.query(request)
 
 
 @pytest.mark.slow
@@ -389,7 +434,8 @@ class TestResidualBasis:
                           ) as service:
             service.query(request)
             model, trace = service._traced("GPT")
-            configs, points = service._space(request)
+            configs = space_configs(service, request)
+            points = service._space(request).points
             analytic = service._corrections[("GPT", 64)][1].analytic
         batch = predict_batch(trace, model, p3dn_cluster(8), points)
         feasible = np.flatnonzero(batch.fits)
@@ -408,7 +454,7 @@ class TestRefitOnChangedCorpus:
         cache = TrialCache(tmp_path / "trials.json")
         with plan_service(gpt_trace) as clean:
             clean.query(request)
-            configs, _ = clean._space(request)
+            configs = space_configs(clean, request)
         rows = [dict(c) for c in configs[::3]]
         for k, config in enumerate(rows[:10]):
             cache.put(config, 40.0 + k, True, context=context)
