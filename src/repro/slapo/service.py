@@ -25,8 +25,8 @@ concurrent query API:
   (:attr:`PlanService.coalesced` counts the piggybacks);
 * **budget > 0** spends real measurements on the top predicted
   configs, consulting the shared :class:`TrialCache` first and writing
-  new measurements back, so repeated queries converge to measured
-  answers at zero extra cost.
+  new measurements back under the (family, world size) context, so
+  repeated queries converge to measured answers at zero extra cost.
 
 ::
 
@@ -59,7 +59,7 @@ from .tuner.space import (
     factorization_columns,
     parallelism_symbols,
 )
-from .tuner.workers import MeasurementPool
+from .tuner.workers import MeasurementPool, measure
 
 
 #: ZeRO stages a request may ask for
@@ -211,7 +211,8 @@ class PlanService:
         nodes (8 V100s each, the paper's testbed).
     cache:
         Shared :class:`TrialCache` consulted before and updated after
-        every measured trial; saved after each budgeted query.
+        every measured trial, under the (family, world size) context;
+        saved after each budgeted query.
     measure_fn:
         ``measure_fn(config) -> float | None`` for budgeted queries —
         either a plain callable (run on the query thread) or a
@@ -252,7 +253,6 @@ class PlanService:
         #: PlanRequest.space_key → SpaceShape
         self._spaces: OrderedDict[tuple, SpaceShape] = OrderedDict()
         self._space_lock = threading.Lock()
-        self._measure_lock = threading.Lock()
         #: (family, world_size) → (matching cache rows at fit,
         #: ResidualCostModel)
         self._corrections: dict[tuple, tuple[list, ResidualCostModel]] = {}
@@ -410,37 +410,21 @@ class PlanService:
 
     def _measure_top(self, request: PlanRequest, columns: SpaceColumns,
                      feasible, response: PlanResponse) -> None:
-        # fresh dicts, each owned by one measurement; measure_fn gets a
-        # copy, so what it mutates reaches neither the cache nor the answer
-        candidates = [columns.config(i) for i in feasible[:request.budget]]
-        to_run: list[dict] = []
-        for config in candidates:
-            entry = None if self.cache is None else self.cache.get(config)
-            if entry is not None:
-                response.num_cache_hits += 1
+        # fresh dicts, each owned by one measurement; a callable
+        # measure_fn gets a copy, so what it mutates reaches neither the
+        # cache nor the answer
+        results = measure(
+            [columns.config(i) for i in feasible[:request.budget]],
+            self._measure, self.cache,
+            {"family": request.family, "world_size": request.world_size})
+        # cache hits first, then measurements; lost trials stay unmeasured
+        for result in sorted(results, key=lambda result: not result.cached):
+            if not result.lost:
                 response.measurements.append(
-                    (config, entry["throughput"], entry["valid"]))
-            else:
-                to_run.append(config)
-        if to_run:
-            if isinstance(self._measure, MeasurementPool):
-                with self._measure_lock:  # the pool is single-consumer
-                    outcomes = self._measure.run(to_run)
-                measured = [(c, o.throughput, o.valid)
-                            for c, o in zip(to_run, outcomes)
-                            if not o.lost]  # lost trials stay unmeasured
-            else:
-                measured = []
-                for config in to_run:
-                    value = float(self._measure(dict(config)) or 0.0)
-                    measured.append((config, value, value > 0))
-            context = {"family": request.family,
-                       "world_size": request.world_size}
-            for config, value, valid in measured:
-                response.num_measured += 1
-                response.measurements.append((config, value, valid))
-                if self.cache is not None:
-                    self.cache.put(config, value, valid, context=context)
+                    (result.config, result.throughput, result.valid))
+        response.num_cache_hits = sum(r.cached for r in results)
+        response.num_measured = \
+            len(response.measurements) - response.num_cache_hits
         winner = max((m for m in response.measurements if m[2]),
                      key=lambda m: m[1], default=None)
         if winner is not None:

@@ -39,7 +39,7 @@ from .tuner import (
     TuneReport,
     TuneResult,
 )
-from .workers import MeasurementPool, MeasureResult
+from .workers import MeasurementPool, MeasureResult, measure
 
 __all__ = [
     "Space", "SpaceError", "enumerate_space", "symbol_values",
@@ -51,6 +51,6 @@ __all__ = [
     "featurize", "featurize_many", "mean_relative_error",
     "FEATURE_NAMES", "FEATURE_VERSION",
     "TrialCache", "config_key",
-    "MeasurementPool", "MeasureResult",
+    "MeasurementPool", "MeasureResult", "measure",
     "SECONDS_PER_TRIAL", "SECONDS_PER_FAILED_TRIAL",
 ]

@@ -3,9 +3,10 @@
 A measured trial (92 simulated seconds in the paper's Fig. 10 setup) is
 far more expensive than a JSON lookup, and the same (model, space) pair
 is tuned repeatedly across benchmarks and sessions.  The cache stores
-every measurement keyed by the canonical JSON of its configuration so a
-re-run — or a different strategy over the same space — pays nothing for
-configs already measured.
+every measurement keyed by the canonical JSON of its request context
+(``PlanService``: family and world size; ``AutoTuner``: none) and of
+its configuration, so a re-run pays nothing for configs already
+measured, and no context is served another's rows.
 
 File format (``version`` guards future migrations)::
 
@@ -14,6 +15,9 @@ File format (``version`` guards future migrations)::
       "trials": [
         {"config": {"batch_size": 136, "ckpt_ratio": 0.5},
          "throughput": 94.2, "valid": true},
+        {"config": {"dp": 2, "micro_batch": 4, "tp": 4, "zero_stage": 1},
+         "throughput": 41.7, "valid": true,
+         "context": {"family": "GPT", "world_size": 8}},
         ...
       ]
     }
@@ -37,6 +41,22 @@ def config_key(config: dict) -> str:
     return json.dumps(config, sort_keys=True, separators=(",", ":"))
 
 
+def _key(config: dict, context: dict | None = None) -> tuple[str, str]:
+    """A row's (config, context) key; no context keys as ``""``."""
+    return config_key(config), (config_key(context) if context else "")
+
+
+def _row(config: dict, throughput: float, valid: bool,
+         context: dict | None = None) -> tuple[tuple[str, str], dict]:
+    """One trial row and its key.  A context that is empty or not a
+    dict is not stored."""
+    row = {"config": dict(config), "throughput": float(throughput),
+           "valid": bool(valid)}
+    if isinstance(context, dict) and context:
+        row["context"] = dict(context)
+    return _key(row["config"], row.get("context")), row
+
+
 class TrialCache:
     """A dict of measured trials backed by a JSON file.
 
@@ -55,14 +75,14 @@ class TrialCache:
 
     def __init__(self, path: str | os.PathLike):
         self.path = Path(path)
-        self._entries: dict[str, dict] = {}
+        self._entries: dict[tuple[str, str], dict] = {}
         self._lock = threading.RLock()
         #: lookups answered from the cache (reset per process, not saved)
         self.hits = 0
         self.load()
 
     # ------------------------------------------------------------------ #
-    def _read_disk(self) -> dict[str, dict]:
+    def _read_disk(self) -> dict[tuple[str, str], dict]:
         try:
             payload = json.loads(self.path.read_text())
         except (OSError, ValueError):
@@ -70,17 +90,12 @@ class TrialCache:
         if not isinstance(payload, dict) or \
                 payload.get("version") != self.VERSION:
             return {}
-        entries: dict[str, dict] = {}
+        entries: dict[tuple[str, str], dict] = {}
         for entry in payload.get("trials", []):
             try:
-                row = {
-                    "config": dict(entry["config"]),
-                    "throughput": float(entry["throughput"]),
-                    "valid": bool(entry["valid"]),
-                }
-                if isinstance(entry.get("context"), dict):
-                    row["context"] = dict(entry["context"])
-                entries[config_key(entry["config"])] = row
+                key, row = _row(entry["config"], entry["throughput"],
+                                entry["valid"], entry.get("context"))
+                entries[key] = row
             except (KeyError, TypeError, ValueError):
                 continue  # skip malformed rows, keep the rest
         return entries
@@ -120,9 +135,10 @@ class TrialCache:
                 raise
 
     # ------------------------------------------------------------------ #
-    def get(self, config: dict) -> dict | None:
+    def get(self, config: dict, context: dict | None = None) -> dict | None:
+        """The row measured for ``config`` under exactly ``context``."""
         with self._lock:
-            entry = self._entries.get(config_key(config))
+            entry = self._entries.get(_key(config, context))
             if entry is not None:
                 self.hits += 1
         return entry
@@ -130,23 +146,18 @@ class TrialCache:
     def put(self, config: dict, throughput: float, valid: bool,
             context: dict | None = None) -> None:
         """Record one measurement.  ``context`` is optional free-form
-        JSON metadata (e.g. ``{"family": ..., "world_size": ...}``) that
-        lets corpus consumers — the learned cost model above all —
-        select comparable rows from a shared cache."""
-        entry = {
-            "config": dict(config),
-            "throughput": float(throughput),
-            "valid": bool(valid),
-        }
-        if context:
-            entry["context"] = dict(context)
+        JSON metadata (e.g. ``{"family": ..., "world_size": ...}``); it
+        is part of the key, and lets corpus consumers — the learned cost
+        model above all — select comparable rows from a shared cache."""
+        key, row = _row(config, throughput, valid, context)
         with self._lock:
-            self._entries[config_key(config)] = entry
+            self._entries[key] = row
 
     def entries(self) -> list[dict]:
         """Snapshot of all entries (copies — safe to mutate, including
         the nested ``config``/``context`` dicts), sorted by canonical
-        config key so iteration order is deterministic."""
+        config key, then context key, so iteration order is
+        deterministic."""
         with self._lock:
             rows = []
             for key in sorted(self._entries):
@@ -161,4 +172,5 @@ class TrialCache:
         return len(self._entries)
 
     def __contains__(self, config: dict) -> bool:
-        return config_key(config) in self._entries
+        """Whether ``config`` has a contextless row."""
+        return _key(config) in self._entries

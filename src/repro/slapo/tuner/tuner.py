@@ -2,7 +2,8 @@
 
 The tuner evaluates configurations through a user-supplied callable
 returning throughput in samples/sec (``0``/``None`` means invalid — e.g.
-out of memory, which the tuner prunes quickly).  It records every trial and
+out of memory, which the tuner prunes quickly), in process or in a
+:class:`.workers.MeasurementPool`.  It records every trial and
 a simulated wall-clock cost so benchmarks can report search-time savings
 (paper Fig. 10: 17/91 configs, 20 vs 139 minutes).
 
@@ -35,7 +36,7 @@ import numpy as np
 from .cache import TrialCache
 from .cost_model import CostModel, as_cost_model
 from .space import enumerate_space
-from .workers import MeasurementPool
+from .workers import MeasurementPool, measure
 
 
 def _trial_key(config: dict) -> tuple:
@@ -153,6 +154,8 @@ SECONDS_PER_FAILED_TRIAL = 20.0
 class AutoTuner:
     """Search one define-by-run space with any of the four strategies.
 
+    ``evaluate_fn`` is a ``config -> float | None`` callable or a
+    :class:`.workers.MeasurementPool` (see :func:`.workers.measure`).
     ``cost_model`` is a :class:`.cost_model.CostModel` (or a bare
     ``config -> float`` callable) used by :meth:`simulator_guided` and, as
     a fitness prefilter, by :meth:`evolutionary`.  ``cache`` is an
@@ -161,19 +164,17 @@ class AutoTuner:
     """
 
     def __init__(self, update_space_fn: Callable,
-                 evaluate_fn: Callable[[dict], float | None],
+                 evaluate_fn: Callable[[dict], float | None]
+                 | MeasurementPool,
                  seed: int = 0,
                  cost_model: CostModel | Callable | None = None,
-                 cache: TrialCache | None = None,
-                 pool: MeasurementPool | None = None):
+                 cache: TrialCache | None = None):
         self.update_space_fn = update_space_fn
         self.evaluate_fn = evaluate_fn
         self.configs = enumerate_space(update_space_fn)
         self.cost_model = None if cost_model is None \
             else as_cost_model(cost_model)
         self.cache = cache
-        #: optional crash-isolated subprocess pool for measured trials
-        self.pool = pool
         self._rng = np.random.default_rng(seed)
         self._seed = seed
         #: memoized ResidualCostModel for cost_model="residual" runs
@@ -213,92 +214,43 @@ class AutoTuner:
         return (1, 0, repr(_trial_key(config)))
 
     # ------------------------------------------------------------------ #
-    def _evaluate(self, config: dict, predicted: float | None = None,
-                  ranked_by: str | None = None) -> Trial:
-        key = _trial_key(config)
-        if key in self._memo:
-            return self._memo[key]
-        cached_entry = None if self.cache is None else self.cache.get(config)
-        if cached_entry is not None:
-            trial = Trial(config=dict(config),
-                          throughput=cached_entry["throughput"],
-                          valid=cached_entry["valid"],
-                          predicted=predicted, cached=True,
-                          ranked_by=ranked_by)
-        else:
-            throughput = self.evaluate_fn(config)
-            valid = throughput is not None and throughput > 0
-            trial = Trial(config=dict(config),
-                          throughput=float(throughput or 0.0), valid=valid,
-                          predicted=predicted, ranked_by=ranked_by)
-            if self.cache is not None:
-                self.cache.put(config, trial.throughput, trial.valid)
-        self._memo[key] = trial
-        self._trials.append(trial)
-        return trial
+    def _evaluate(self, config: dict) -> Trial:
+        return self._evaluate_many([(None, config)])[0]
 
-    @staticmethod
-    def _unpack(item) -> tuple[dict, float | None, str | None]:
-        config, predicted, *rest = item
-        return config, predicted, (rest[0] if rest else None)
+    def _evaluate_many(self, scored: list[tuple],
+                       model: CostModel | None = None) -> list[Trial]:
+        """Evaluate ``(predicted, config)`` pairs ranked by ``model``
+        (``predicted`` is None where nothing ranked them).
 
-    def _evaluate_many(self, pairs: list[tuple]) -> list[Trial]:
-        """Evaluate a batch of ``(config, predicted[, ranked_by])`` tuples.
-
-        Memo and cache hits are resolved inline; the remainder runs
-        through the measurement ``pool`` when one is attached (crash
-        isolation, per-trial timeouts) and otherwise through the same
-        in-process path as :meth:`_evaluate`.  Lost trials are recorded
-        with ``lost=True`` but never memoized or cached, so only the
-        affected trials are forfeited — a clean rerun measures them.
+        Memo hits return their recorded trial; every other distinct
+        config is measured once, through :func:`.workers.measure`.  Lost
+        trials are recorded with ``lost=True`` but never memoized or
+        cached, so only the affected trials are forfeited — a clean
+        rerun measures them.
         """
-        trials: list[Trial | None] = [None] * len(pairs)
-        queue: list[tuple[int, dict, float | None, str | None]] = []
-        for i, item in enumerate(pairs):
-            config, predicted, ranked_by = self._unpack(item)
-            key = _trial_key(config)
-            if key in self._memo:
-                trials[i] = self._memo[key]
-                continue
-            cached_entry = None if self.cache is None \
-                else self.cache.get(config)
-            if cached_entry is not None:
-                trial = Trial(config=dict(config),
-                              throughput=cached_entry["throughput"],
-                              valid=cached_entry["valid"],
-                              predicted=predicted, cached=True,
-                              ranked_by=ranked_by)
-                self._memo[key] = trial
-                self._trials.append(trial)
-                trials[i] = trial
-                continue
-            queue.append((i, config, predicted, ranked_by))
-        if not queue:
-            return trials
-        if self.pool is None:
-            for i, config, predicted, ranked_by in queue:
-                trials[i] = self._evaluate(config, predicted=predicted,
-                                           ranked_by=ranked_by)
-            return trials
-        outcomes = self.pool.run([config for _, config, _, _ in queue])
-        for (i, config, predicted, ranked_by), outcome in zip(queue,
-                                                              outcomes):
-            if outcome.lost:
-                trial = Trial(config=dict(config), throughput=0.0,
-                              valid=False, predicted=predicted,
-                              lost=True, error=outcome.error,
-                              ranked_by=ranked_by)
-            else:
-                trial = Trial(config=dict(config),
-                              throughput=outcome.throughput,
-                              valid=outcome.valid, predicted=predicted,
-                              ranked_by=ranked_by)
-                if self.cache is not None:
-                    self.cache.put(config, trial.throughput, trial.valid)
-                self._memo[_trial_key(config)] = trial
+        keys = [_trial_key(config) for _, config in scored]
+        fresh: dict[tuple, tuple] = {}
+        for key, (predicted, config) in zip(keys, scored):
+            if key not in self._memo and key not in fresh:
+                fresh[key] = (predicted, config, None if model is None
+                              else model.rank_source(config))
+        results = measure([config for _, config, _ in fresh.values()],
+                          self.evaluate_fn, self.cache)
+        batch: dict[tuple, Trial] = {}
+        # cache hits are recorded first, then measurements, each in order
+        for key, result in sorted(zip(fresh, results),
+                                  key=lambda pair: not pair[1].cached):
+            predicted, config, ranked_by = fresh[key]
+            trial = batch[key] = Trial(
+                config=dict(config), throughput=result.throughput,
+                valid=result.valid, predicted=predicted,
+                cached=result.cached, lost=result.lost, error=result.error,
+                ranked_by=ranked_by)
             self._trials.append(trial)
-            trials[i] = trial
-        return trials
+            if not trial.lost:
+                self._memo[key] = trial
+        return [batch[key] if key in batch else self._memo[key]
+                for key in keys]
 
     def _report(self, strategy: str, pruned: int = 0,
                 skipped: int = 0) -> TuneReport:
@@ -418,7 +370,7 @@ class AutoTuner:
     def exhaustive(self) -> TuneResult:
         """Evaluate every configuration in the space (the baseline)."""
         start = len(self._trials)
-        self._evaluate_many([(config, None) for config in self.configs])
+        self._evaluate_many([(None, config) for config in self.configs])
         return self._result(self._report("exhaustive"), start)
 
     def coordinate_descent(self, restarts: int = 1,
@@ -495,9 +447,7 @@ class AutoTuner:
         if quota > 0:
             picks = self._rng.choice(len(rest), size=quota, replace=False)
             chosen += [rest[int(i)] for i in sorted(picks)]
-        self._evaluate_many([(config, predicted,
-                              model.rank_source(config))
-                             for predicted, config in chosen])
+        self._evaluate_many(chosen, model)
         skipped = len(scored) - len(chosen)
         report = self._report("simulator_guided", pruned=pruned,
                               skipped=skipped)
@@ -550,11 +500,9 @@ class AutoTuner:
             pruned_keys.update(_trial_key(c) for c in seed_pruned)
             skipped_keys.update(_trial_key(c)
                                 for _, c in scored[pop_size:])
-            current = self._evaluate_many(
-                [(c, p, model.rank_source(c))
-                 for p, c in scored[:pop_size]])
+            current = self._evaluate_many(scored[:pop_size], model)
         else:
-            current = self._evaluate_many([(c, None) for c in seeds])
+            current = self._evaluate_many([(None, c) for c in seeds])
         if not current:  # cost model rejected the entire sample
             return finish()
 
@@ -583,11 +531,9 @@ class AutoTuner:
                 keep = max(1, math.ceil(prefilter * len(scored))) \
                     if scored else 0
                 skipped_keys.update(_trial_key(c) for _, c in scored[keep:])
-                offspring = self._evaluate_many(
-                    [(c, p, model.rank_source(c))
-                     for p, c in scored[:keep]])
+                offspring = self._evaluate_many(scored[:keep], model)
             else:
-                offspring = self._evaluate_many([(c, None) for c in brood])
+                offspring = self._evaluate_many([(None, c) for c in brood])
             # Generational replacement with elitism: the best `elite`
             # parents always survive, the rest of the slots go to the
             # fittest of (offspring ∪ remaining parents).

@@ -333,10 +333,9 @@ class TestResidualModel:
 # --------------------------------------------------------------------- #
 def run_guided(tmp_path, cost_model, pool=None, name="trials"):
     analytic = CallableCostModel(analytic_rate)
-    tuner = AutoTuner(fig6_space, measured_rate, seed=0,
-                      cost_model=analytic,
-                      cache=TrialCache(tmp_path / f"{name}.json"),
-                      pool=pool)
+    tuner = AutoTuner(fig6_space, measured_rate if pool is None else pool,
+                      seed=0, cost_model=analytic,
+                      cache=TrialCache(tmp_path / f"{name}.json"))
     # make the residual featurizer config-only (no SimCostModel here)
     tuner._residual = ResidualCostModel(analytic,
                                         featurizer=config_featurizer)

@@ -20,7 +20,12 @@ from repro.slapo import (
     UnknownFamilyError,
     plan_service,
 )
-from repro.slapo.tuner import MeasurementPool, SimCostModel, TrialCache
+from repro.slapo.tuner import (
+    MeasurementPool,
+    SimCostModel,
+    TrialCache,
+    config_key,
+)
 from repro.slapo.tuner.space import enumerate_space
 
 
@@ -396,6 +401,34 @@ class TestBudgetedQueries:
         assert again.num_measured == 0
         assert len(measured) == 4
         assert again.config == response.config
+
+    def test_families_never_share_measurements(self, tmp_path):
+        """One cache, two families at one world size: each family
+        measures its own candidates and is answered from its own rows."""
+        cache = TrialCache(tmp_path / "trials.json")
+        calls = []
+
+        def measure(config):
+            calls.append(dict(config))
+            return 50.0 + config["micro_batch"]
+
+        gpt = PlanRequest("GPT", world_size=8, budget=4)
+        bert = PlanRequest("BERT", world_size=8, budget=4)
+        with plan_service(cached_trace, cache=cache, measure_fn=measure,
+                          learned=False) as service:
+            first = service.query(gpt)
+            answer = service.query(bert)
+            again = service.query(bert)
+        assert first.num_measured == 4
+        assert (answer.num_measured, answer.num_cache_hits) == (4, 0)
+        assert (again.num_measured, again.num_cache_hits) == (0, 4)
+        assert len(calls) == 8
+        assert again.measurements == answer.measurements
+        contexts = {(e["context"]["family"], config_key(e["config"]))
+                    for e in cache.entries()}
+        assert {("BERT", config_key(m[0]))
+                for m in answer.measurements} <= contexts
+        assert len(cache) == 8
 
     def test_budget_through_measurement_pool_survives_crash(self, tmp_path):
         import os

@@ -312,6 +312,45 @@ class TestTrialCache:
         assert merged.get({"x": 1})["throughput"] == 10.0
         assert merged.get({"x": 2})["throughput"] == 20.0
 
+    def test_rows_are_keyed_by_context(self, tmp_path):
+        path = tmp_path / "trials.json"
+        config = {"x": 1}
+        gpt = {"family": "GPT", "world_size": 8}
+        bert = {"family": "BERT", "world_size": 8}
+        cache = TrialCache(path)
+        cache.put(config, 10.0, True, context=gpt)
+        cache.put(config, 20.0, True, context=bert)
+        cache.put(config, 30.0, True)
+        cache.save()
+        for loaded in (cache, TrialCache(path)):
+            assert len(loaded) == 3
+            assert [(e.get("context"), e["throughput"])
+                    for e in loaded.entries()] == \
+                [(None, 30.0), (bert, 20.0), (gpt, 10.0)]
+            assert loaded.get(config, gpt)["throughput"] == 10.0
+            assert loaded.get(config, bert)["throughput"] == 20.0
+            assert loaded.get(config)["throughput"] == 30.0
+            assert loaded.get(config, {"family": "OPT",
+                                       "world_size": 8}) is None
+            assert config in loaded
+        assert TrialCache(path).get({"x": 2}, gpt) is None
+
+    def test_measure_fn_cannot_rewrite_recorded_configs(self, tmp_path):
+        def vandal(config):
+            value = 10.0 + config["x"]
+            config["x"] = 99
+            return value
+
+        def space(space):
+            space.create_symbol("x", [0, 1, 2])
+
+        cache = TrialCache(tmp_path / "trials.json")
+        result = AutoTuner(space, vandal, cache=cache).exhaustive()
+        assert sorted(t.config["x"] for t in result.trials) == [0, 1, 2]
+        assert [e["config"] for e in cache.entries()] == \
+            [{"x": 0}, {"x": 1}, {"x": 2}]
+        assert result.best_config == {"x": 2}
+
     def test_cache_shared_across_strategies(self, tmp_path):
         path = tmp_path / "trials.json"
         AutoTuner(paper_fig6_space, synthetic_throughput, seed=0,

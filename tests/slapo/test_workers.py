@@ -6,7 +6,9 @@ and loses only the affected trials — with `TuneReport` counts that say
 so.  Results must be deterministic and independent of worker count.
 """
 
+import math
 import os
+import threading
 import time
 
 import pytest
@@ -43,6 +45,19 @@ def clean_evaluate(config):
 def make_pool(num_workers):
     return MeasurementPool(faulty_evaluate, num_workers=num_workers,
                           trial_timeout=2.0)
+
+
+RAISE_X = 7    # raising_evaluate() raises in the worker
+
+
+def raising_evaluate(config):
+    if config["x"] == RAISE_X:
+        raise RuntimeError("launch failed")
+    return 10.0 + config["x"]
+
+
+def non_finite_evaluate(config):
+    return {8: math.inf, 9: math.nan}.get(config["x"], 10.0 + config["x"])
 
 
 @pytest.mark.slow
@@ -91,6 +106,40 @@ class TestPoolRobustness:
         assert results[1].throughput == 1.0
         assert pool.workers_lost == 0  # the worker survived the exception
 
+    def test_one_pool_shared_by_two_threads(self):
+        def slow(config):
+            time.sleep(0.02)
+            return 10.0 + config["x"]
+
+        batches = {"a": [{"x": x} for x in range(6)],
+                   "b": [{"x": x} for x in range(100, 106)]}
+        results, errors = {}, []
+        barrier = threading.Barrier(2)
+
+        def client(name):
+            try:
+                barrier.wait(timeout=10)
+                results[name] = pool.run(batches[name])
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        with MeasurementPool(slow, num_workers=2, trial_timeout=10.0) as pool:
+            threads = [threading.Thread(target=client, args=(name,),
+                                        daemon=True) for name in batches]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        for name, configs in batches.items():
+            got = results[name]
+            assert [r.index for r in got] == list(range(len(configs)))
+            assert [r.config for r in got] == configs
+            assert [r.throughput for r in got] == \
+                [10.0 + c["x"] for c in configs]
+            assert not any(r.lost for r in got)
+
 
 @pytest.mark.slow
 class TestTunerWithPool:
@@ -100,8 +149,7 @@ class TestTunerWithPool:
 
         cache = TrialCache(tmp_path / "trials.json")
         with make_pool(num_workers=2) as pool:
-            tuner = AutoTuner(update_space, faulty_evaluate, pool=pool,
-                              cache=cache)
+            tuner = AutoTuner(update_space, pool, cache=cache)
             result = tuner.exhaustive()
 
         assert result.best_config == clean_result.best_config
@@ -122,8 +170,7 @@ class TestTunerWithPool:
     def test_lost_trials_remeasured_on_next_run(self, tmp_path):
         cache = TrialCache(tmp_path / "trials.json")
         with make_pool(num_workers=2) as pool:
-            tuner = AutoTuner(update_space, faulty_evaluate, pool=pool,
-                              cache=cache)
+            tuner = AutoTuner(update_space, pool, cache=cache)
             tuner.exhaustive()
         # second, clean run over the same cache: only the two lost
         # configs still need measuring, and the run completes fully
@@ -139,10 +186,57 @@ class TestTunerWithPool:
         predictions = {x: 10.0 + x for x in SPACE}
         with make_pool(num_workers=2) as pool:
             tuner = AutoTuner(
-                update_space, faulty_evaluate, pool=pool,
+                update_space, pool,
                 cost_model=lambda config: predictions[config["x"]])
             result = tuner.simulator_guided(top_k=len(SPACE))
         assert result.best_config == {"x": max(
             x for x in SPACE if x not in (CRASH_X, HANG_X))}
         measured = [t for t in result.trials if not t.lost]
         assert all(t.predicted is not None for t in measured)
+
+    def test_coordinate_descent_goes_through_the_pool(self, tmp_path):
+        """A raising config costs one lost trial, not the run, for every
+        start the seed picks."""
+        cache = TrialCache(tmp_path / "trials.json")
+        with MeasurementPool(raising_evaluate, num_workers=1,
+                             trial_timeout=10.0) as pool:
+            for seed in range(3):
+                tuner = AutoTuner(update_space, pool, seed=seed, cache=cache)
+                result = tuner.coordinate_descent()
+                lost = [t for t in result.trials if t.lost]
+                assert lost
+                assert all(t.config == {"x": RAISE_X} for t in lost)
+                assert all("launch failed" in t.error for t in lost)
+                assert result.best_config == {"x": max(SPACE)}
+        assert {"x": RAISE_X} not in cache
+
+
+class TestNonFiniteMeasurements:
+    """inf and NaN are recorded lost: never cached, never a winner."""
+
+    def check(self, result, cache, path):
+        by_x = {t.config["x"]: t for t in result.trials}
+        assert by_x[8].lost and "inf" in by_x[8].error
+        assert by_x[9].lost and "nan" in by_x[9].error
+        assert not by_x[8].valid and not by_x[9].valid
+        assert result.best_throughput == 10.0 + 7
+        assert result.report.num_lost == 2
+        assert {"x": 8} not in cache and {"x": 9} not in cache
+        text = path.read_text()
+        assert "Infinity" not in text and "NaN" not in text
+
+    def test_callable(self, tmp_path):
+        path = tmp_path / "trials.json"
+        cache = TrialCache(path)
+        result = AutoTuner(update_space, non_finite_evaluate,
+                           cache=cache).exhaustive()
+        self.check(result, cache, path)
+
+    @pytest.mark.slow
+    def test_pool(self, tmp_path):
+        path = tmp_path / "trials.json"
+        cache = TrialCache(path)
+        with MeasurementPool(non_finite_evaluate, num_workers=2,
+                             trial_timeout=10.0) as pool:
+            result = AutoTuner(update_space, pool, cache=cache).exhaustive()
+        self.check(result, cache, path)
