@@ -9,7 +9,11 @@ prints the median of 5 timed passes, after one warm-up pass, for:
   only (those that fit, so ``step_time`` runs);
 * ``step_time`` on the priced rows with ``pp == 1``;
 * ``predict_batch`` on one config at a time (lowering included);
-* ``predict_batch`` on the whole pre-lowered space;
+* ``predict_batch`` on the whole pre-lowered space (its ``BatchPoints``
+  built once, as the plan service memoizes them);
+* ``predict_batch`` on the whole space with fresh ``BatchPoints`` built
+  from its columns on every call, so the per-points grouping is paid
+  each time (the cold path a new space shape takes);
 * the residual correction of the feasible rows' rates, through config
   dicts (``ResidualCostModel.predict_many``) and through the plan
   service's memoized feature block (``correct_rates``), fitted on every
@@ -38,6 +42,8 @@ sys.path.insert(0, str(SRC))
 # must be set before numpy loads its BLAS
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
 
 import repro.slapo as slapo  # noqa: E402
 from repro.distributed import p3dn_cluster  # noqa: E402
@@ -104,6 +110,8 @@ def time_space(family: str, world: int) -> None:
     flat = [(parallel, config["micro_batch"], config["zero_stage"])
             for config, parallel in priced if parallel.pp == 1]
     points = BatchPoints.from_configs(configs, parallel_fn=parallel_fn)
+    columns = vars(service_module.enumerate_space(PlanRequest(family, world)))
+    ones = np.ones(len(configs), np.int64)
     timings = (
         ("predict_config, all rows", scalar, rows),
         ("predict_config, priced rows", scalar, priced),
@@ -116,6 +124,9 @@ def time_space(family: str, world: int) -> None:
          [(config,) for config in configs]),
         (f"predict_batch, {len(configs)} rows",
          lambda: predict_batch(trace, model, cluster, points), [()]),
+        ("predict_batch, fresh points",
+         lambda: predict_batch(trace, model, cluster,
+                               BatchPoints(ep=ones, **columns)), [()]),
     )
     print(f"{family} @ world {world}: {len(configs)} configs, "
           f"{len(priced)} priced, {len(flat)} at pp=1")

@@ -9,17 +9,30 @@ simulator's **one** step-time composition — the same
 :func:`~repro.sim.pipeline.stage_time`,
 :func:`~repro.sim.throughput.compose_step` and
 :func:`~repro.sim.memory.model_memory` that :func:`step_time` and
-:func:`predict_config` call with floats, called here with numpy columns:
+:func:`predict_config` call with floats, called here with numpy columns.
 
-* per-config *compute* collapses to a lookup: forward/backward kernel
-  sums depend only on the micro-batch scale, of which a sweep has ~10
-  distinct values (each memoized on the compiled trace);
-* every per-mesh constant — collective α–β coefficients, the stage hop,
-  the dp collectives and the optimizer update, as
-  :class:`~repro.sim.pipeline.MeshTerms` — depends only on the parallel
-  mesh **and its axis placement**, of which a space has a few dozen
-  distinct values; each is memoized on the compiled trace and gathered
-  into columns.
+Work that runs once per *distinct* value, not once per row, is done
+once and kept where its inputs live:
+
+* **per points** — a :class:`BatchPoints` is immutable, so it computes
+  on first use, and keeps for its lifetime, its distinct meshes (tp, dp,
+  pp, ep and axis placement, packed into one integer key), its distinct
+  micro-batch sizes (each as sorted keys, first rows and the inverse
+  index) and its early-infeasible mask (resolver failures, fewer than
+  one micro-batch or than ``pp`` of them, an unusable overlap bucket, an
+  inexpressible schedule);
+* **per trace** — :func:`predict_batch` keeps two tables in the compiled
+  trace's ``_time_cache``, living as long as the trace: the
+  :class:`~repro.sim.pipeline.MeshTerms` of each distinct mesh (collective
+  α–β, stage hop, dp collectives, optimizer update), keyed by
+  (cluster, cost model, the distinct mesh keys), and the forward/backward
+  kernel sums of each distinct micro-batch size, keyed by (cost model,
+  the distinct sizes).
+
+A call on points whose tables exist therefore makes two dictionary
+lookups and then only row formulas: the tables are gathered into columns
+through the cached inverse indices.  Outputs — throughput, fits, memory
+— are never cached; every call evaluates them.
 
 Configurations that genuinely need per-config work — explicit pipeline
 cuts, stage-balancing "auto" cuts on a layer-marked trace, non-default
@@ -32,7 +45,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from functools import cached_property
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -61,8 +75,67 @@ _ORDER_INDEX: dict[tuple[str, ...], int] = {
 _DEFAULT_PLACE = _ORDER_INDEX[DEFAULT_AXIS_ORDER]
 _PLACE = 32
 
+#: (name, dtype, default) of every column; ``None`` marks a required one
+_COLUMNS = (
+    ("tp", np.int64, None), ("dp", np.int64, None), ("pp", np.int64, None),
+    ("ep", np.int64, None), ("micro_batch", np.int64, None),
+    ("num_micro_batches", np.int64, 1), ("zero_stage", np.int64, 0),
+    ("place", np.int64, _DEFAULT_PLACE), ("overlap", bool, False),
+    ("bucket_mb", np.float64, DEFAULT_BUCKET_MB), ("invalid", bool, False))
 
-@dataclass
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def _column(name: str, value, dtype, rows: int | None) -> np.ndarray:
+    """``value`` as a read-only 1-D ``dtype`` column no caller can
+    write: an array that is writeable, or a view, is copied.  Raises
+    ``ValueError`` naming the column if it is not 1-D, has other than
+    ``rows`` rows, or (for an integer column) holds a non-integral
+    value."""
+    raw = np.asarray(value)
+    if raw.ndim != 1:
+        raise ValueError(f"BatchPoints.{name} must be 1-D, "
+                         f"got shape {raw.shape}")
+    if rows is not None and raw.shape[0] != rows:
+        raise ValueError(f"BatchPoints.{name} has {raw.shape[0]} rows, "
+                         f"tp has {rows}")
+    if raw.dtype == dtype:
+        writable_elsewhere = raw is value and (raw.flags.writeable
+                                               or raw.base is not None)
+        return _frozen(raw.copy() if writable_elsewhere else raw)
+    if raw.dtype.kind not in "biuf":
+        raise ValueError(f"BatchPoints.{name} must hold numbers, "
+                         f"got {raw.dtype}")
+    if dtype is np.int64 and raw.dtype.kind == "f":
+        wrong = ~(np.isfinite(raw) & (raw == np.floor(raw)))
+        if wrong.any():
+            raise ValueError(f"BatchPoints.{name} must hold integers, "
+                             f"got {raw[wrong][0]!r}")
+    return _frozen(raw.astype(dtype))
+
+
+class Groups(NamedTuple):
+    """A column's distinct values, as :func:`numpy.unique` finds them.
+    Read-only, like the column."""
+
+    #: the sorted distinct values' bytes: a memo key, hashed once
+    key: bytes
+    #: row of each distinct value's first occurrence
+    first: np.ndarray
+    #: row → index of its distinct value
+    inverse: np.ndarray
+
+    @classmethod
+    def of(cls, column: np.ndarray) -> "Groups":
+        unique, first, inverse = np.unique(column, return_index=True,
+                                           return_inverse=True)
+        return cls(unique.tobytes(), _frozen(first), _frozen(inverse))
+
+
+@dataclass(frozen=True, eq=False)
 class BatchPoints:
     """Struct-of-arrays view of N configurations to price.
 
@@ -70,6 +143,14 @@ class BatchPoints:
     Build one directly from arrays (the zero-per-row-Python fast path a
     benchmark or service wants), or normalize a sequence of tuner-style
     config mappings with :meth:`from_configs`.
+
+    Immutable, and owner of its columns: each is a read-only array that
+    no caller can write (a writeable array or a view is copied).
+    Malformed columns — not 1-D, of another length than ``tp``, or
+    non-integral where an integer is meant — raise ``ValueError`` naming
+    the column.
+    What depends on the points alone (:attr:`mesh_groups`,
+    :attr:`micro_groups`, :attr:`early`) is computed once, on first use.
     """
 
     tp: np.ndarray
@@ -79,7 +160,7 @@ class BatchPoints:
     micro_batch: np.ndarray
     num_micro_batches: np.ndarray | None = None
     zero_stage: np.ndarray | None = None
-    #: one schedule name for every row, or a per-row list
+    #: one schedule name for every row, or a per-row sequence
     schedules: str | Sequence[str] = DEFAULT_SCHEDULE
     #: per-row axis placement index into the canonical permutation table
     place: np.ndarray | None = None
@@ -90,21 +171,26 @@ class BatchPoints:
     #: rows whose parallel resolver failed (infeasible, never priced)
     invalid: np.ndarray | None = None
     #: (row, predict_config kwargs) pairs needing per-row scalar work
-    scalar_rows: list = field(default_factory=list)
+    scalar_rows: Sequence = field(default_factory=tuple)
 
     def __post_init__(self):
-        for name in ("tp", "dp", "pp", "ep", "micro_batch"):
-            setattr(self, name, np.asarray(getattr(self, name), np.int64))
-        n = self.tp.shape[0]
-        for name, dtype, default in (
-                ("num_micro_batches", np.int64, 1),
-                ("zero_stage", np.int64, 0),
-                ("place", np.int64, _DEFAULT_PLACE), ("overlap", bool, False),
-                ("bucket_mb", np.float64, DEFAULT_BUCKET_MB),
-                ("invalid", bool, False)):
+        rows = None
+        for name, dtype, default in _COLUMNS:
             value = getattr(self, name)
-            setattr(self, name, np.full(n, default, dtype) if value is None
-                    else np.asarray(value, dtype))
+            column = _frozen(np.full(rows, default, dtype)) \
+                if value is None and default is not None \
+                else _column(name, value, dtype, rows)
+            object.__setattr__(self, name, column)
+            rows = column.shape[0]
+        if not ((0 <= self.place) & (self.place < len(_ORDERS))).all():
+            raise ValueError(f"BatchPoints.place must index the "
+                             f"{len(_ORDERS)} axis placements")
+        if not isinstance(self.schedules, str):
+            object.__setattr__(self, "schedules", tuple(self.schedules))
+            if len(self.schedules) != rows:
+                raise ValueError(f"BatchPoints.schedules has "
+                                 f"{len(self.schedules)} rows, tp has {rows}")
+        object.__setattr__(self, "scalar_rows", tuple(self.scalar_rows))
 
     def __len__(self) -> int:
         return int(self.tp.shape[0])
@@ -113,6 +199,36 @@ class BatchPoints:
         if isinstance(self.schedules, str):
             return self.schedules
         return self.schedules[index]
+
+    @cached_property
+    def mesh_groups(self) -> Groups:
+        """The distinct meshes: (tp, dp, pp, ep, placement) packed."""
+        return Groups.of(((((self.tp * _PACK + self.dp) * _PACK + self.pp)
+                           * _PACK + self.ep) * _PLACE + self.place))
+
+    @cached_property
+    def micro_groups(self) -> Groups:
+        """The distinct micro-batch sizes."""
+        return Groups.of(self.micro_batch)
+
+    @cached_property
+    def early(self) -> np.ndarray:
+        """Rows infeasible before any pricing, in :func:`predict_config`'s
+        check order: a failed resolver, fewer than one micro-batch (or
+        than ``pp`` of them), an unusable overlap bucket, a schedule with
+        no program for the row's (pp, m)."""
+        pp, m = self.pp, self.num_micro_batches
+        if isinstance(self.schedules, str):
+            names, code = [self.schedules], np.zeros(len(self), np.int64)
+        else:
+            names, code = np.unique(self.schedules, return_inverse=True)
+        groups = Groups.of((code * _PACK + pp) * _PACK + m)
+        expressible = np.array([
+            _schedule_expressible(str(names[code[i]]), int(pp[i]), int(m[i]))
+            for i in groups.first], bool)
+        return _frozen(self.invalid | (self.micro_batch < 1) | (m < pp)
+                       | ~bucket_valid(self.bucket_mb)
+                       | ~expressible[groups.inverse])
 
     @classmethod
     def from_configs(cls, configs: Sequence[Mapping],
@@ -134,8 +250,9 @@ class BatchPoints:
         marks the row infeasible rather than raising (the tuner's oracle
         contract).  Rows needing per-row scalar work — planner sweeps
         (``micro_batch=None``), ``global_batch`` derivations, resolved
-        pipeline cuts (``num_layers`` gates "auto") and non-default
-        expressible timelines — are collected into ``scalar_rows``.
+        pipeline cuts (``num_layers`` gates "auto"), non-default
+        expressible timelines and fractional micro-batch sizes or counts
+        — are collected into ``scalar_rows``.
         """
         n = len(configs)
         tp = np.ones(n, np.int64)
@@ -174,7 +291,8 @@ class BatchPoints:
             pp[i], ep[i] = parallel.pp, parallel.ep
             place[i] = _ORDER_INDEX[parallel.order]
             zero[i] = int(config.get("zero_stage", zero_stage))
-            m[i] = int(config.get("num_micro_batches", num_micro_batches))
+            count = config.get("num_micro_batches", num_micro_batches)
+            m[i] = int(count)
             overlap[i] = bool(config.get("overlap_grad_sync",
                                          overlap_grad_sync))
             bucket[i] = float(config.get("overlap_bucket_mb",
@@ -182,9 +300,14 @@ class BatchPoints:
             micro_arg = config.get("micro_batch")
             global_batch = config.get("global_batch")
             cuts_arg = config.get("pipeline_cuts", pipeline_cuts)
-            needs_scalar = micro_arg is None or global_batch is not None
             if micro_arg is not None:
                 micro[i] = int(micro_arg)
+            # sweeps, derivations and fractional sizes or counts (which
+            # the integer columns would truncate) are per-row work
+            fractional = m[i] != count or (
+                micro_arg is not None and micro[i] != micro_arg)
+            needs_scalar = micro_arg is None or global_batch is not None \
+                or fractional
             if not needs_scalar and parallel.pp > 1 and \
                     m[i] >= parallel.pp:
                 # Cut-resolved ("auto" on a layer-marked trace, or
@@ -200,11 +323,14 @@ class BatchPoints:
                 scalar_rows.append((i, dict(
                     parallel=parallel, micro_batch=micro_arg,
                     zero_stage=int(zero[i]),
-                    num_micro_batches=int(m[i]),
+                    num_micro_batches=count if fractional else int(m[i]),
                     global_batch=global_batch, pipeline_cuts=cuts_arg,
                     pipeline_schedule=schedule,
                     overlap_grad_sync=bool(overlap[i]),
                     overlap_bucket_mb=float(bucket[i]))))
+        for column in (tp, dp, pp, ep, micro, m, zero, place, overlap,
+                       bucket, invalid):
+            _frozen(column)  # ours alone: the points need not copy it
         uniform = {pipeline_schedule}.issuperset(schedules)
         return cls(tp=tp, dp=dp, pp=pp, ep=ep, micro_batch=micro,
                    num_micro_batches=m, zero_stage=zero,
@@ -332,34 +458,34 @@ def predict_batch(trace: ModelTrace, model, cluster: ClusterSpec,
     invalid = points.invalid
     memo = compiled._time_cache  # per-trace memo shared across calls
 
-    # -- per-mesh terms (memoized per distinct ParallelConfig) ---------- #
-    mesh_key = ((((tp * _PACK + dp) * _PACK + pp) * _PACK + ep)
-                * _PLACE + place)
-    _, mesh_first, mesh_inv = np.unique(
-        mesh_key, return_index=True, return_inverse=True)
-    table: list[list] = []
-    for first in mesh_first:
-        key = ("batch_mesh", cluster, cost, int(mesh_key[first]))
-        entry = memo.get(key)
-        if entry is None:
-            parallel = ParallelConfig(tp=int(tp[first]), dp=int(dp[first]),
-                                      pp=int(pp[first]), ep=int(ep[first]),
-                                      order=_ORDERS[int(place[first])])
-            entry = memo[key] = mesh_terms(trace, cluster, parallel,
-                                           cost).row()
-        table.append(entry)
-    mesh = MeshTerms.from_rows(np.array(table)[mesh_inv])
+    # -- per-mesh terms: one (width, meshes) table per distinct mesh set - #
+    meshes = points.mesh_groups
+    key = ("batch_mesh", cluster, cost, meshes.key)
+    table = memo.get(key)
+    if table is None:
+        table = memo[key] = _frozen(np.array([
+            mesh_terms(trace, cluster, ParallelConfig(
+                tp=int(tp[i]), dp=int(dp[i]), pp=int(pp[i]), ep=int(ep[i]),
+                order=_ORDERS[int(place[i])]),
+                cost).row()
+            for i in meshes.first]).T)
+    mesh = MeshTerms.from_columns(table[:, meshes.inverse])
 
     # -- compute: one kernel-sum pair per distinct micro-batch scale ----- #
-    micro_unique, micro_inv = np.unique(micro, return_inverse=True)
-    kernel = np.array([
-        (cost.forward_time(trace, s), cost.backward_time(trace, s))
-        for s in (int(u) / trace.ref_batch for u in micro_unique)])
+    sizes = points.micro_groups
+    key = ("batch_kernel", cost, sizes.key)
+    kernel = memo.get(key)
+    if kernel is None:
+        kernel = memo[key] = _frozen(np.array([
+            (cost.forward_time(trace, s), cost.backward_time(trace, s))
+            for s in (int(micro[i]) / trace.ref_batch
+                      for i in sizes.first)]).T)
     scale = micro / trace.ref_batch
 
     # -- the step: step_time's own composition, over columns ------------ #
-    stage = stage_time(mesh, *kernel[micro_inv].T, compiled.axis_kinds,
-                       (compiled.boundary_bytes,), scale, pp)
+    stage = stage_time(mesh, *kernel[:, sizes.inverse],
+                       compiled.axis_kinds, (compiled.boundary_bytes,),
+                       scale, pp)
     with np.errstate(divide="ignore", invalid="ignore"):
         step = compose_step(stage, mesh, cluster, pp, dp, m, zero,
                             points.overlap, points.bucket_mb)
@@ -372,23 +498,7 @@ def predict_batch(trace: ModelTrace, model, cluster: ClusterSpec,
     memory_total = breakdown.total
 
     # -- feasibility verdicts, in predict_config's check order ---------- #
-    # fewer than one micro-batch (or than pp of them) cannot fill a step
-    inexpressible = np.zeros(n, bool)
-    if isinstance(points.schedules, str):
-        names, code = [points.schedules], np.zeros(n, np.int64)
-    else:
-        names, code = np.unique(points.schedules, return_inverse=True)
-    expr_key = (code * _PACK + pp) * _PACK + m
-    for unique, first in zip(*np.unique(expr_key, return_index=True)[:2]):
-        key = ("batch_expr", str(names[code[first]]), int(pp[first]),
-               int(m[first]))
-        ok = memo.get(key)
-        if ok is None:
-            ok = memo[key] = _schedule_expressible(*key[1:])
-        if not ok:
-            inexpressible |= expr_key == unique
-    early = invalid | (micro < 1) | (m < pp) \
-        | ~bucket_valid(points.bucket_mb) | inexpressible
+    early = points.early
     has_memory = ~early
     fits = has_memory & (memory_total <= cluster.gpu.usable_memory)
     throughput = np.where(fits, throughput, 0.0)

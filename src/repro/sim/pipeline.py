@@ -254,9 +254,10 @@ class MeshTerms:
                 *(getattr(self, f.name) for f in fields(self)[2:])]
 
     @classmethod
-    def from_rows(cls, rows: np.ndarray) -> "MeshTerms":
-        """Columnar terms from an ``(n, width)`` matrix of rows."""
-        columns = list(rows.T)
+    def from_columns(cls, columns: np.ndarray) -> "MeshTerms":
+        """Columnar terms from a ``(width, n)`` matrix: :meth:`row`'s
+        entries down, one mesh per column."""
+        columns = list(columns)
         kinds = (len(columns) - len(fields(cls)) + 2) // 2
         return cls(tuple(columns[:kinds]), tuple(columns[kinds:2 * kinds]),
                    *columns[2 * kinds:])

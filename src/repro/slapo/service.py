@@ -160,16 +160,17 @@ class SpaceShape(NamedTuple):
 
     @classmethod
     def of(cls, columns: SpaceColumns) -> "SpaceShape":
-        """The shape of ``columns``, with no per-row Python."""
-        shape = cls(columns,
-                    BatchPoints(ep=np.ones(len(columns), np.int64),
-                                **vars(columns)),
-                    config_features(len(columns), **vars(columns)))
-        for array in (*vars(columns).values(), *vars(shape.points).values(),
-                      shape.features):
+        """The shape of ``columns``, with no per-row Python.  The columns
+        are frozen first, so the points need not copy those they own."""
+        for array in vars(columns).values():
             if isinstance(array, np.ndarray):
                 array.flags.writeable = False
-        return shape
+        features = config_features(len(columns), **vars(columns))
+        features.flags.writeable = False
+        return cls(columns,
+                   BatchPoints(ep=np.ones(len(columns), np.int64),
+                               **vars(columns)),
+                   features)
 
 
 @dataclass
@@ -208,7 +209,8 @@ class PlanService:
         the service's lifetime.
     cluster_fn:
         ``cluster_fn(world_size) -> ClusterSpec``; defaults to p3dn
-        nodes (8 V100s each, the paper's testbed).
+        nodes (8 V100s each, the paper's testbed).  Resolved once per
+        world size; the service keeps the result.
     cache:
         Shared :class:`TrialCache` consulted before and updated after
         every measured trial, under the (family, world size) context;
@@ -250,6 +252,9 @@ class PlanService:
         self._inflight: dict[PlanRequest, Future] = {}
         self._traces: dict[str, tuple] = {}
         self._trace_lock = threading.Lock()
+        #: world size → its ClusterSpec, resolved once so that the
+        #: simulator's memo lookups match on identity
+        self._clusters: dict[int, ClusterSpec] = {}
         #: PlanRequest.space_key → SpaceShape
         self._spaces: OrderedDict[tuple, SpaceShape] = OrderedDict()
         self._space_lock = threading.Lock()
@@ -311,6 +316,13 @@ class PlanService:
                     self.traces_built += 1
         return entry
 
+    def _cluster(self, world_size: int) -> ClusterSpec:
+        cluster = self._clusters.get(world_size)
+        if cluster is None:  # a racing resolve loses to the first stored
+            cluster = self._clusters.setdefault(
+                world_size, self._cluster_fn(world_size))
+        return cluster
+
     def _space(self, request: PlanRequest) -> SpaceShape:
         """The request's space shape — columns, ``BatchPoints`` and
         config features — built once per shape."""
@@ -359,7 +371,7 @@ class PlanService:
                 if fitted is None:
                     analytic = SimCostModel(
                         lambda _config, entry=(model, trace): entry,
-                        self._cluster_fn(request.world_size),
+                        self._cluster(request.world_size),
                         parallel=SimCostModel.parallel_fn(
                             request.world_size),
                         trace_key_fn=lambda _config: request.family,
@@ -377,7 +389,7 @@ class PlanService:
 
     def _answer(self, request: PlanRequest) -> PlanResponse:
         model, trace = self._traced(request.family)
-        cluster = self._cluster_fn(request.world_size)
+        cluster = self._cluster(request.world_size)
         shape = self._space(request)
         batch = predict_batch(trace, model, cluster, shape.points)
         response = PlanResponse(

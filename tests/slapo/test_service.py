@@ -195,6 +195,27 @@ class TestSpaceMemo:
         assert service.spaces_built == 2
         assert service.traces_built == 3
 
+    def test_one_cluster_per_world_size(self):
+        """The cluster is resolved once, so the simulator's memo keys
+        match it by identity; the answers are those of fresh clusters."""
+        resolved = []
+
+        def cluster_fn(world_size):
+            resolved.append(world_size)
+            return PlanService._default_cluster(world_size)
+
+        with plan_service(cached_trace, cluster_fn=cluster_fn) as service:
+            answers = [service.query(PlanRequest(family, world_size=world,
+                                                 micro_batches=micro))
+                       for world in (8, 16) for family in ("GPT", "BERT")
+                       for micro in ((1, 2), (1, 2, 4))]
+        assert sorted(resolved) == [8, 16]
+        with plan_service(cached_trace) as fresh:
+            for answer in answers:
+                want = fresh.query(answer.request)
+                assert (answer.config, answer.throughput) == \
+                    (want.config, want.throughput)
+
     def test_racing_threads_build_a_cold_shape_once(self, monkeypatch):
         import sys
 
