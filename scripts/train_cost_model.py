@@ -119,7 +119,7 @@ def run_check(args) -> int:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--cache", help="TrialCache JSON to train from "
+    parser.add_argument("--cache", help="TrialCache file to train from "
                         "(default: deterministic synthetic corpus)")
     parser.add_argument("--out", help="where to write the weights JSON")
     parser.add_argument("--seed", type=int, default=0)

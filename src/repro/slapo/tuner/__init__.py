@@ -2,7 +2,7 @@
 
 Four strategies (exhaustive, coordinate descent, simulator-guided,
 evolutionary) over define-by-run spaces, a cost-model oracle adapting
-the :mod:`repro.sim` simulator, and a persistent JSON trial cache.
+the :mod:`repro.sim` simulator, and a persistent, append-only trial cache.
 See ``docs/tuning.md`` for the guide.
 """
 

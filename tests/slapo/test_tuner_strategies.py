@@ -259,9 +259,11 @@ class TestTrialCache:
         cache.put({"batch_size": 176, "ckpt_ratio": 0.25}, 0.0, False)
         cache.save()
 
-        payload = json.loads(path.read_text())
-        assert payload["version"] == TrialCache.VERSION
-        assert len(payload["trials"]) == 2
+        header, *rows = path.read_text().splitlines()
+        assert json.loads(header) == {"version": TrialCache.VERSION}
+        assert len(rows) == 2
+        assert all(set(json.loads(row)) == {"config", "throughput", "valid"}
+                   for row in rows)
 
         reloaded = TrialCache(path)
         assert len(reloaded) == 2
