@@ -4,11 +4,15 @@ Builds the ``train_gpt_tp2`` benchmark configuration from public APIs
 (``MODEL_ZOO["GPT"]`` at ``GPT_TRAIN_SIZES``,
 ``schedule_gpt(ckpt_ratio=0.5)``, ``slapo.build``, ``AdamW``,
 ``LocalCluster(2)``): a tiny GPT sharded over two rank threads, batch 4,
-seed 0.  Each rank runs one warm-up step, then ``--steps`` steps timed
+seed 0.  Each rank runs one warm-up step, then one step under
+``tracemalloc`` (both rank threads, untimed), then ``--steps`` steps timed
 by phase (forward + loss, backward, optimizer), then
 ``--steps`` more under its own ``cProfile`` profiler (cProfile follows
-one thread, so every rank thread gets one).  Prints the per-rank phase
-split and rank 0's top ``--top`` functions by self time, in ms per step.
+one thread, so every rank thread gets one).  Prints the traced memory
+of the step (bytes live when backward starts, the step's peak, bytes
+live after backward, all counted from the step's start), the per-rank
+phase split and rank 0's top ``--top`` functions by self time, in ms
+per step.
 
     python scripts/profile_train.py [--size tiny|full] [--steps N] [--top K]
 
@@ -25,6 +29,7 @@ import pstats
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -78,8 +83,42 @@ def train_step(model, opt, batch, vocab: int) -> dict:
     return times
 
 
+def traced_step(ctx, model, opt, batch, vocab: int) -> dict:
+    """One step under ``tracemalloc``; returns traced bytes by moment.
+
+    Both rank threads allocate into the one process-wide trace, so the
+    ranks start and stop it together, between barriers.  Bytes count from
+    the step's start: ``backward_start`` is what the forward left live,
+    ``after_backward`` what backward left live before the optimizer runs,
+    ``peak`` the step's high-water mark, optimizer included.
+    """
+    group = ctx.world_group()
+    ids, labels = batch
+    opt.zero_grad()
+    group.barrier()
+    if ctx.rank == 0:
+        tracemalloc.start()
+    group.barrier()
+    loss = F.cross_entropy(model(ids).reshape(-1, vocab), labels)
+    group.barrier()
+    memory = {"backward_start": tracemalloc.get_traced_memory()[0]}
+    group.barrier()
+    loss.backward()
+    group.barrier()
+    memory["after_backward"] = tracemalloc.get_traced_memory()[0]
+    group.barrier()
+    opt.step()
+    group.barrier()
+    memory["peak"] = tracemalloc.get_traced_memory()[1]
+    group.barrier()
+    if ctx.rank == 0:
+        tracemalloc.stop()
+    return memory
+
+
 def profile(size: str, steps: int):
-    """Run the profile; returns (per-rank phase times, per-rank pstats)."""
+    """Run the profile; returns (traced step memory, per-rank phase times,
+    per-rank pstats)."""
     config = MODEL_ZOO["GPT"][1].tiny(**GPT_TRAIN_SIZES[size])
     rng = np.random.default_rng([SEED, 1])
     seq, vocab = config.max_seq_len, config.vocab_size
@@ -90,6 +129,7 @@ def profile(size: str, steps: int):
     def rank(ctx):
         model, opt = build_rank(ctx, config)
         train_step(model, opt, batches[0], vocab)  # warm-up
+        memory = traced_step(ctx, model, opt, batches[0], vocab)
         phases = [train_step(model, opt, batch, vocab)
                   for batch in batches[1:steps + 1]]
         profiler = cProfile.Profile()
@@ -97,9 +137,10 @@ def profile(size: str, steps: int):
         for batch in batches[steps + 1:]:
             train_step(model, opt, batch, vocab)
         profiler.disable()
-        return phases, pstats.Stats(profiler)
+        return memory, phases, pstats.Stats(profiler)
 
-    return zip(*LocalCluster(TP).run(rank))
+    memory, phases, stats = zip(*LocalCluster(TP).run(rank))
+    return memory[0], phases, stats
 
 
 def _where(func) -> str:
@@ -114,8 +155,14 @@ def _where(func) -> str:
     return f"{path}:{line}({name})"
 
 
-def report(phases, stats, steps: int, top: int) -> str:
-    lines = [f"{'phase':<10}" + "".join(f"{f'rank{r} ms/step':>16}"
+def report(memory, phases, stats, steps: int, top: int) -> str:
+    lines = ["traced memory of one step, both ranks (MB, from the step's "
+             "start):"]
+    for key, label in (("backward_start", "live when backward starts"),
+                       ("peak", "step peak"),
+                       ("after_backward", "live after backward")):
+        lines.append(f"  {label:<26}{memory[key] / 1e6:>8.1f}")
+    lines += ["", f"{'phase':<10}" + "".join(f"{f'rank{r} ms/step':>16}"
                                          for r in range(len(phases)))]
     for phase in PHASES + ("step",):
         row = [statistics.median(
@@ -144,10 +191,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.steps < 1 or args.top < 1:
         parser.error("--steps and --top must be positive")
-    phases, stats = profile(args.size, args.steps)
+    memory, phases, stats = profile(args.size, args.steps)
     print(f"GPT tp={TP} training step, size={args.size}, batch {BATCH}, "
           f"{args.steps} timed + {args.steps} profiled steps per rank\n")
-    print(report(phases, stats, args.steps, args.top))
+    print(report(memory, phases, stats, args.steps, args.top))
     return 0
 
 

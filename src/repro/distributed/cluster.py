@@ -1,9 +1,9 @@
 """LocalCluster: run N simulated ranks as lock-stepped threads.
 
 Every rank executes the same function (SPMD); collectives rendezvous through
-a shared :class:`Communicator`.  Reductions are performed in rank order by a
-single thread, so results are bit-identical across runs — which the
-differential-testing verifier (paper §3.5) depends on.
+a shared :class:`Communicator`.  Reductions sum in rank order (each rank
+sums its own slice of the buffers), so results are bit-identical across
+runs — which the differential-testing verifier (paper §3.5) depends on.
 """
 
 from __future__ import annotations
@@ -28,6 +28,14 @@ class ClusterError(RuntimeError):
         self.original = original
 
 
+def _rank_order_sum(parts: list) -> np.ndarray:
+    """Sum ``parts`` (one per rank, in rank order) in float32."""
+    acc = parts[0].astype(np.float32, copy=True)
+    for other in parts[1:]:
+        acc += other
+    return acc
+
+
 class Communicator:
     """Rendezvous point for one group of ranks."""
 
@@ -47,22 +55,42 @@ class Communicator:
         """Generic gather → combine-on-first-rank → share."""
         self._slots[rank] = value
         self._barrier.wait()
-        if self._local_index(rank) == 0:
+        first = self._local_index(rank) == 0
+        if first:
             ordered = [self._slots[r] for r in self.ranks]
             self._result = combine(ordered)
         self._barrier.wait()
         result = self._result
         self._barrier.wait()  # ensure everyone read before next op reuses
+        self._release(rank)
+        if first:
+            self._result = None
         return result
 
-    def all_reduce(self, rank: int, array: np.ndarray) -> np.ndarray:
-        def combine(arrays):
-            acc = arrays[0].astype(np.float32, copy=True)
-            for other in arrays[1:]:
-                acc += other
-            return acc
+    def _release(self, rank: int) -> None:
+        """Drop this rank's slot: no buffer outlives its collective."""
+        del self._slots[rank]
 
-        return self._exchange(rank, array, combine).astype(array.dtype)
+    def all_reduce(self, rank: int, array: np.ndarray) -> np.ndarray:
+        """Sum across ranks; every rank gets a private result.
+
+        Peer-parallel: rank ``i`` of ``P`` sums the ``i``-th of ``P``
+        contiguous slices of the flattened buffers, in rank order, and
+        writes that slice into every rank's output.  Elementwise, that is
+        the same float32 sum the serial rank-order reduction computes.
+        """
+        out = np.empty(array.shape, array.dtype)
+        self._slots[rank] = (array.reshape(-1), out.reshape(-1))
+        self._barrier.wait()
+        peers = [self._slots[r] for r in self.ranks]
+        index, n = self._local_index(rank), array.size
+        part = slice(index * n // self.size, (index + 1) * n // self.size)
+        acc = _rank_order_sum([flat[part] for flat, _ in peers])
+        for _, flat_out in peers:
+            flat_out[part] = acc
+        self._barrier.wait()  # every slice written, every slot read
+        self._release(rank)
+        return out
 
     def all_gather(self, rank: int, array: np.ndarray, axis: int
                    ) -> np.ndarray:
@@ -72,15 +100,19 @@ class Communicator:
 
     def reduce_scatter(self, rank: int, array: np.ndarray, axis: int
                        ) -> np.ndarray:
-        def combine(arrays):
-            acc = arrays[0].astype(np.float32, copy=True)
-            for other in arrays[1:]:
-                acc += other
-            return acc
+        """Sum across ranks, then keep this rank's shard along ``axis``.
 
-        summed = self._exchange(rank, array, combine)
-        shards = np.split(summed, self.size, axis=axis)
-        return shards[self._local_index(rank)].astype(array.dtype)
+        Each rank sums only its own shard, in rank order and float32.
+        """
+        self._slots[rank] = array
+        self._barrier.wait()
+        index = self._local_index(rank)
+        acc = _rank_order_sum(
+            [np.split(self._slots[r], self.size, axis=axis)[index]
+             for r in self.ranks])
+        self._barrier.wait()  # every peer buffer read before it is reused
+        self._release(rank)
+        return acc.astype(array.dtype, copy=False)
 
     def broadcast(self, rank: int, array, src: int):
         def combine(arrays):
@@ -109,6 +141,7 @@ class Communicator:
         received = [np.array(self._slots[peer][mine]) for peer in self.ranks]
         result = np.concatenate(received, axis=axis)
         self._barrier.wait()  # all reads done before slots are reused
+        self._release(rank)
         return result
 
     def barrier(self, rank: int) -> None:

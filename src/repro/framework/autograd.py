@@ -12,8 +12,11 @@ Design notes
 * ``detect_anomaly()`` makes every forward op and every tape node check
   its result for NaN/Inf and raise ``FloatingPointError`` naming the
   culprit; outside it the check costs one thread-local read per op.
-* Nodes hold references to their input tensors; tapes are short-lived so the
-  resulting reference cycles are acceptable.
+* Nodes hold edges to their parents' nodes (or to leaf tensors), never to
+  interior tensors, and op closures save only the arrays their backward
+  formulas read.  ``backward`` frees each node once it has run, as
+  PyTorch does by default, so activation memory is released as the walk
+  goes.
 """
 
 from __future__ import annotations
@@ -86,28 +89,47 @@ def check_finite(array, where: str) -> None:
 
 
 class GradNode:
-    """A tape node: maps the output gradient to input gradients.
+    """A tape node: maps the output gradient to its inputs' gradients.
 
     Parameters
     ----------
     name:
         Op name, for debugging and error messages.
     inputs:
-        The input *tensors* that may require grad, in positional order.
+        The op's inputs in positional order (tensors or None).  They are
+        not kept: each becomes an *edge*, fixed here at construction —
+        the input's ``grad_fn`` if it has one, the input itself if it is
+        a leaf that requires grad, else None.  A node never holds an
+        interior tensor, so an intermediate whose data no backward
+        formula reads dies as soon as user code drops it.
     backward_fn:
         Called with the incoming gradient (numpy array); returns a sequence of
-        gradients aligned with ``inputs`` (entries may be None).
+        gradients aligned with ``inputs`` (entries may be None).  It should
+        close over only the arrays its formula reads.
+
+    :func:`backward` drops ``backward_fn`` and the edges once the node has
+    run, freeing what the closure saved; running the node again raises
+    ``RuntimeError``.
     """
 
-    __slots__ = ("name", "inputs", "backward_fn")
+    __slots__ = ("name", "edges", "backward_fn")
 
     def __init__(self, name: str, inputs: Sequence, backward_fn: Callable):
         self.name = name
-        self.inputs = tuple(inputs)
+        self.edges = tuple(_edge(t) for t in inputs)
         self.backward_fn = backward_fn
 
     def __repr__(self) -> str:
         return f"GradNode({self.name})"
+
+
+def _edge(tensor):
+    """The node (or grad-requiring leaf) a gradient for ``tensor`` goes to."""
+    if tensor is None:
+        return None
+    if tensor.grad_fn is not None:
+        return tensor.grad_fn
+    return tensor if tensor.requires_grad else None
 
 
 def unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -128,24 +150,28 @@ def unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
-def _topo_order(root) -> list:
-    """Tensors reachable from ``root`` through grad_fn edges, topologically."""
+def _topo_order(root: GradNode) -> list:
+    """Nodes reachable from ``root`` through node edges, topologically.
+
+    The depth-first post-order of the tensor graph with the leaves left
+    out (they never hold a pending gradient), so gradients are summed in
+    the same order as a walk over tensors would sum them.
+    """
     order: list = []
-    visited: set[int] = set()
+    visited: set = set()
     stack = [(root, False)]
     while stack:
-        tensor, processed = stack.pop()
+        node, processed = stack.pop()
         if processed:
-            order.append(tensor)
+            order.append(node)
             continue
-        if id(tensor) in visited:
+        if node in visited:
             continue
-        visited.add(id(tensor))
-        stack.append((tensor, True))
-        if tensor.grad_fn is not None:
-            for parent in tensor.grad_fn.inputs:
-                if parent is not None and id(parent) not in visited:
-                    stack.append((parent, False))
+        visited.add(node)
+        stack.append((node, True))
+        for parent in node.edges:
+            if type(parent) is GradNode and parent not in visited:
+                stack.append((parent, False))
     return order
 
 
@@ -154,6 +180,8 @@ def backward(root, grad: np.ndarray | None = None) -> None:
 
     ``grad`` defaults to ones (only valid when ``root`` is scalar-sized, as in
     PyTorch).  Leaf tensors with ``requires_grad`` accumulate into ``.grad``.
+    Each node is freed once it has run (PyTorch's ``retain_graph=False``),
+    so a second backward through the same graph raises ``RuntimeError``.
     """
     from .tensor import Tensor  # local import to avoid a cycle
 
@@ -167,35 +195,41 @@ def backward(root, grad: np.ndarray | None = None) -> None:
         grad = np.ones_like(root.data)
     elif isinstance(grad, Tensor):
         grad = grad.data
+    grad = np.asarray(grad, root.data.dtype)
+    if root.grad_fn is None:
+        if root.requires_grad:
+            root._accumulate_grad(grad)
+        return
 
-    grads: dict[int, np.ndarray] = {id(root): np.asarray(grad, root.data.dtype)}
+    grads: dict[GradNode, np.ndarray] = {root.grad_fn: grad}
     anomaly = is_anomaly_enabled()
-    for tensor in reversed(_topo_order(root)):
-        out_grad = grads.pop(id(tensor), None)
+    order = _topo_order(root.grad_fn)
+    while order:
+        node = order.pop()
+        out_grad = grads.pop(node, None)
         if out_grad is None:
             continue
-        if tensor.grad_fn is None:
-            if tensor.requires_grad:
-                tensor._accumulate_grad(out_grad)
-            continue
-        in_grads = tensor.grad_fn.backward_fn(out_grad)
-        inputs = tensor.grad_fn.inputs
-        if len(in_grads) != len(inputs):
+        backward_fn, edges = node.backward_fn, node.edges
+        if backward_fn is None:
             raise RuntimeError(
-                f"{tensor.grad_fn.name}: backward returned {len(in_grads)} "
-                f"grads for {len(inputs)} inputs"
+                f"{node!r}: backward through a graph that has already been "
+                f"freed (a second backward() on the same graph)")
+        node.backward_fn, node.edges = None, ()
+        in_grads = backward_fn(out_grad)
+        del backward_fn  # the saved arrays die here, not at the next node
+        if len(in_grads) != len(edges):
+            raise RuntimeError(
+                f"{node.name}: backward returned {len(in_grads)} "
+                f"grads for {len(edges)} inputs"
             )
         if anomaly:
             for parent_grad in in_grads:
                 if parent_grad is not None:
-                    check_finite(parent_grad,
-                                 f"backward of {tensor.grad_fn!r}")
-        for parent, parent_grad in zip(inputs, in_grads):
+                    check_finite(parent_grad, f"backward of {node!r}")
+        for parent, parent_grad in zip(edges, in_grads):
             if parent is None or parent_grad is None:
                 continue
-            if not (parent.requires_grad or parent.grad_fn is not None):
-                continue
-            if parent.grad_fn is None:
+            if type(parent) is not GradNode:
                 # Leaf: accumulate eagerly (PyTorch's AccumulateGrad
                 # node) instead of parking the gradient until the tape
                 # walk reaches the leaf.  Backward *hooks* then observe
@@ -203,9 +237,7 @@ def backward(root, grad: np.ndarray | None = None) -> None:
                 # comm/compute overlap needs to launch gradient
                 # all-reduces while backward is still running.
                 parent._accumulate_grad(parent_grad)
-                continue
-            key = id(parent)
-            if key in grads:
-                grads[key] = grads[key] + parent_grad
+            elif parent in grads:
+                grads[parent] = grads[parent] + parent_grad
             else:
-                grads[key] = parent_grad
+                grads[parent] = parent_grad

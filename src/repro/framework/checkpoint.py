@@ -40,33 +40,30 @@ def checkpoint_run(fn, *args, **kwargs):
         isinstance(a, Tensor) and (a.requires_grad or a.grad_fn is not None)
         for a in args
     ]
-    if not any(needs_grad):
-        # Still recompute-on-backward for parameter gradients.
-        pass
 
     def backward(grad):
-        resume_state = frandom.get_rng_state()
-        frandom.set_rng_state(rng_state)
         replay_args = []
-        for arg, needs in zip(args, needs_grad):
+        for arg, needs in zip(detached, needs_grad):
             if isinstance(arg, Tensor):
                 replay = arg.detach()
                 replay.requires_grad = needs and arg.dtype.is_floating
                 replay_args.append(replay)
             else:
                 replay_args.append(arg)
-        with autograd.enable_grad():
-            recomputed = fn(*replay_args, **kwargs)
-        autograd.backward(recomputed, grad)
-        frandom.set_rng_state(resume_state)
-        grads = []
-        for arg, replay in zip(args, replay_args):
-            if isinstance(arg, Tensor) and isinstance(replay, Tensor) \
-                    and replay.grad is not None:
-                grads.append(replay.grad.data)
-            else:
-                grads.append(None)
-        return tuple(grads)
+        resume_state = frandom.get_rng_state()
+        frandom.set_rng_state(rng_state)
+        try:
+            with autograd.enable_grad():
+                recomputed = fn(*replay_args, **kwargs)
+            autograd.backward(recomputed, grad)
+        finally:
+            # A recompute that raises must not leave this thread's RNG
+            # rewound to the checkpoint's start.
+            frandom.set_rng_state(resume_state)
+        return tuple(
+            replay.grad.data if isinstance(replay, Tensor)
+            and replay.grad is not None else None
+            for replay in replay_args)
 
     node_inputs = tuple(a if isinstance(a, Tensor) else None for a in args)
     result = Tensor(output.data, dtype=output.dtype)

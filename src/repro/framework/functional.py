@@ -168,7 +168,14 @@ def _meta_result(name, shape, dtype, inputs, flops=0, bytes_moved=None,
 # ---------------------------------------------------------------------- #
 # Elementwise binary ops
 # ---------------------------------------------------------------------- #
-def _binary(name, a, b, fwd, bwd_a, bwd_b, flops_per_elem=1):
+def _binary(name, a, b, fwd, bwd_a, bwd_b, saves="", flops_per_elem=1):
+    """An elementwise op of two operands.
+
+    ``bwd_a`` and ``bwd_b`` map ``(grad, x, y, out)`` to the gradient of
+    ``a`` and ``b``.  ``saves`` names the arrays they read (``"xy"``,
+    ``"o"``, ...): only those are kept for backward, the others reach the
+    formulas as None.
+    """
     # Python-number operands adopt the tensor's dtype (torch's scalar
     # promotion): x_fp16 / 8.0 stays fp16.
     if isinstance(a, Tensor) and isinstance(b, (bool, int, float)):
@@ -182,12 +189,14 @@ def _binary(name, a, b, fwd, bwd_a, bwd_b, flops_per_elem=1):
         return _meta_result(name, shape, out_dtype, (a, b),
                             flops=_numel(shape) * flops_per_elem)
     data = fwd(a.data, b.data)
+    x = a.data if "x" in saves else None
+    y = b.data if "y" in saves else None
+    o = data if "o" in saves else None
+    a_shape, b_shape = tuple(a.shape), tuple(b.shape)
 
     def backward(grad):
-        ga = unbroadcast(bwd_a(grad, a.data, b.data, data), tuple(a.shape)) \
-            if bwd_a else None
-        gb = unbroadcast(bwd_b(grad, a.data, b.data, data), tuple(b.shape)) \
-            if bwd_b else None
+        ga = unbroadcast(bwd_a(grad, x, y, o), a_shape) if bwd_a else None
+        gb = unbroadcast(bwd_b(grad, x, y, o), b_shape) if bwd_b else None
         return (ga, gb)
 
     return _finalize(name, data, (a, b), backward, dtype=out_dtype,
@@ -209,28 +218,29 @@ def sub(a, b):
 @traceable
 def mul(a, b):
     return _binary("mul", a, b, lambda x, y: x * y,
-                   lambda g, x, y, o: g * y, lambda g, x, y, o: g * x)
+                   lambda g, x, y, o: g * y, lambda g, x, y, o: g * x,
+                   saves="xy")
 
 
 @traceable
 def div(a, b):
     return _binary("div", a, b, lambda x, y: x / y,
                    lambda g, x, y, o: g / y,
-                   lambda g, x, y, o: -g * x / (y * y))
+                   lambda g, x, y, o: -g * x / (y * y), saves="xy")
 
 
 @traceable
 def maximum(a, b):
     return _binary("maximum", a, b, np.maximum,
                    lambda g, x, y, o: g * (x >= y),
-                   lambda g, x, y, o: g * (y > x))
+                   lambda g, x, y, o: g * (y > x), saves="xy")
 
 
 @traceable
 def minimum(a, b):
     return _binary("minimum", a, b, np.minimum,
                    lambda g, x, y, o: g * (x <= y),
-                   lambda g, x, y, o: g * (y < x))
+                   lambda g, x, y, o: g * (y < x), saves="xy")
 
 
 # Comparison ops: no gradients, bool outputs.
@@ -269,15 +279,23 @@ def gt(a, b):
 # ---------------------------------------------------------------------- #
 # Elementwise unary ops
 # ---------------------------------------------------------------------- #
-def _unary(name, x, fwd, bwd, flops_per_elem=1):
+def _unary(name, x, fwd, bwd, saves="", flops_per_elem=1):
+    """An elementwise op of one operand.
+
+    ``bwd`` maps ``(grad, v, out)`` to the input gradient; ``saves`` names
+    the arrays it reads (``"v"``, ``"o"``, ``"vo"``): only those are kept
+    for backward, the others reach it as None.
+    """
     x = astensor(x)
     if x.is_meta:
         return _meta_result(name, tuple(x.shape), x.dtype, (x,),
                             flops=x.numel() * flops_per_elem)
     data = fwd(x.data)
+    v = x.data if "v" in saves else None
+    o = data if "o" in saves else None
 
     def backward(grad):
-        return (bwd(grad, x.data, data),)
+        return (bwd(grad, v, o),)
 
     return _finalize(name, data, (x,), backward, dtype=x.dtype,
                      flops=data.size * flops_per_elem)
@@ -290,24 +308,27 @@ def neg(x):
 
 @traceable
 def exp(x):
-    return _unary("exp", x, np.exp, lambda g, v, o: g * o, flops_per_elem=4)
+    return _unary("exp", x, np.exp, lambda g, v, o: g * o, saves="o",
+                  flops_per_elem=4)
 
 
 @traceable
 def log(x):
-    return _unary("log", x, np.log, lambda g, v, o: g / v, flops_per_elem=4)
+    return _unary("log", x, np.log, lambda g, v, o: g / v, saves="v",
+                  flops_per_elem=4)
 
 
 @traceable
 def sqrt(x):
     return _unary("sqrt", x, np.sqrt, lambda g, v, o: g / (2 * o),
-                  flops_per_elem=2)
+                  saves="o", flops_per_elem=2)
 
 
 @traceable
 def rsqrt(x):
     return _unary("rsqrt", x, lambda v: 1.0 / np.sqrt(v),
-                  lambda g, v, o: -0.5 * g * o / v, flops_per_elem=3)
+                  lambda g, v, o: -0.5 * g * o / v, saves="vo",
+                  flops_per_elem=3)
 
 
 @traceable
@@ -318,14 +339,14 @@ def pow(x, exponent):
         "pow", x,
         lambda v: v ** exponent,
         lambda g, v, o: g * exponent * v ** (exponent - 1),
-        flops_per_elem=4,
+        saves="v", flops_per_elem=4,
     )
 
 
 @traceable
 def tanh(x):
     return _unary("tanh", x, np.tanh, lambda g, v, o: g * (1 - o * o),
-                  flops_per_elem=6)
+                  saves="o", flops_per_elem=6)
 
 
 @traceable
@@ -334,14 +355,14 @@ def sigmoid(x):
         "sigmoid", x,
         lambda v: 1.0 / (1.0 + np.exp(-v.astype(np.float32))).astype(v.dtype),
         lambda g, v, o: g * o * (1 - o),
-        flops_per_elem=4,
+        saves="o", flops_per_elem=4,
     )
 
 
 @traceable
 def relu(x):
     return _unary("relu", x, lambda v: np.maximum(v, 0),
-                  lambda g, v, o: g * (v > 0))
+                  lambda g, v, o: g * (v > 0), saves="v")
 
 
 def _erf(v: np.ndarray) -> np.ndarray:
@@ -400,7 +421,7 @@ def silu(x):
         s = 1.0 / (1.0 + np.exp(-v32))
         return (g * (s * (1 + v32 * (1 - s)))).astype(v.dtype, copy=False)
 
-    return _unary("silu", x, fwd, bwd, flops_per_elem=5)
+    return _unary("silu", x, fwd, bwd, saves="v", flops_per_elem=5)
 
 
 @traceable
@@ -435,11 +456,12 @@ def where(cond, a, b):
                                     tuple(b.shape))
         return _meta_result("where", shape, out_dtype, (cond, a, b))
     data = np.where(cond.data, a.data, b.data)
+    mask, a_shape, b_shape = cond.data, tuple(a.shape), tuple(b.shape)
 
     def backward(grad):
         return (None,
-                unbroadcast(grad * cond.data, tuple(a.shape)),
-                unbroadcast(grad * ~cond.data, tuple(b.shape)))
+                unbroadcast(grad * mask, a_shape),
+                unbroadcast(grad * ~mask, b_shape))
 
     return _finalize("where", data, (cond, a, b), backward, dtype=out_dtype)
 
@@ -719,7 +741,7 @@ def sum(x, dim=None, keepdim: bool = False):
         return _meta_result("sum", shape, x.dtype, (x,), flops=x.numel())
     axis = dim if dim is None else (dim if isinstance(dim, int) else tuple(dim))
     data = x.data.sum(axis=axis, keepdims=keepdim)
-    src_shape = tuple(x.shape)
+    src_shape, src_np_dtype = tuple(x.shape), x.data.dtype
 
     def backward(grad):
         g = np.asarray(grad)
@@ -727,7 +749,7 @@ def sum(x, dim=None, keepdim: bool = False):
             dims = (dim,) if isinstance(dim, int) else tuple(dim)
             for d in sorted(d % len(src_shape) for d in dims):
                 g = np.expand_dims(g, d)
-        return (np.broadcast_to(g, src_shape).astype(x.data.dtype),)
+        return (np.broadcast_to(g, src_shape).astype(src_np_dtype),)
 
     return _finalize("sum", np.asarray(data), (x,), backward, dtype=x.dtype,
                      flops=x.numel())
@@ -827,15 +849,15 @@ def matmul(a, b):
     if _any_meta(a, b):
         return _meta_result("matmul", out_shape, out_dtype, (a, b),
                             flops=flops, meta={"kernel": "gemm"})
-    data = a.data @ b.data
+    x, y = a.data, b.data
+    data = x @ y
 
     def backward(grad):
-        b_t = np.swapaxes(b.data, -1, -2) if b.ndim >= 2 else b.data
-        a_t = np.swapaxes(a.data, -1, -2) if a.ndim >= 2 else a.data
-        ga = grad @ b_t if b.ndim >= 2 else np.outer(grad, b.data)
-        gb = a_t @ grad if a.ndim >= 2 else np.outer(a.data, grad)
-        return (unbroadcast(ga, tuple(a.shape)),
-                unbroadcast(gb, tuple(b.shape)))
+        b_t = np.swapaxes(y, -1, -2) if y.ndim >= 2 else y
+        a_t = np.swapaxes(x, -1, -2) if x.ndim >= 2 else x
+        ga = grad @ b_t if y.ndim >= 2 else np.outer(grad, y)
+        gb = a_t @ grad if x.ndim >= 2 else np.outer(x, grad)
+        return (unbroadcast(ga, x.shape), unbroadcast(gb, y.shape))
 
     return _finalize("matmul", data, (a, b), backward, dtype=out_dtype,
                      flops=flops, meta={"kernel": "gemm"})
@@ -866,14 +888,14 @@ def linear(x, weight, bias=None):
         else:
             data = data + bias.data
     data = data.reshape(out_shape)
+    w, x_shape, has_bias = weight.data, tuple(x.shape), bias is not None
 
     def backward(grad):
         g2d = grad.reshape(-1, out_features)
-        gx = (g2d @ weight.data).reshape(tuple(x.shape))
+        gx = (g2d @ w).reshape(x_shape)
         gw = g2d.T @ x2d
-        gb = g2d.sum(axis=0) if bias is not None else None
-        if bias is not None:
-            return (gx, gw, gb)
+        if has_bias:
+            return (gx, gw, g2d.sum(axis=0))
         return (gx, gw)
 
     inputs = (x, weight) if bias is None else (x, weight, bias)
@@ -902,7 +924,7 @@ def softmax(x, dim: int = -1):
         inner = (g * y).sum(axis=dim, keepdims=True)
         gx = g - inner
         gx *= y
-        return (gx.astype(x.data.dtype, copy=False),)
+        return (gx.astype(data.dtype, copy=False),)
 
     return _finalize("softmax", data, (x,), backward, dtype=x.dtype,
                      flops=5 * x.numel())
@@ -925,7 +947,7 @@ def log_softmax(x, dim: int = -1):
         soft = np.exp(data.astype(np.float32, copy=False))
         soft *= g.sum(axis=dim, keepdims=True)
         return (np.subtract(g, soft, out=soft)
-                .astype(x.data.dtype, copy=False),)
+                .astype(data.dtype, copy=False),)
 
     return _finalize("log_softmax", data, (x,), backward, dtype=x.dtype,
                      flops=5 * x.numel())
@@ -964,6 +986,8 @@ def layer_norm(x, normalized_shape, weight=None, bias=None, eps: float = 1e-5):
         data += bias.data.astype(np.float32, copy=False)
     data = data.astype(x.data.dtype, copy=False)
     reduce_axes = tuple(range(x.ndim - ndims))
+    w_dtype = None if weight is None else weight.data.dtype
+    b_dtype = None if bias is None else bias.data.dtype
 
     def backward(grad):
         g = grad.astype(np.float32, copy=False)
@@ -974,14 +998,14 @@ def layer_norm(x, normalized_shape, weight=None, bias=None, eps: float = 1e-5):
         gx -= np.multiply(x_hat, scratch.mean(axis=axes, keepdims=True),
                           out=scratch)
         gx *= inv_std
-        grads = [gx.astype(x.data.dtype, copy=False)]
-        if weight is not None:
+        grads = [gx.astype(data.dtype, copy=False)]
+        if w_dtype is not None:
             grads.append(np.multiply(g, x_hat, out=scratch)
                          .sum(axis=reduce_axes)
-                         .astype(weight.data.dtype, copy=False))
-        if bias is not None:
+                         .astype(w_dtype, copy=False))
+        if b_dtype is not None:
             grads.append(g.sum(axis=reduce_axes)
-                         .astype(bias.data.dtype, copy=False))
+                         .astype(b_dtype, copy=False))
         return tuple(grads)
 
     return _finalize("layer_norm", data, tuple(inputs), backward,
@@ -1001,16 +1025,17 @@ def rms_norm(x, weight, eps: float = 1e-6):
     x_hat = v * inv_rms
     w = weight.data.astype(np.float32, copy=False)
     data = (x_hat * w).astype(x.data.dtype, copy=False)
+    reduce_axes = tuple(range(x.ndim - 1))
+    w_dtype = weight.data.dtype
 
     def backward(grad):
         g = grad.astype(np.float32, copy=False)
         gw_hat = g * w
         inner = (gw_hat * v).mean(axis=-1, keepdims=True)
         gx = (inv_rms * gw_hat - v * inner * inv_rms ** 3)
-        reduce_axes = tuple(range(x.ndim - 1))
         gweight = (g * x_hat).sum(axis=reduce_axes)
-        return (gx.astype(x.data.dtype, copy=False),
-                gweight.astype(weight.data.dtype, copy=False))
+        return (gx.astype(data.dtype, copy=False),
+                gweight.astype(w_dtype, copy=False))
 
     return _finalize("rms_norm", data, (x, weight), backward, dtype=x.dtype,
                      flops=6 * x.numel())
@@ -1048,12 +1073,13 @@ def batch_norm(x, running_mean, running_var, weight=None, bias=None,
     if bias is not None:
         data = data + bias.data.astype(np.float32).reshape(shape)
     data = data.astype(x.data.dtype)
-    count = x.numel() // x.shape[1]
+    w = (weight.data.astype(np.float32).reshape(shape)
+         if weight is not None else 1.0)
+    w_dtype = None if weight is None else weight.data.dtype
+    b_dtype = None if bias is None else bias.data.dtype
 
     def backward(grad):
         g = grad.astype(np.float32)
-        w = (weight.data.astype(np.float32).reshape(shape)
-             if weight is not None else 1.0)
         g_hat = g * w
         if training:
             mean_g = g_hat.mean(axis=axes, keepdims=True)
@@ -1061,11 +1087,11 @@ def batch_norm(x, running_mean, running_var, weight=None, bias=None,
             gx = inv_std.reshape(shape) * (g_hat - mean_g - x_hat * mean_gx)
         else:
             gx = inv_std.reshape(shape) * g_hat
-        grads = [gx.astype(x.data.dtype)]
-        if weight is not None:
-            grads.append((g * x_hat).sum(axis=axes).astype(weight.data.dtype))
-        if bias is not None:
-            grads.append(g.sum(axis=axes).astype(bias.data.dtype))
+        grads = [gx.astype(data.dtype)]
+        if w_dtype is not None:
+            grads.append((g * x_hat).sum(axis=axes).astype(w_dtype))
+        if b_dtype is not None:
+            grads.append(g.sum(axis=axes).astype(b_dtype))
         return tuple(grads)
 
     return _finalize("batch_norm", data, tuple(inputs), backward,
@@ -1090,7 +1116,7 @@ def dropout(x, p: float = 0.5, training: bool = True):
     data = (x.data * mask * scale).astype(x.data.dtype)
 
     def backward(grad):
-        return ((grad * mask * scale).astype(x.data.dtype),)
+        return ((grad * mask * scale).astype(data.dtype),)
 
     return _finalize("dropout", data, (x,), backward, dtype=x.dtype,
                      flops=x.numel())
@@ -1112,11 +1138,11 @@ def embedding(indices, weight, padding_idx: int | None = None):
     data = weight.data[idx]
 
     def backward(grad):
-        gw = np.zeros_like(weight.data, dtype=np.float32)
+        gw = np.zeros((vocab, hidden), dtype=np.float32)
         np.add.at(gw, idx.reshape(-1), grad.reshape(-1, hidden))
         if padding_idx is not None:
             gw[padding_idx] = 0
-        return (None, gw.astype(weight.data.dtype))
+        return (None, gw.astype(data.dtype))
 
     return _finalize("embedding", data, (indices, weight), backward,
                      dtype=weight.dtype)
@@ -1145,6 +1171,7 @@ def cross_entropy(logits, targets, ignore_index: int = -100):
     safe_idx = np.where(valid, idx, 0)
     picked = logp[np.arange(n), safe_idx]
     loss = -(picked * valid).sum() / np.maximum(count, 1)
+    logits_np_dtype = logits.data.dtype
 
     def backward(grad):
         g = float(np.asarray(grad))
@@ -1154,7 +1181,7 @@ def cross_entropy(logits, targets, ignore_index: int = -100):
         # np.maximum returns an int64 scalar, so this divides in float64
         gl = soft / np.maximum(count, 1)
         gl *= g
-        return (gl.astype(logits.data.dtype, copy=False), None)
+        return (gl.astype(logits_np_dtype, copy=False), None)
 
     return _finalize("cross_entropy", np.asarray(loss, np.float32),
                      (logits, targets), backward, dtype=dtypes.float32,
@@ -1222,15 +1249,17 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0):
         out_mat = out_mat + bias.data.astype(np.float32)
     data = (out_mat.reshape(n, ho, wo, out_ch).transpose(0, 3, 1, 2)
             .astype(x.data.dtype))
+    w_shape, w_dtype = tuple(weight.shape), weight.data.dtype
+    has_bias = bias is not None
 
     def backward(grad):
         g_mat = (grad.transpose(0, 2, 3, 1).reshape(-1, out_ch)
                  .astype(np.float32))
-        gw = (g_mat.T @ cols).reshape(weight.shape).astype(weight.data.dtype)
+        gw = (g_mat.T @ cols).reshape(w_shape).astype(w_dtype)
         g_cols = g_mat @ w_mat
-        gx = _col2im(g_cols, x.data.shape, kh, kw, stride, padding, ho, wo) \
-            .astype(x.data.dtype)
-        if bias is not None:
+        gx = _col2im(g_cols, (n, c, h, w), kh, kw, stride, padding, ho, wo) \
+            .astype(data.dtype)
+        if has_bias:
             return (gx, gw, g_mat.sum(axis=0).astype(np.float32))
         return (gx, gw)
 
@@ -1256,6 +1285,7 @@ def max_pool2d(x, kernel_size: int, stride: int | None = None,
         padded, (kernel_size, kernel_size), axis=(2, 3)
     )[:, :, ::stride, ::stride]
     data = windows.max(axis=(-2, -1))
+    out_np_dtype = x.data.dtype
 
     def backward(grad):
         gx_padded = np.zeros_like(padded, dtype=np.float32)
@@ -1268,7 +1298,7 @@ def max_pool2d(x, kernel_size: int, stride: int | None = None,
                           j:j + stride * wo:stride] += mask * grad
         if padding:
             gx_padded = gx_padded[:, :, padding:-padding, padding:-padding]
-        return (gx_padded.astype(x.data.dtype),)
+        return (gx_padded.astype(out_np_dtype),)
 
     return _finalize("max_pool2d", data.astype(x.data.dtype), (x,), backward,
                      dtype=x.dtype)
@@ -1384,6 +1414,7 @@ def scaled_dot_product_attention(query, key, value, attn_mask=None,
     else:
         probs_used = probs
     data = (probs_used @ v32).astype(q.data.dtype)
+    k_np_dtype, v_np_dtype = k.data.dtype, v.data.dtype
 
     def backward(grad):
         g = grad.astype(np.float32)
@@ -1397,8 +1428,8 @@ def scaled_dot_product_attention(query, key, value, attn_mask=None,
             gs = np.where(np.triu(np.ones((s_q, s_k), dtype=bool), k=1), 0, gs)
         gq = (gs @ k32) * scale
         gk = (np.swapaxes(gs, -1, -2) @ q32) * scale
-        return (gq.astype(q.data.dtype), gk.astype(k.data.dtype),
-                gv.astype(v.data.dtype))
+        return (gq.astype(data.dtype), gk.astype(k_np_dtype),
+                gv.astype(v_np_dtype))
 
     io_bytes = q.nbytes + k.nbytes + v.nbytes + _nbytes(out_shape, q.dtype)
     return _finalize("sdpa", data, (q, k, v), backward, dtype=q.dtype,

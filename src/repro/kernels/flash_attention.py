@@ -91,6 +91,7 @@ class FlashAttentionFunction:
         v32 = v.data.astype(np.float32, copy=False)
         out, lse = _online_softmax_forward(q32, k32, v32, scale, is_causal,
                                            block_size)
+        dtypes = q.data.dtype, k.data.dtype, v.data.dtype
 
         def backward(grad):
             g = grad.astype(np.float32, copy=False)
@@ -115,9 +116,8 @@ class FlashAttentionFunction:
                 ds *= scale
                 gq[..., row0:, :] += ds @ k_blk
                 gk[..., start:stop, :] += np.swapaxes(ds, -1, -2) @ q_rows
-            return (gq.astype(q.data.dtype, copy=False),
-                    gk.astype(k.data.dtype, copy=False),
-                    gv.astype(v.data.dtype, copy=False))
+            return tuple(grad.astype(dtype, copy=False)
+                         for grad, dtype in zip((gq, gk, gv), dtypes))
 
         return F._finalize("flash_attention",
                            out.astype(q.data.dtype, copy=False), (q, k, v),
