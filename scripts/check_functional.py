@@ -10,8 +10,10 @@ from both ends:
 1. **Static** — every function in ``repro.fx.functionalize`` listed in
    ``GUARDED_PASSES`` actually calls ``assert_functional`` (by source
    inspection), so a refactor cannot silently drop the guard.
-2. **Runtime smoke** — a hook-carrying traced module and a graph with an
-   unmarked mutating call both make ``assert_functional`` raise
+2. **Runtime smoke** — tracing a hooked module lifts its hooks into
+   ``sync_*`` nodes and leaves none on the GraphModule; a GraphModule
+   with hooks registered *after* tracing and a graph with an unmarked
+   mutating call both make ``assert_functional`` raise
    ``FunctionalizationError``, while the functionalized form passes and
    the passes run on it.
 
@@ -66,10 +68,27 @@ def check_runtime() -> list[str]:
         def forward(self, x):
             return self.fc(x)
 
-    # A hook-carrying traced module must be rejected by every guard.
+    # Tracing a hooked module lifts its hooks into the graph: the
+    # GraphModule carries none and holds the sync nodes instead.
+    hooked = Net()
+    hooked.register_forward_pre_hook(lambda m, args: args)
+    hooked.register_forward_hook(lambda m, i, o: o)
+    hooked.register_backward_hook(lambda m, grad: grad)
+    traced = fx.symbolic_trace(hooked)
+    if traced._forward_pre_hooks or traced._forward_hooks \
+            or traced._backward_hooks:
+        problems.append("tracing a hooked module left hooks on the "
+                        "GraphModule")
+    for marker in (fx.sync_forward_pre, fx.sync_backward, fx.sync_forward):
+        if not traced.graph.find_nodes(op="call_function", target=marker):
+            problems.append(f"tracing a hooked module emitted no "
+                            f"{marker.__name__} node")
+
+    # Hooks registered on a GraphModule after tracing sit outside its
+    # graph: every guard must reject that module.
     model = Net()
-    model.register_forward_hook(lambda m, i, o: o)
     gm = fx.symbolic_trace(model)
+    gm.register_forward_hook(lambda m, i, o: o)
     for name in GUARDED_PASSES:
         try:
             getattr(fx, name)(gm)

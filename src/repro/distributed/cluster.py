@@ -37,35 +37,23 @@ def _rank_order_sum(parts: list) -> np.ndarray:
 
 
 class Communicator:
-    """Rendezvous point for one group of ranks."""
+    """Rendezvous point for one group of ranks.
+
+    Every collective follows one protocol: each rank posts its buffer,
+    waits, builds a private result from its peers' buffers, and waits
+    again before its slot is released and reused.
+    """
 
     def __init__(self, ranks: tuple[int, ...]):
         self.ranks = tuple(ranks)
         self.size = len(ranks)
         self._barrier = threading.Barrier(self.size)
         self._slots: dict[int, np.ndarray] = {}
-        self._result = None
         self._p2p: dict[tuple[int, int], queue.Queue] = {}
         self._p2p_lock = threading.Lock()
 
     def _local_index(self, rank: int) -> int:
         return self.ranks.index(rank)
-
-    def _exchange(self, rank: int, value, combine: Callable):
-        """Generic gather → combine-on-first-rank → share."""
-        self._slots[rank] = value
-        self._barrier.wait()
-        first = self._local_index(rank) == 0
-        if first:
-            ordered = [self._slots[r] for r in self.ranks]
-            self._result = combine(ordered)
-        self._barrier.wait()
-        result = self._result
-        self._barrier.wait()  # ensure everyone read before next op reuses
-        self._release(rank)
-        if first:
-            self._result = None
-        return result
 
     def _release(self, rank: int) -> None:
         """Drop this rank's slot: no buffer outlives its collective."""
@@ -94,9 +82,18 @@ class Communicator:
 
     def all_gather(self, rank: int, array: np.ndarray, axis: int
                    ) -> np.ndarray:
-        return self._exchange(
-            rank, array, lambda arrays: np.concatenate(arrays, axis=axis)
-        ).copy()
+        """Concatenate every rank's buffer along ``axis``, in rank order.
+
+        Each rank builds its own result from its peers' buffers, so no
+        result shares memory with any input.
+        """
+        self._slots[rank] = array
+        self._barrier.wait()
+        result = np.concatenate([self._slots[r] for r in self.ranks],
+                                axis=axis)
+        self._barrier.wait()  # every peer buffer read before it is reused
+        self._release(rank)
+        return result
 
     def reduce_scatter(self, rank: int, array: np.ndarray, axis: int
                        ) -> np.ndarray:
@@ -115,14 +112,18 @@ class Communicator:
         return acc.astype(array.dtype, copy=False)
 
     def broadcast(self, rank: int, array, src: int):
-        def combine(arrays):
-            # Copy: returning the source rank's buffer by reference lets
-            # receivers (which copy *after* the final barrier) race any
-            # later in-place mutation by the source — e.g. an optimizer
-            # broadcasting parameters it keeps updating.
-            return np.array(arrays[self._local_index(src)])
+        """Every rank gets a private copy of rank ``src``'s buffer.
 
-        return self._exchange(rank, array, combine)
+        The copy is taken before the closing barrier, so a later in-place
+        write by the source (an optimizer broadcasting parameters it
+        keeps updating) cannot reach a receiver.
+        """
+        self._slots[rank] = array
+        self._barrier.wait()
+        result = np.array(self._slots[src])
+        self._barrier.wait()  # the source buffer read before it is reused
+        self._release(rank)
+        return result
 
     def all_to_all(self, rank: int, array: np.ndarray, axis: int
                    ) -> np.ndarray:
@@ -132,8 +133,7 @@ class Communicator:
 
         Received chunks are **copied** before the closing barrier — a
         zero-copy view of a peer's send buffer would let the receiver race
-        any later in-place mutation by that peer (the same aliasing bug
-        class ``broadcast`` fixes above).
+        any later in-place mutation by that peer.
         """
         self._slots[rank] = np.split(array, self.size, axis=axis)
         self._barrier.wait()

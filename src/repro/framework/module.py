@@ -264,10 +264,8 @@ class Module:
             if result is not None:
                 args = result if isinstance(result, tuple) else (result,)
         if self._backward_hooks:
-            args = tuple(
-                _attach_backward_hooks(a, self) if isinstance(a, Tensor) else a
-                for a in args
-            )
+            args = tuple(attach_backward_hooks(a, self, self._backward_hooks)
+                         for a in args)
         if self._slapo_meta.get("ckpt_unit") \
                 and fw_events.get_recorder() is not None:
             with fw_events.layer_region(self):
@@ -320,22 +318,26 @@ def _maybe_trace_get_attr(module: Module, name: str, value):
     return active.get_attr_proxy(module, name)
 
 
-def _attach_backward_hooks(tensor: Tensor, module: Module) -> Tensor:
-    """Insert an identity node whose backward runs the module's hooks."""
-    if tensor.is_meta or not autograd.is_grad_enabled():
-        return tensor
-    if not (tensor.requires_grad or tensor.grad_fn is not None):
-        return tensor
-    out = Tensor(tensor.data)
-    out._dtype = tensor.dtype
+def attach_backward_hooks(value, module: Module, hooks):
+    """Insert an identity node whose backward runs ``hooks(module, grad)``.
+
+    ``Module.__call__`` and the ``sync_backward`` graph node both use it.
+    """
+    if not isinstance(value, Tensor) or value.is_meta \
+            or not autograd.is_grad_enabled():
+        return value
+    if not (value.requires_grad or value.grad_fn is not None):
+        return value
+    out = Tensor(value.data)
+    out._dtype = value.dtype
 
     def backward(grad):
-        for hook in module._backward_hooks:
+        for hook in hooks:
             result = hook(module, grad)
             if result is not None:
                 grad = result
         return (grad,)
 
-    out.grad_fn = autograd.GradNode("backward_hook", (tensor,), backward)
+    out.grad_fn = autograd.GradNode("backward_hook", (value,), backward)
     out.requires_grad = True
     return out

@@ -1,12 +1,14 @@
 """Functionalization: lift hidden effects into explicit graph nodes.
 
-A traced :class:`GraphModule` can carry two kinds of out-of-band effects
-that ordinary graph passes cannot see:
+A :class:`GraphModule` can hide two kinds of effects from ordinary graph
+passes:
 
 * **module hooks** — ``.sync()`` installs tensor-parallel collectives as
-  forward-pre / forward / backward hooks that fire around the interpreted
-  graph (``carry_hooks=True``), invisibly to any pass that reads only
-  ``gm.graph``;
+  forward-pre / forward / backward hooks.  Tracing lifts the traced
+  root's hooks into the graph (:func:`lift_hooks`), so a traced graph is
+  built with none of its own; only hooks registered on a GraphModule
+  *after* tracing fire around the interpreted graph, invisibly to any
+  pass that reads only ``gm.graph``;
 * **in-place mutation** — train-mode ``batch_norm`` updates its running
   statistics through its buffer arguments, so erasing or deduplicating
   the node silently changes module state.
@@ -15,12 +17,12 @@ that ordinary graph passes cannot see:
 — :func:`sync_forward_pre`, :func:`sync_forward`, :func:`sync_backward`
 and :func:`mutate` — each annotated with an :class:`Effect` (a declared
 read/write set) in ``node.meta["effect"]``.  The result carries **no**
-hooks of its own (``carry_hooks`` bookkeeping becomes unnecessary on this
-path): extracting a fragment of a functionalized graph can no longer
-duplicate or drop a collective, because the collective is a node like any
-other.  Leaf ``call_module`` nodes whose submodule has hooks keep them
-internal (the hook belongs to the leaf's own boundary) but are annotated
-as effect **barriers** so passes refuse to reorder or erase them.
+hooks of its own: extracting a fragment of a functionalized graph can no
+longer duplicate or drop a collective, because the collective is a node
+like any other.  Leaf ``call_module`` nodes whose submodule has hooks
+keep them internal (the hook belongs to the leaf's own boundary) but are
+annotated as effect **barriers** so passes refuse to reorder or erase
+them.
 
 On top of the functionalized form this module ships the passes the paper's
 progressive optimization needs to be safe by construction:
@@ -35,6 +37,8 @@ progressive optimization needs to be safe by construction:
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from repro.framework.module import Module
 
 from .graph import Graph
 from .graph_module import GraphModule
@@ -101,30 +105,13 @@ def sync_forward(output, values: tuple, *, hooks: tuple, module):
 def sync_backward(value, *, hooks: tuple, module):
     """Identity in forward; runs backward hooks on the gradient.
 
-    The graph-node form of ``Module._attach_backward_hooks`` — e.g. the
-    grad all-reduce a row-parallel ``.sync(mode="backward")`` installs.
+    The graph-node form of a module's backward hooks — e.g. the grad
+    all-reduce a row-parallel ``.sync(mode="backward")`` installs — with
+    the same implementation ``Module.__call__`` uses.
     """
-    from repro.framework import autograd
-    from repro.framework.tensor import Tensor
+    from repro.framework.module import attach_backward_hooks
 
-    if not isinstance(value, Tensor) or value.is_meta \
-            or not autograd.is_grad_enabled():
-        return value
-    if not (value.requires_grad or value.grad_fn is not None):
-        return value
-    out = Tensor(value.data)
-    out._dtype = value.dtype
-
-    def backward(grad):
-        for hook in hooks:
-            result = hook(module, grad)
-            if result is not None:
-                grad = result
-        return (grad,)
-
-    out.grad_fn = autograd.GradNode("sync_backward", (value,), backward)
-    out.requires_grad = True
-    return out
+    return attach_backward_hooks(value, module, hooks)
 
 
 def mutate(op, *args, _writes: tuple = (), **kwargs):
@@ -245,36 +232,48 @@ def functionalize(gm: GraphModule, class_name: str | None = None
                   ) -> GraphModule:
     """Rewrite ``gm`` into an explicit-effect GraphModule.
 
-    The returned module carries **no hooks** (``carry_hooks=False``); the
-    hooks ``gm`` carried now live inside the graph as ``sync_*`` nodes, and
-    mutating calls are wrapped in ``mutate`` markers.  Parameter and
+    A traced graph already holds its root's hooks as ``sync_*`` nodes;
+    hooks registered on ``gm`` after tracing are lifted here the same way
+    (:func:`lift_hooks`), so the returned module carries **no hooks**.
+    Mutating calls are wrapped in ``mutate`` markers.  Parameter and
     submodule identity is shared with ``gm`` as with any GraphModule.
     """
-    new_graph, env = _copy_graph(gm.graph)
-    placeholders = [env[id(p)] for p in gm.graph.placeholders()]
-
-    hooked_args = list(placeholders)
-    if gm._forward_pre_hooks and placeholders:
-        hooked_args = _lift_forward_pre(new_graph, placeholders,
-                                        tuple(gm._forward_pre_hooks), gm)
-    if gm._backward_hooks and hooked_args:
-        hooked_args = _lift_backward(new_graph, hooked_args,
-                                     tuple(gm._backward_hooks), gm)
-    if gm._forward_hooks:
-        _lift_forward(new_graph, hooked_args, tuple(gm._forward_hooks), gm)
-
+    new_graph = _copy_graph(gm.graph)
+    fgm = GraphModule(gm, new_graph,
+                      class_name=class_name or f"Functional{gm._class_name}")
+    lift_hooks(fgm, gm)
     _wrap_mutating_calls(new_graph)
     _annotate_barriers(new_graph, gm)
-
-    fgm = GraphModule(gm, new_graph,
-                      class_name=class_name or f"Functional{gm._class_name}",
-                      carry_hooks=False)
     # A GraphModule mounts only graph-referenced paths, but ``gm`` may
     # carry more (a replaced region's old submodules stay mounted so
     # schedule paths and state_dict keys remain stable).  Preserve them.
     _merge_missing_attrs(fgm, gm)
     fgm._slapo_meta["functionalized"] = True
     return fgm
+
+
+def lift_hooks(gm: GraphModule, source: Module) -> None:
+    """Lift ``source``'s module hooks into ``gm.graph`` as ``sync_*`` nodes.
+
+    In ``Module.__call__`` order: forward-pre hooks become one
+    :func:`sync_forward_pre` node over the placeholders (split back out by
+    :func:`project` nodes), backward hooks one :func:`sync_backward` node
+    per input, and forward hooks one :func:`sync_forward` node before the
+    output; each carries its :class:`Effect`.  The hooks are called with
+    ``gm`` as their module — its ``_slapo_meta`` is a copy of
+    ``source``'s, which hooks such as ``.sync()``'s ``aggregate`` read.
+    ``gm`` registers no hook of its own.
+    """
+    graph = gm.graph
+    hooked_args = graph.placeholders()
+    if source._forward_pre_hooks and hooked_args:
+        hooked_args = _lift_forward_pre(graph, hooked_args,
+                                        tuple(source._forward_pre_hooks), gm)
+    if source._backward_hooks and hooked_args:
+        hooked_args = _lift_backward(graph, hooked_args,
+                                     tuple(source._backward_hooks), gm)
+    if source._forward_hooks:
+        _lift_forward(graph, hooked_args, tuple(source._forward_hooks), gm)
 
 
 def _merge_missing_attrs(dst, src) -> None:
@@ -291,7 +290,7 @@ def _merge_missing_attrs(dst, src) -> None:
             dst.register_buffer(name, buf)
 
 
-def _copy_graph(old: Graph) -> tuple[Graph, dict]:
+def _copy_graph(old: Graph) -> Graph:
     new = Graph()
     new.in_specs = dict(getattr(old, "in_specs", {}))
     env: dict[int, Node] = {}
@@ -306,7 +305,7 @@ def _copy_graph(old: Graph) -> tuple[Graph, dict]:
             name=node.name)
         copied.meta.update(node.meta)
         env[id(node)] = copied
-    return new, env
+    return new
 
 
 def _replace_uses_except(value: Node, new: Node, keep: set[int]) -> None:

@@ -4,6 +4,10 @@ The GraphModule *shares* the submodules and parameters of the module it was
 traced from — scheduling primitives mutate the graph (fuse, replace,
 pipeline-split) while parameter identity is preserved, which is what lets
 Slapo keep optimizer state and sharding metadata intact across transforms.
+
+A GraphModule never copies ``root``'s hooks: tracing lifts them into the
+graph as ``sync_*`` nodes (:func:`repro.fx.functionalize.lift_hooks`), so
+a fragment cut out of it holds exactly the collectives it contains.
 """
 
 from __future__ import annotations
@@ -17,24 +21,13 @@ from .node import Node, map_arg
 
 class GraphModule(Module):
     def __init__(self, root: Module, graph: Graph,
-                 class_name: str = "GraphModule",
-                 carry_hooks: bool = True):
+                 class_name: str = "GraphModule"):
         super().__init__()
         self._class_name = class_name
         self.graph = graph
         self._copy_referenced_attrs(root)
         # Keep original annotations (checkpointing flags etc).
         self._slapo_meta.update(root._slapo_meta)
-        if carry_hooks:
-            # Tracing must be semantics-preserving: hooks registered on
-            # the traced module (e.g. tensor-parallel ``.sync()``
-            # collectives) keep firing around the interpreted graph.
-            # Callers building a *piece* of the root (subgraph extraction,
-            # pipeline-stage splitting) pass carry_hooks=False — the
-            # root's hooks belong to its boundary, not to every fragment.
-            self._forward_pre_hooks.extend(root._forward_pre_hooks)
-            self._forward_hooks.extend(root._forward_hooks)
-            self._backward_hooks.extend(root._backward_hooks)
 
     # ------------------------------------------------------------------ #
     def _copy_referenced_attrs(self, root: Module) -> None:

@@ -17,7 +17,7 @@ from repro.framework.module import Module
 from .graph import Graph
 from .graph_module import GraphModule
 from .matcher import Match
-from .node import Node, map_arg
+from .node import Node, iter_nodes, map_arg
 
 
 def order_matches_for_rewrite(graph: Graph, matches: list[Match]
@@ -47,8 +47,7 @@ def extract_match_as_module(gm: GraphModule, match: Match,
     for idx, binding in enumerate(match.placeholder_bindings):
         placeholder = subgraph.placeholder(f"arg{idx}")
         env[id(binding)] = placeholder
-    ordered = [n for n in gm.graph if n in _id_set(match.internal_nodes)]
-    for node in ordered:
+    for node in _in_graph_order(gm.graph, match.internal_nodes):
         def lookup(n: Node):
             if id(n) in env:
                 return env[id(n)]
@@ -65,20 +64,13 @@ def extract_match_as_module(gm: GraphModule, match: Match,
         new_node.meta.update(node.meta)
         env[id(node)] = new_node
     subgraph.output(env[id(match.output_node)])
-    return GraphModule(gm, subgraph, class_name=class_name,
-                       carry_hooks=False)
+    return GraphModule(gm, subgraph, class_name=class_name)
 
 
-def _id_set(nodes) -> "_IdSet":
-    return _IdSet(nodes)
-
-
-class _IdSet:
-    def __init__(self, nodes):
-        self._ids = {id(n) for n in nodes}
-
-    def __contains__(self, node) -> bool:
-        return id(node) in self._ids
+def _in_graph_order(graph: Graph, nodes) -> list[Node]:
+    """``nodes`` (compared by identity) in ``graph``'s order."""
+    wanted = {id(n) for n in nodes}
+    return [n for n in graph if id(n) in wanted]
 
 
 def replace_match_with_module(gm: GraphModule, match: Match,
@@ -93,10 +85,7 @@ def replace_match_with_module(gm: GraphModule, match: Match,
     with graph.inserting_before(match.output_node):
         new_node = graph.call_module(
             mounted_name, tuple(match.placeholder_bindings))
-    match.output_node.replace_all_uses_with(new_node)
-    for node in reversed([n for n in graph if n in _id_set(match.internal_nodes)]):
-        graph.erase_node(node)
-    gm.recompile()
+    _erase_match(gm, match, new_node)
     return new_node
 
 
@@ -106,11 +95,16 @@ def replace_node_with_function(gm: GraphModule, match: Match, fn) -> Node:
     with graph.inserting_before(match.output_node):
         new_node = graph.call_function(
             fn, tuple(match.placeholder_bindings))
-    match.output_node.replace_all_uses_with(new_node)
-    for node in reversed([n for n in graph if n in _id_set(match.internal_nodes)]):
-        graph.erase_node(node)
-    gm.recompile()
+    _erase_match(gm, match, new_node)
     return new_node
+
+
+def _erase_match(gm: GraphModule, match: Match, replacement: Node) -> None:
+    """Route the match's output to ``replacement`` and erase its nodes."""
+    match.output_node.replace_all_uses_with(replacement)
+    for node in reversed(_in_graph_order(gm.graph, match.internal_nodes)):
+        gm.graph.erase_node(node)
+    gm.recompile()
 
 
 # ---------------------------------------------------------------------- #
@@ -146,7 +140,7 @@ def split_graph_module(gm: GraphModule, boundary_nodes: list[Node]
         stage_of[id(ph)] = -1  # model inputs enter at stage 0
 
     output_value = gm.graph.output_node.args[0]
-    final_consumers = list(_iter_graph_nodes(output_value))
+    final_consumers = list(iter_nodes(output_value))
 
     # live[k] = values crossing the boundary between stage k-1 and stage k,
     # ordered deterministically by first definition.
@@ -201,14 +195,6 @@ def split_graph_module(gm: GraphModule, boundary_nodes: list[Node]
         else:
             outs = tuple(env[id(v)] for v in live[stage_idx + 1])
             stage_graph.output(outs)
-        stage = GraphModule(gm, stage_graph,
-                            class_name=f"PipelineStage{stage_idx}",
-                            carry_hooks=False)
-        stages.append(stage)
+        stages.append(GraphModule(gm, stage_graph,
+                                  class_name=f"PipelineStage{stage_idx}"))
     return stages
-
-
-def _iter_graph_nodes(value):
-    from .node import iter_nodes
-
-    yield from iter_nodes(value)

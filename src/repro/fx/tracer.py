@@ -191,11 +191,18 @@ def symbolic_trace(module: Module, leaves: tuple = (),
                    leaf_types: tuple | None = None,
                    include_defaults: tuple = (),
                    structured_args: dict | None = None):
-    """Trace ``module`` and return an executable :class:`GraphModule`."""
+    """Trace ``module`` and return an executable :class:`GraphModule`.
+
+    ``module``'s own hooks become ``sync_*`` graph nodes (``lift_hooks``);
+    the returned module carries none.
+    """
+    from .functionalize import lift_hooks
     from .graph_module import GraphModule
 
     tracer = Tracer(leaves=leaves, leaf_types=leaf_types)
     graph = tracer.trace(module, concrete_args=concrete_args,
                          include_defaults=include_defaults,
                          structured_args=structured_args)
-    return GraphModule(module, graph, class_name=type(module).__name__)
+    gm = GraphModule(module, graph, class_name=type(module).__name__)
+    lift_hooks(gm, module)
+    return gm

@@ -7,18 +7,9 @@ from .compilers import (
     compile_subgraph,
 )
 from .flash_attention import FlashAttention, flash_attention
-from .fused_ops import (
-    BiasOnly,
-    FusedBiasDropoutResidualLayerNorm,
-    FusedBiasGELU,
-    FusedDropoutAdd,
-    FusedQKV,
-)
 
 __all__ = [
     "FlashAttention", "flash_attention",
-    "FusedQKV", "FusedBiasGELU", "FusedBiasDropoutResidualLayerNorm",
-    "FusedDropoutAdd", "BiasOnly",
     "FusedKernel", "compile_subgraph", "SUPPORTED_COMPILERS",
     "CompilerNotSupportedError",
 ]

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from repro.framework.module import Module
 from repro.fx import GraphModule
+from repro.fx.functionalize import lift_hooks
 from repro.fx.rewriter import split_graph_module
 from repro.fx.tracer import Tracer
 
@@ -118,6 +119,9 @@ def partition_pipeline(root: Module, cuts: list[str]) -> list[GraphModule]:
     tracer = _CutAwareTracer(cuts)
     graph = tracer.trace(root)
     gm = GraphModule(root, graph, class_name=f"{type(root).__name__}Pipeline")
+    # Stage 0 then fires the root's pre/backward hooks, the last stage
+    # its forward hooks.
+    lift_hooks(gm, root)
     boundary_nodes = []
     for cut in cuts:
         candidates = [n for n in gm.graph

@@ -1,7 +1,9 @@
-"""Peer-parallel all_reduce / reduce_scatter: each rank sums its own slice.
+"""Peer-parallel collectives: each rank builds its own result.
 
-The results must equal, bit for bit, the serial float32 sum over ranks in
-rank order, and every rank's result must be its own buffer.
+all_reduce / reduce_scatter results must equal, bit for bit, the serial
+float32 sum over ranks in rank order; all_gather must equal the rank-order
+concatenation and broadcast the source's buffer.  Every rank's result must
+be its own buffer.
 """
 
 import numpy as np
@@ -110,3 +112,45 @@ def test_inputs_are_not_written():
     LocalCluster(2).run(fn)
     for got, want in zip(arrays, copies):
         np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float16])
+@pytest.mark.parametrize("world", [2, 3, 4])
+@pytest.mark.parametrize("axis", [0, -1])
+def test_all_gather_matches_the_rank_order_concatenation(dtype, world, axis):
+    arrays = _inputs(world, (3, 5), dtype, seed=5)
+    want = np.concatenate(arrays, axis=axis)
+
+    def fn(ctx):
+        return ctx.world_group().all_gather(arrays[ctx.rank], axis=axis)
+
+    results = LocalCluster(world).run(fn)
+    for got in results:
+        _assert_bits_equal(got, want)
+    for index, got in enumerate(results):
+        assert not any(np.shares_memory(got, a) for a in arrays)
+        assert not any(np.shares_memory(got, other)
+                       for other in results[index + 1:])
+
+
+@pytest.mark.parametrize("world", [2, 3, 4])
+def test_broadcast_receivers_keep_a_private_copy(world):
+    arrays = _inputs(world, (4, 6), np.float32, seed=6)
+    src = world - 1
+    want = arrays[src].copy()
+
+    def fn(ctx):
+        group = ctx.world_group()
+        out = group.broadcast(arrays[ctx.rank], src=src)
+        group.barrier()
+        if ctx.rank == src:
+            arrays[src][...] = -1.0  # the source writes to its buffer
+        group.barrier()
+        return out
+
+    results = LocalCluster(world).run(fn)
+    for rank, got in enumerate(results):
+        _assert_bits_equal(got, want)
+        assert not any(np.shares_memory(got, a) for a in arrays)
+        assert not any(np.shares_memory(got, other)
+                       for other in results[rank + 1:])

@@ -11,9 +11,6 @@ from repro.framework import functional as F
 from repro.kernels import (
     CompilerNotSupportedError,
     FlashAttention,
-    FusedBiasDropoutResidualLayerNorm,
-    FusedBiasGELU,
-    FusedQKV,
     compile_subgraph,
     flash_attention,
 )
@@ -73,50 +70,6 @@ class TestFlashAttention:
         ref = naive_attention(q, k, v, 1.0 / math.sqrt(8))
         np.testing.assert_allclose(out.numpy(), ref.numpy(), rtol=1e-4,
                                    atol=1e-5)
-
-
-class TestFusedOps:
-    def test_fused_qkv_matches_three_linears(self):
-        fw.manual_seed(0)
-        q, k, v = fw.Linear(8, 8), fw.Linear(8, 8), fw.Linear(8, 8)
-        fused = FusedQKV(q, k, v)
-        x = fw.randn(2, 5, 8)
-        fq, fk, fv = fused(x)
-        np.testing.assert_allclose(fq.numpy(), q(x).numpy(), rtol=1e-5)
-        np.testing.assert_allclose(fk.numpy(), k(x).numpy(), rtol=1e-5)
-        np.testing.assert_allclose(fv.numpy(), v(x).numpy(), rtol=1e-5)
-
-    def test_fused_qkv_meta(self):
-        q = fw.Linear(8, 8, device="meta")
-        fused = FusedQKV(q, q, q)
-        outs = fused(fw.Tensor.meta((2, 5, 8)))
-        assert all(tuple(o.shape) == (2, 5, 8) for o in outs)
-
-    def test_fused_bias_gelu(self):
-        fw.manual_seed(0)
-        bias = fw.Parameter(fw.randn(8).numpy())
-        fused = FusedBiasGELU(bias)
-        x = fw.randn(4, 8)
-        np.testing.assert_allclose(
-            fused(x).numpy(), F.gelu(x + bias).numpy(), rtol=1e-5)
-
-    def test_fused_ln_residual_eval_mode(self):
-        fw.manual_seed(0)
-        fused = FusedBiasDropoutResidualLayerNorm(8, p=0.1)
-        fused.eval()
-        x, residual = fw.randn(4, 8), fw.randn(4, 8)
-        bias = fw.randn(8)
-        expected = F.layer_norm((x + bias) + residual, 8,
-                                fused.norm.weight, fused.norm.bias)
-        np.testing.assert_allclose(
-            fused(x, bias, residual).numpy(), expected.numpy(), rtol=1e-5)
-
-    def test_fused_ln_residual_grad_flows(self):
-        fused = FusedBiasDropoutResidualLayerNorm(8, p=0.0)
-        x = fw.randn(4, 8, requires_grad=True)
-        fused(x, None, fw.randn(4, 8)).sum().backward()
-        assert x.grad is not None
-        assert fused.norm.weight.grad is not None
 
 
 class TestCompilerStandIns:

@@ -5,6 +5,7 @@ import pytest
 
 import repro.slapo as slapo
 from repro import framework as fw
+from repro import fx
 from repro.distributed import DeviceMesh, LocalCluster, ParallelConfig
 from repro.models import MODEL_ZOO, data
 from repro.schedules import SCHEDULES
@@ -63,6 +64,33 @@ class TestSchedulesApplyOnMeta:
         src, tgt, _ = data.seq2seq_batch(config, 1, 64, 32, device="meta")
         trace = trace_model(model, src, tgt)
         assert any(op.kernel == "flash_attention" for op in trace.ops)
+
+
+class TestTracedGraphsOwnTheirHooks:
+    """After build, a traced GraphModule holds its ``.sync()`` hooks as
+    ``sync_*`` nodes and carries no hook of its own."""
+
+    @pytest.mark.parametrize("family,lifted", [
+        ("BERT", True), ("OPT", True), ("LLaMA-7B", True), ("T5", True),
+        ("GPT", False)])
+    def test_no_traced_graph_module_carries_a_hook(self, family, lifted):
+        cls, config = MODEL_ZOO[family]
+        model = cls(config, device="meta")
+        mesh = DeviceMesh(ParallelConfig(tp=8), rank=0, sim=True)
+        sch = slapo.create_schedule(model, mesh=mesh)
+        SCHEDULES[family](sch, config)
+        built = slapo.build(sch)
+        graph_modules = [m for m in built.model.modules()
+                         if isinstance(m, fx.GraphModule)]
+        assert graph_modules
+        for gm in graph_modules:
+            assert not (gm._forward_pre_hooks or gm._forward_hooks
+                        or gm._backward_hooks)
+        markers = (fx.sync_forward_pre, fx.sync_backward, fx.sync_forward)
+        syncs = [n for gm in graph_modules for n in gm.graph
+                 if n.op == "call_function" and n.target in markers]
+        assert bool(syncs) == lifted
+        assert all("effect" in n.meta for n in syncs)
 
 
 class TestScheduleNumerics:
