@@ -162,7 +162,7 @@ def test_fig10_strategy_comparison():
               f"{report.num_trials:>7} {report.num_pruned:>7} "
               f"{result.best_throughput:>8.1f} "
               f"{result.search_seconds / 60:>10.1f} {saving:>6.0%} "
-              f"{report.mean_prediction_error:>8.1%}")
+              f"{report.mean_relative_error:>8.1%}")
 
     # Every strategy carries a complete report.
     for result in results:
@@ -183,7 +183,7 @@ def test_fig10_strategy_comparison():
     assert all(t.valid for t in sg.trials)
     # Predictions track measurements (same memory model, slightly
     # different kernel-efficiency profile).
-    assert 0.0 < sg.report.mean_prediction_error < 0.15
+    assert 0.0 < sg.report.mean_relative_error < 0.15
     # Evolutionary search competes within the same budget regime.
     assert ev.best_throughput >= 0.95 * exhaustive.best_throughput
     assert ev.num_trials < exhaustive.num_trials

@@ -203,9 +203,8 @@ def run() -> dict:
                                            transfer_truth)
     t_residual_err, _ = heldout_error(transfer_residual, configs,
                                       transfer_truth)
-    t_corrected = sum(1 for config in configs
-                      if transfer_residual.rank_source(config)
-                      == "residual")
+    t_corrected = sum(1 for estimate in transfer_residual.predict_many(configs)
+                      if estimate.ranked_by == "residual")
 
     report = {
         "space_size": len(configs),

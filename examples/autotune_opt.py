@@ -101,7 +101,7 @@ def main():
     show("simulator-guided", sg, exhaustive)
     print(f"{'':17} cost model pruned the OOM region for free and "
           f"mispredicted throughput by only "
-          f"{sg.report.mean_prediction_error:.1%} on average")
+          f"{sg.report.mean_relative_error:.1%} on average")
 
     ev = AutoTuner(update_space, evaluate, seed=0,
                    cost_model=make_cost_model()).evolutionary(

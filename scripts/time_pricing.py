@@ -14,8 +14,7 @@ prints the median of 5 timed passes, after one warm-up pass, for:
 * ``predict_batch`` on the whole space with fresh ``BatchPoints`` built
   from its columns on every call, so the per-points grouping is paid
   each time (the cold path a new space shape takes);
-* the residual correction of the feasible rows' rates, through config
-  dicts (``ResidualCostModel.predict_many``) and through the plan
+* the residual correction of the feasible rows' rates through the plan
   service's memoized feature block (``correct_rates``), fitted on every
   7th feasible config against a synthetic bias.
 
@@ -137,8 +136,8 @@ def time_space(family: str, world: int) -> None:
 
 def time_correction(family: str, world: int, model, trace,
                     cluster) -> None:
-    """µs per residual correction of a shape's feasible rows: config
-    dicts against the memoized feature block."""
+    """µs per residual correction of a shape's feasible rows through the
+    memoized feature block."""
     request = PlanRequest(family, world)
     shape = service_module.SpaceShape.of(
         service_module.enumerate_space(request))
@@ -156,13 +155,10 @@ def time_correction(family: str, world: int, model, trace,
         for config in corpus])
     stats = model_stats_for(trace, model)
     block = shape.features[feasible]
-    for name, fn in (
-            ("correction, config dicts",
-             lambda: residual.predict_many(configs, base=rates)),
-            ("correction, feature block",
-             lambda: residual.correct_rates(block, stats, rates))):
-        print(f"  {name + f' ({len(feasible)} rows)':<40} "
-              f"{per_call_us(fn, [()]):10.1f} µs/call")
+    name = f"correction, feature block ({len(feasible)} rows)"
+    us = per_call_us(lambda: residual.correct_rates(block, stats, rates),
+                     [()])
+    print(f"  {name:<40} {us:10.1f} µs/call")
 
 
 def time_space_builds() -> None:

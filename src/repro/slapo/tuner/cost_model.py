@@ -11,13 +11,18 @@ search is the same idea with a learned model):
 * **ranking** — feasible configs are measured best-predicted-first, so
   a small measurement budget concentrates where the optimum plausibly is.
 
-The contract is one method::
+The contract is one method, which prices a whole batch::
 
-    estimate(config: dict) -> CostEstimate
+    predict_many(configs: list[dict]) -> list[CostEstimate]
 
-:class:`SimCostModel` is the first-class implementation: it adapts a
-config dict onto the analytical simulator in :mod:`repro.sim`
-(``ModelTrace`` / ``ParallelConfig`` / ``predict_config``).  Any callable
+Each estimate names the model whose number it is (``ranked_by``), so a
+composite model (:class:`.learned.ResidualCostModel`) says row by row
+whether its correction or the analytic basis ranked the config.
+:meth:`CostModel.estimate` is the one-row case.
+
+:class:`SimCostModel` is the first-class implementation: it adapts
+config dicts onto the analytical simulator in :mod:`repro.sim`
+(``ModelTrace`` / ``ParallelConfig`` / ``predict_batch``).  Any callable
 ``config -> float`` also works (wrapped by :class:`CallableCostModel`);
 return ``0``/``None`` to mark a config infeasible.
 """
@@ -33,7 +38,6 @@ from repro.pipeline import DEFAULT_SCHEDULE
 from repro.sim.batch import predict_batch
 from repro.sim.kernel_cost import KernelCostModel
 from repro.sim.memory import model_stats_for
-from repro.sim.planner import predict_config
 from repro.sim.throughput import DEFAULT_BUCKET_MB
 
 
@@ -47,34 +51,29 @@ class CostEstimate:
     fits: bool = True
     #: predicted peak memory in bytes (0 if the model does not track it)
     memory_bytes: float = 0.0
+    #: name of the model whose number this is ("analytic", "residual",
+    #: ...); empty means the model that returned the estimate
+    ranked_by: str = ""
 
 
 class CostModel:
-    """Base contract: subclass and implement :meth:`estimate`."""
+    """Base contract: subclass and implement :meth:`predict_many`."""
 
     #: short identifier recorded by TuneReport (which model ranked a trial)
     name = "cost_model"
 
-    def estimate(self, config: dict) -> CostEstimate:
+    def predict_many(self, configs: Sequence[dict]) -> list[CostEstimate]:
+        """One estimate per config, in order.
+
+        Tuner strategies always hand over the whole list, so a model
+        with a vectorized path (:class:`SimCostModel`) prices it in one
+        pass.
+        """
         raise NotImplementedError
 
-    def rank_source(self, config: dict) -> str:
-        """Which underlying model produced the ranking for ``config``.
-
-        Composite models (``ResidualCostModel``) override this per
-        config; plain models are their own source.
-        """
-        return self.name
-
-    def predict_many(self, configs: Sequence[dict]) -> list[CostEstimate]:
-        """Price many configs at once.
-
-        The base implementation loops :meth:`estimate`; models with a
-        vectorized path (:class:`SimCostModel`) override it, so tuner
-        strategies can always hand over the whole space and let the
-        model pick the fastest way to price it.
-        """
-        return [self.estimate(config) for config in configs]
+    def estimate(self, config: dict) -> CostEstimate:
+        """One config's estimate: a one-row :meth:`predict_many`."""
+        return self.predict_many([config])[0]
 
     def __call__(self, config: dict) -> float:
         """Convenience: a cost model is usable wherever an evaluate_fn is."""
@@ -90,10 +89,10 @@ class CallableCostModel(CostModel):
     def __init__(self, fn: Callable[[dict], float | None]):
         self._fn = fn
 
-    def estimate(self, config: dict) -> CostEstimate:
-        value = self._fn(config)
-        rate = float(value or 0.0)
-        return CostEstimate(throughput=rate, fits=rate > 0)
+    def predict_many(self, configs: Sequence[dict]) -> list[CostEstimate]:
+        rates = [float(self._fn(config) or 0.0) for config in configs]
+        return [CostEstimate(throughput=rate, fits=rate > 0,
+                             ranked_by=self.name) for rate in rates]
 
 
 def as_cost_model(obj) -> CostModel:
@@ -131,7 +130,7 @@ class SimCostModel(CostModel):
         the data-parallel degree; when neither is available the planner
         sweeps micro-batch candidates itself.
     zero_stage / num_micro_batches / kernel_cost:
-        Forwarded to :func:`repro.sim.predict_config`.  A
+        Forwarded to :func:`repro.sim.predict_batch`.  A
         ``num_micro_batches`` key in the config (e.g. declared by
         :func:`repro.slapo.tuner.space.parallelism_symbols`) overrides
         the fixed default, so the micro-batch count can be a search
@@ -141,7 +140,7 @@ class SimCostModel(CostModel):
         priced under — schedules the coordinate cannot express are
         reported infeasible by the simulator, pruning them for free.
     pipeline_cuts:
-        Forwarded to :func:`repro.sim.predict_config`; the default
+        Forwarded to :func:`repro.sim.predict_batch`; the default
         ``"auto"`` runs the stage-balancing cut planner whenever the
         resolved parallelism has ``pp > 1`` and the trace carries layer
         marks, so pipelined configs are priced off their bottleneck
@@ -176,7 +175,7 @@ class SimCostModel(CostModel):
         self._trace_key_fn = trace_key_fn
         self._traces: dict = {}
         self._estimates: dict[tuple, CostEstimate] = {}
-        #: how many estimate() calls were answered (cheap oracle probes)
+        #: how many configs were priced (memo hits are not counted)
         self.num_estimates = 0
 
     # ------------------------------------------------------------------ #
@@ -240,16 +239,16 @@ class SimCostModel(CostModel):
             else self._trace_key_fn(config)
         if key not in self._traces:
             model, trace = self._trace_fn(config)
-            # Pin the model statics to the trace now, so every estimate
+            # Pin the model statics to the trace now, so every batch
             # served from this entry prices without re-walking parameters.
             model_stats_for(trace, model)
             self._traces[key] = (model, trace)
         return self._traces[key]
 
     def _point(self, config: dict) -> dict | None:
-        """The config's ``predict_config`` keywords: parallel mesh,
-        micro-batch, ZeRO stage, micro-batch count, schedule, overlap and
-        bucket.  None when the mesh does not resolve (infeasible)."""
+        """The config's ``predict_batch`` row: parallel mesh, micro-batch,
+        ZeRO stage, micro-batch count, schedule, overlap and bucket.
+        None when the mesh does not resolve (infeasible)."""
         try:
             parallel = self._resolve_parallel(config)
         except ValueError:
@@ -268,34 +267,13 @@ class SimCostModel(CostModel):
         )
 
     # ------------------------------------------------------------------ #
-    def estimate(self, config: dict) -> CostEstimate:
-        key = tuple(sorted(config.items()))
-        if key in self._estimates:
-            return self._estimates[key]
-        self.num_estimates += 1
-        point = self._point(config)
-        if point is None:
-            estimate = CostEstimate(throughput=0.0, fits=False)
-            self._estimates[key] = estimate
-            return estimate
-        model, trace = self._traced(config)
-        prediction = predict_config(
-            trace, model, self.cluster, cost_model=self.kernel_cost,
-            pipeline_cuts=self.pipeline_cuts, **point)
-        estimate = CostEstimate(throughput=prediction.throughput,
-                                fits=prediction.fits,
-                                memory_bytes=prediction.memory_bytes)
-        self._estimates[key] = estimate
-        return estimate
-
     def predict_many(self, configs: Sequence[dict]) -> list[CostEstimate]:
         """Vectorized pricing via :func:`repro.sim.predict_batch`.
 
-        Configs are normalized exactly as :meth:`estimate` would (same
-        :meth:`_point`, same memo), grouped by trace key so each distinct
-        trace is priced in one batched call, and the answers land in the
-        estimate memo — a later :meth:`estimate` of any priced config is
-        a dict hit.
+        Each config is normalized by :meth:`_point`; configs are grouped
+        by trace key so each distinct trace is priced in one batched
+        call, and the answers land in the estimate memo — a later
+        request for any priced config is a dict hit.
         """
         results: list[CostEstimate | None] = [None] * len(configs)
         groups: dict[object, list[tuple[int, dict]]] = {}
@@ -309,7 +287,7 @@ class SimCostModel(CostModel):
             row = self._point(config)
             if row is None:
                 results[i] = self._estimates[key] = CostEstimate(
-                    throughput=0.0, fits=False)
+                    throughput=0.0, fits=False, ranked_by=self.name)
                 continue
             trace_key = tuple(sorted(config.items())) \
                 if self._trace_key_fn is None else self._trace_key_fn(config)
@@ -324,7 +302,8 @@ class SimCostModel(CostModel):
                 estimate = CostEstimate(
                     throughput=float(batch.throughput[j]),
                     fits=bool(batch.fits[j]),
-                    memory_bytes=float(batch.memory_total[j]))
+                    memory_bytes=float(batch.memory_total[j]),
+                    ranked_by=self.name)
                 key = tuple(sorted(configs[i].items()))
                 results[i] = self._estimates[key] = estimate
         return results

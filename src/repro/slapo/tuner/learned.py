@@ -20,16 +20,16 @@ value-function idea, kept residual):
   case.  The schema is the ordered :data:`FEATURE_NAMES` tuple plus
   :data:`FEATURE_VERSION`; weights serialized under a different schema
   are refused (:class:`StaleWeightsError`).
-* :class:`LearnedCostModel` is a dependency-free (numpy-only) regressor:
-  closed-form ridge on standardized features plus optional
-  gradient-boosted decision stumps on the residuals.  Each boosting
-  round scores every (feature, threshold) split in one vectorized pass
-  over column orders sorted once per fit.  Training is deterministic
-  under its seed, weights round-trip through JSON byte-stably, and
-  :meth:`LearnedCostModel.predict_features` prices a whole ``(N, F)``
-  feature matrix in one numpy pass that is bit-exact with the scalar
-  path (row-wise reductions only — no shape-dependent BLAS
-  reassociation).
+* :class:`LearnedCostModel` is a dependency-free (numpy-only) regressor
+  on feature matrices: closed-form ridge on standardized features plus
+  optional gradient-boosted decision stumps on the residuals.  Each
+  boosting round scores every (feature, threshold) split in one
+  vectorized pass over column orders sorted once per fit.  Training is
+  deterministic under its seed, weights round-trip through JSON
+  byte-stably, and :meth:`LearnedCostModel.predict_features` prices a
+  whole ``(N, F)`` feature matrix in one numpy pass that is bit-exact
+  with one-row calls (row-wise reductions only — no shape-dependent
+  BLAS reassociation).
 * :class:`ResidualCostModel` composes the two: ``analytic ×
   exp(learned correction)``, where the correction is trained on
   ``log(measured / analytic)`` pairs from the cache.  A **coverage
@@ -45,18 +45,19 @@ value-function idea, kept residual):
   one model family transfer to another: the family-identity features
   drop out, the shared configuration features carry the signal.
   Fitting and prediction featurize a whole batch at once
-  (:meth:`ResidualCostModel.features_many`); a caller that already
-  priced a batch on the analytic basis hands its rates over
-  (``predict_many(configs, base=rates)``, or ``correct_rates`` with the
-  batch's config feature block) instead of having them re-priced.
+  (:meth:`ResidualCostModel.features_many`), and every estimate names
+  the model that ranked it (``ranked_by``: ``"residual"`` where the
+  correction applied, ``"analytic"`` elsewhere).  A caller that already
+  priced a batch on the analytic basis hands its rates and the batch's
+  config feature block to :meth:`ResidualCostModel.correct_rates`
+  instead of having them re-priced.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -73,7 +74,7 @@ from repro.sim.features import (
 )
 from repro.sim.memory import ModelStats, model_stats_for
 
-from .cache import TrialCache, config_key
+from .cache import TrialCache
 from .cost_model import CostEstimate, CostModel, as_cost_model
 
 #: bump when FEATURE_NAMES changes meaning, length, or order — weights
@@ -218,32 +219,22 @@ class _Stump:
     right: float
 
 
-class LearnedCostModel(CostModel):
+class LearnedCostModel:
     """Numpy-only ridge + gradient-boosted-stump regressor on
-    :func:`featurize` vectors, implementing the :class:`CostModel`
-    contract.
+    :data:`FEATURE_NAMES` matrices (:func:`featurize_many` rows).
 
     The model predicts in **log space** — :meth:`fit` takes whatever
-    log-target the caller chose (log-throughput for a direct model,
-    log measured/analytic for a residual correction) and
-    :meth:`estimate` exponentiates.  Training is exactly reproducible:
-    ridge is a closed-form solve, stump splits break ties
-    deterministically (earliest threshold, then earliest feature), and the
-    seed only enters where a caller asks for a held-out split
-    (:meth:`holdout_split`).
-
-    ``featurizer`` (``config -> feature vector``) is only needed when
-    the model is used directly as a tuner cost model; the feature-matrix
-    API (:meth:`fit` / :meth:`predict_features`) works without it.
+    log-target the caller chose (log measured/analytic for the residual
+    correction :class:`ResidualCostModel` fits) and
+    :meth:`predict_features` returns log-space values.  Training is
+    exactly reproducible: ridge is a closed-form solve, stump splits
+    break ties deterministically (earliest threshold, then earliest
+    feature), and the seed only enters where a caller asks for a
+    held-out split (:meth:`holdout_split`).
     """
 
-    name = "learned"
-
-    def __init__(self, featurizer: Callable[[dict], np.ndarray]
-                 | None = None,
-                 seed: int = 0, l2: float = 1e-2, boost_rounds: int = 32,
-                 learning_rate: float = 0.3):
-        self.featurizer = featurizer
+    def __init__(self, seed: int = 0, l2: float = 1e-2,
+                 boost_rounds: int = 32, learning_rate: float = 0.3):
         self.seed = int(seed)
         self.l2 = float(l2)
         self.boost_rounds = int(boost_rounds)
@@ -271,8 +262,7 @@ class LearnedCostModel(CostModel):
         """Fit on an ``(N, F)`` matrix and ``N`` log-space targets.
 
         Rows must arrive in a canonical order for bit-reproducible
-        weights; the corpus helpers (:meth:`fit_pairs`,
-        :meth:`ResidualCostModel.fit_from_cache`) sort by
+        weights; :meth:`ResidualCostModel.fit_from_cache` orders them by
         :func:`~repro.slapo.tuner.cache.config_key` before calling.
         """
         X = np.asarray(features, dtype=np.float64)
@@ -315,19 +305,6 @@ class LearnedCostModel(CostModel):
             self._stumps.append(stump)
             residual = residual - self._stump_column(stump, Z)
         return self
-
-    def fit_pairs(self, configs: Sequence[dict], targets: Sequence[float]
-                  ) -> "LearnedCostModel":
-        """Featurize ``configs`` (via ``featurizer``) and fit on
-        ``log(targets)``.  Rows are sorted by canonical config key first,
-        so the fitted weights are invariant to trial ordering."""
-        if self.featurizer is None:
-            raise ValueError("fit_pairs needs a featurizer")
-        rows = sorted(zip(configs, targets),
-                      key=lambda pair: config_key(pair[0]))
-        X = np.stack([self.featurizer(config) for config, _ in rows])
-        y = np.array([math.log(float(value)) for _, value in rows])
-        return self.fit(X, y)
 
     def _fit_stump(self, Z: np.ndarray, residual: np.ndarray,
                    orders: np.ndarray) -> _Stump | None:
@@ -423,28 +400,6 @@ class LearnedCostModel(CostModel):
         held = max(1, int(round(fraction * n))) if n > 1 else 0
         return np.sort(order[held:]), np.sort(order[:held])
 
-    # -- CostModel contract -------------------------------------------- #
-    def estimate(self, config: dict) -> CostEstimate:
-        if self.featurizer is None:
-            raise ValueError("estimate() needs a featurizer")
-        if not self.trained:
-            return CostEstimate(throughput=0.0, fits=False)
-        value = self.predict_features(self.featurizer(config)[None])[0]
-        return CostEstimate(throughput=float(np.exp(value)), fits=True)
-
-    def predict_many(self, configs: Sequence[dict]) -> list[CostEstimate]:
-        if self.featurizer is None:
-            raise ValueError("predict_many() needs a featurizer")
-        if not self.trained:
-            return [CostEstimate(throughput=0.0, fits=False)
-                    for _ in configs]
-        if not configs:
-            return []
-        X = np.stack([self.featurizer(config) for config in configs])
-        rates = np.exp(self.predict_features(X))
-        return [CostEstimate(throughput=float(rate), fits=True)
-                for rate in rates]
-
     # -- serialization -------------------------------------------------- #
     def state(self) -> dict:
         """JSON-ready weights + schema + hyperparameters."""
@@ -476,9 +431,7 @@ class LearnedCostModel(CostModel):
                           separators=(",", ":"))
 
     @classmethod
-    def from_state(cls, state: dict,
-                   featurizer: Callable[[dict], np.ndarray] | None = None
-                   ) -> "LearnedCostModel":
+    def from_state(cls, state: dict) -> "LearnedCostModel":
         if state.get("feature_version") != FEATURE_VERSION or \
                 tuple(state.get("feature_names", ())) != FEATURE_NAMES:
             raise StaleWeightsError(
@@ -492,8 +445,8 @@ class LearnedCostModel(CostModel):
             raise StaleWeightsError(
                 f"unsupported weights envelope "
                 f"v{state.get('weights_version')}")
-        model = cls(featurizer=featurizer, seed=state["seed"],
-                    l2=state["l2"], boost_rounds=state["boost_rounds"],
+        model = cls(seed=state["seed"], l2=state["l2"],
+                    boost_rounds=state["boost_rounds"],
                     learning_rate=state["learning_rate"])
         model.num_samples = int(state["num_samples"])
         model._mean = np.array(state["mean"])
@@ -509,10 +462,8 @@ class LearnedCostModel(CostModel):
         return model
 
     @classmethod
-    def from_json(cls, text: str,
-                  featurizer: Callable[[dict], np.ndarray] | None = None
-                  ) -> "LearnedCostModel":
-        return cls.from_state(json.loads(text), featurizer=featurizer)
+    def from_json(cls, text: str) -> "LearnedCostModel":
+        return cls.from_state(json.loads(text))
 
 
 def mean_relative_error(predicted, measured) -> float:
@@ -538,9 +489,10 @@ class ResidualCostModel(CostModel):
     come from the analytic model — the learned part only ever re-ranks
     feasible configurations.
 
-    Fallback to *pure analytic* (recorded per config in
-    :meth:`rank_source`, surfaced as ``TuneReport.rankers``) happens
-    when:
+    Every estimate says which model ranked it: ``ranked_by="residual"``
+    where the correction applied, ``"analytic"`` where it fell back to
+    the *pure analytic* estimate (surfaced as ``TuneReport.rankers``).
+    The fallback happens when:
 
     * the corpus holds fewer than ``min_samples`` usable pairs
       (:attr:`active` is then False and the wrapper is the identity);
@@ -582,7 +534,6 @@ class ResidualCostModel(CostModel):
         self.num_fallbacks = 0
         #: corpus rows used by the last fit_from_cache
         self.corpus_size = 0
-        self._batch = _RankedBatch((), np.zeros(0, dtype=bool))
 
     @property
     def active(self) -> bool:
@@ -668,8 +619,8 @@ class ResidualCostModel(CostModel):
                  ) -> tuple[np.ndarray, np.ndarray]:
         """Corrected copies of the analytic ``rates`` and the mask of
         rows the correction applied to; only ``usable`` rows are
-        candidates.  Features are rows of ``X``, or those of ``configs``,
-        whose batch is then published for :meth:`rank_source`."""
+        candidates.  Features are rows of ``X``, or those of
+        ``configs``."""
         out = rates.copy()
         applied = np.zeros(len(rates), dtype=bool)
         rows = np.flatnonzero(usable)
@@ -682,77 +633,30 @@ class ResidualCostModel(CostModel):
             rows = rows[inside]
             out[rows] = rates[rows] * corrections[inside]
             applied[rows] = True
-        if configs is not None:
-            # One assignment, so a concurrent batch on a shared model can
-            # never interleave its rows with this one's.
-            self._batch = _RankedBatch(tuple(configs), applied)
         return out, applied
 
-    def _corrected(self, configs: Sequence[dict],
-                   base: Sequence[CostEstimate]) -> list[CostEstimate]:
+    def predict_many(self, configs: Sequence[dict]) -> list[CostEstimate]:
+        """The analytic estimates of ``configs``, corrected where the
+        coverage guard lets the correction apply."""
+        base = self.analytic.predict_many(configs)
         rates = np.array([estimate.throughput for estimate in base],
                          dtype=np.float64)
         usable = np.array([estimate.fits and estimate.throughput > 0
                            for estimate in base], dtype=bool)
         out, applied = self._correct(rates, usable, configs)
-        return [CostEstimate(throughput=float(out[i]), fits=estimate.fits,
-                             memory_bytes=estimate.memory_bytes)
-                if applied[i] else estimate
+        return [replace(estimate, throughput=float(out[i]),
+                        ranked_by="residual")
+                if applied[i] else replace(estimate, ranked_by="analytic")
                 for i, estimate in enumerate(base)]
-
-    def estimate(self, config: dict) -> CostEstimate:
-        return self._corrected([config],
-                               [self.analytic.estimate(config)])[0]
-
-    def predict_many(self, configs: Sequence[dict], base=None
-                     ) -> list[CostEstimate]:
-        """Corrected estimates for ``configs``.
-
-        ``base``, when given, holds the analytic throughputs of configs
-        the caller already priced and knows to be feasible (one per
-        config, on this model's analytic basis); they are corrected
-        as they are, without re-pricing.
-        """
-        if base is None:
-            return self._corrected(configs,
-                                   self.analytic.predict_many(configs))
-        rates = np.array(base, dtype=np.float64)
-        if rates.shape != (len(configs),):
-            raise ValueError(f"base must hold one rate per config: "
-                             f"{len(configs)} configs, base of shape "
-                             f"{rates.shape}")
-        out, _ = self._correct(rates, rates > 0, configs)
-        return list(map(CostEstimate, out.tolist()))
 
     def correct_rates(self, config_block: np.ndarray,
                       model_stats: ModelStats, base) -> np.ndarray:
-        """``predict_many(configs, base)``'s rates, with the configs given
-        by their :func:`config_features` block: the default featurizer's
-        ``model_stats`` and cluster blocks are broadcast onto it.  Leaves
-        :meth:`rank_source` alone."""
+        """Corrected copies of the analytic rates ``base`` (positive rates
+        only are candidates) of configs given by their
+        :func:`config_features` block: the default featurizer's
+        ``model_stats`` and cluster blocks are broadcast onto it."""
         if self._featurizer is not None:
             raise ValueError("correct_rates needs the default featurizer")
         rates = np.asarray(base, dtype=np.float64)
         X = feature_matrix(config_block, model_stats, self.analytic.cluster)
         return self._correct(rates, rates > 0, X=X)[0]
-
-    def rank_source(self, config: dict) -> str:
-        """Which model ranked this config in the most recent prediction
-        batch (earlier batches are forgotten)."""
-        return "residual" if config_key(config) in \
-            self._batch.residual_keys else "analytic"
-
-
-class _RankedBatch:
-    """The configs of one prediction batch and the rows the correction
-    applied to.  Config keys are only built when :meth:`rank_source
-    <ResidualCostModel.rank_source>` first asks."""
-
-    def __init__(self, configs: tuple, applied: np.ndarray):
-        self.configs = configs
-        self.applied = applied
-
-    @functools.cached_property
-    def residual_keys(self) -> frozenset[str]:
-        return frozenset(config_key(self.configs[i])
-                         for i in np.flatnonzero(self.applied))

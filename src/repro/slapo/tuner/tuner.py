@@ -125,11 +125,6 @@ class TuneReport:
             return 0.0
         return sum(abs(p - m) / m for p, m in pairs) / len(pairs)
 
-    @property
-    def mean_prediction_error(self) -> float:
-        """Alias of :attr:`mean_relative_error` (pre-PR-9 name)."""
-        return self.mean_relative_error
-
 
 @dataclass
 class TuneResult:
@@ -185,20 +180,16 @@ class AutoTuner:
         self.space_scans = 1
         #: feasibility probes answered (each is O(1) via the index)
         self.feasibility_checks = 0
-        # One pass builds both indices; every later feasibility or
-        # coordinate-candidate query is a dict/set lookup, not a rescan.
-        self._feasible: set[tuple] = set()
-        self._coord_index: dict[tuple[str, frozenset], list] = {}
-        self._config_order: dict[tuple, int] = {}
+        # One pass builds the space index: trial key -> first enumeration
+        # position, plus each coordinate's distinct values.  Feasibility,
+        # ranking tiebreaks and coordinate candidates are lookups in it,
+        # never a rescan.
+        self._position: dict[tuple, int] = {}
+        self._values: dict[str, dict] = {}
         for position, config in enumerate(self.configs):
-            self._feasible.add(_trial_key(config))
-            self._config_order.setdefault(_trial_key(config), position)
-            items = config.items()
-            for coord, value in items:
-                others = frozenset((k, v) for k, v in items if k != coord)
-                values = self._coord_index.setdefault((coord, others), [])
-                if value not in values:
-                    values.append(value)
+            self._position.setdefault(_trial_key(config), position)
+            for coord, value in config.items():
+                self._values.setdefault(coord, {})[value] = None
 
     def _config_rank(self, config: dict) -> tuple:
         """Deterministic tiebreak for equally-predicted configurations.
@@ -208,19 +199,19 @@ class AutoTuner:
         (whose default repr embeds memory addresses).  Configs bred
         outside the enumerated space sort after, by key repr.
         """
-        index = self._config_order.get(_trial_key(config))
+        index = self._position.get(_trial_key(config))
         if index is not None:
             return (0, index, "")
         return (1, 0, repr(_trial_key(config)))
 
     # ------------------------------------------------------------------ #
     def _evaluate(self, config: dict) -> Trial:
-        return self._evaluate_many([(None, config)])[0]
+        return self._evaluate_many([(None, config, None)])[0]
 
-    def _evaluate_many(self, scored: list[tuple],
-                       model: CostModel | None = None) -> list[Trial]:
-        """Evaluate ``(predicted, config)`` pairs ranked by ``model``
-        (``predicted`` is None where nothing ranked them).
+    def _evaluate_many(self, scored: list[tuple]) -> list[Trial]:
+        """Evaluate ``(predicted, config, ranked_by)`` triples (see
+        :meth:`_score`; ``predicted`` and ``ranked_by`` are None where no
+        model ranked the config).
 
         Memo hits return their recorded trial; every other distinct
         config is measured once, through :func:`.workers.measure`.  Lost
@@ -228,12 +219,11 @@ class AutoTuner:
         cached, so only the affected trials are forfeited — a clean
         rerun measures them.
         """
-        keys = [_trial_key(config) for _, config in scored]
+        keys = [_trial_key(config) for _, config, _ in scored]
         fresh: dict[tuple, tuple] = {}
-        for key, (predicted, config) in zip(keys, scored):
+        for key, row in zip(keys, scored):
             if key not in self._memo and key not in fresh:
-                fresh[key] = (predicted, config, None if model is None
-                              else model.rank_source(config))
+                fresh[key] = row
         results = measure([config for _, config, _ in fresh.values()],
                           self.evaluate_fn, self.cache)
         batch: dict[tuple, Trial] = {}
@@ -284,26 +274,30 @@ class AutoTuner:
         return as_cost_model(cost_model)
 
     def _score(self, configs: list[dict], model: CostModel | None = None
-               ) -> tuple[list[tuple[float, dict]], list[dict]]:
+               ) -> tuple[list[tuple[float, dict, str]], list[dict]]:
         """Price ``configs`` with the cost model, whole list at once.
 
         Goes through :meth:`CostModel.predict_many`, so a vectorized
         model (:class:`.cost_model.SimCostModel`) prices the entire
         space in one batched call — exhaustive-by-prediction ranking at
-        any space size.  Returns the feasible configs ranked
-        deterministically (predicted throughput descending, config key
-        as the tiebreak) and the list of predicted-infeasible ones.
+        any space size.  Returns ``(predicted, config, ranked_by)``
+        triples for the feasible configs, ranked deterministically
+        (predicted throughput descending, config key as the tiebreak),
+        and the list of pruned ones: predicted infeasible, or predicted
+        at a throughput that is not a finite positive number (the rule
+        :func:`.workers.measure` applies to measurements).
         """
         model = self.cost_model if model is None else model
-        scored: list[tuple[float, dict]] = []
+        scored: list[tuple[float, dict, str]] = []
         pruned: list[dict] = []
         for config, estimate in zip(configs,
                                     model.predict_many(configs)):
-            if not estimate.fits or estimate.throughput <= 0:
+            rate = estimate.throughput
+            if not (estimate.fits and math.isfinite(rate) and rate > 0):
                 pruned.append(config)
                 continue
-            scored.append((estimate.throughput, config))
-        scored.sort(key=lambda pair: (-pair[0], self._config_rank(pair[1])))
+            scored.append((rate, config, estimate.ranked_by or model.name))
+        scored.sort(key=lambda row: (-row[0], self._config_rank(row[1])))
         return scored, pruned
 
     @staticmethod
@@ -370,7 +364,8 @@ class AutoTuner:
     def exhaustive(self) -> TuneResult:
         """Evaluate every configuration in the space (the baseline)."""
         start = len(self._trials)
-        self._evaluate_many([(None, config) for config in self.configs])
+        self._evaluate_many([(None, config, None)
+                             for config in self.configs])
         return self._result(self._report("exhaustive"), start)
 
     def coordinate_descent(self, restarts: int = 1,
@@ -447,7 +442,7 @@ class AutoTuner:
         if quota > 0:
             picks = self._rng.choice(len(rest), size=quota, replace=False)
             chosen += [rest[int(i)] for i in sorted(picks)]
-        self._evaluate_many(chosen, model)
+        self._evaluate_many(chosen)
         skipped = len(scored) - len(chosen)
         report = self._report("simulator_guided", pruned=pruned,
                               skipped=skipped)
@@ -461,7 +456,7 @@ class AutoTuner:
 
         Each generation breeds ``population`` offspring by uniform
         crossover of tournament-selected parents followed by coordinate
-        mutation (mutations draw from the coordinate index, so children
+        mutation (mutations draw from the space index, so children
         stay inside the polygon space).  With a cost model attached,
         predicted-infeasible candidates are pruned for free and each
         brood is ranked by predicted throughput with only the top
@@ -499,10 +494,10 @@ class AutoTuner:
             scored, seed_pruned = self._score(seeds, model)
             pruned_keys.update(_trial_key(c) for c in seed_pruned)
             skipped_keys.update(_trial_key(c)
-                                for _, c in scored[pop_size:])
-            current = self._evaluate_many(scored[:pop_size], model)
+                                for _, c, _ in scored[pop_size:])
+            current = self._evaluate_many(scored[:pop_size])
         else:
-            current = self._evaluate_many([(None, c) for c in seeds])
+            current = self._evaluate_many([(None, c, None) for c in seeds])
         if not current:  # cost model rejected the entire sample
             return finish()
 
@@ -530,10 +525,12 @@ class AutoTuner:
                 pruned_keys.update(_trial_key(c) for c in brood_pruned)
                 keep = max(1, math.ceil(prefilter * len(scored))) \
                     if scored else 0
-                skipped_keys.update(_trial_key(c) for _, c in scored[keep:])
-                offspring = self._evaluate_many(scored[:keep], model)
+                skipped_keys.update(_trial_key(c)
+                                    for _, c, _ in scored[keep:])
+                offspring = self._evaluate_many(scored[:keep])
             else:
-                offspring = self._evaluate_many([(None, c) for c in brood])
+                offspring = self._evaluate_many([(None, c, None)
+                                                 for c in brood])
             # Generational replacement with elitism: the best `elite`
             # parents always survive, the rest of the slots go to the
             # fittest of (offspring ∪ remaining parents).
@@ -542,7 +539,7 @@ class AutoTuner:
         return finish()
 
     # ------------------------------------------------------------------ #
-    # Genetic operators (all feasibility-preserving via the indices)
+    # Genetic operators (all feasibility-preserving via the index)
     # ------------------------------------------------------------------ #
     def _tournament(self, size: int, k: int = 3) -> int:
         """Index of the best of ``k`` random entrants (lower index = fitter)."""
@@ -576,10 +573,17 @@ class AutoTuner:
     # ------------------------------------------------------------------ #
     def _is_feasible(self, config: dict) -> bool:
         self.feasibility_checks += 1
-        return _trial_key(config) in self._feasible
+        return _trial_key(config) in self._position
 
     def _coordinate_candidates(self, current: dict, coord: str) -> list:
+        """The values of ``coord`` that keep ``current``'s other
+        coordinates inside the space, in enumeration order."""
         if coord not in current:
             return []
-        others = frozenset((k, v) for k, v in current.items() if k != coord)
-        return list(self._coord_index.get((coord, others), ()))
+        hits = []
+        for value in self._values.get(coord, ()):
+            position = self._position.get(
+                _trial_key({**current, coord: value}))
+            if position is not None:
+                hits.append((position, value))
+        return [value for _, value in sorted(hits, key=lambda hit: hit[0])]

@@ -122,13 +122,9 @@ class TestLearnedModel:
                               model.predict_features(X))
 
     def test_predict_many_bit_exact_vs_scalar(self):
-        configs, X, y = synthetic_corpus()
-        model = LearnedCostModel(featurizer=config_featurizer).fit(X, y)
-        batch = model.predict_many(configs)
-        for config, estimate in zip(configs, batch):
-            assert estimate.throughput == \
-                model.estimate(config).throughput
-        # and the feature-matrix path row-for-row against 1-row calls
+        _, X, y = synthetic_corpus()
+        model = LearnedCostModel().fit(X, y)
+        # the feature-matrix path row-for-row against 1-row calls
         batch_rows = model.predict_features(X)
         single_rows = np.array([model.predict_features(X[i][None])[0]
                                 for i in range(len(X))])
@@ -174,15 +170,6 @@ class TestLearnedModel:
                                               np.exp(held_y)))
         assert errors[0] > errors[1] > errors[2]
         assert errors[2] < 0.02
-
-    def test_fit_pairs_permutation_invariant(self):
-        configs, _, _ = synthetic_corpus(n=24)
-        rates = [measured_rate(c) for c in configs]
-        forward = LearnedCostModel(featurizer=config_featurizer)
-        forward.fit_pairs(configs, rates)
-        backward = LearnedCostModel(featurizer=config_featurizer)
-        backward.fit_pairs(configs[::-1], rates[::-1])
-        assert forward.to_json() == backward.to_json()
 
 
 # --------------------------------------------------------------------- #
@@ -258,9 +245,9 @@ class TestResidualModel:
         assert residual.fit_from_cache(cache) == 0
         assert not residual.active
         config = {"batch_size": 120, "ckpt_ratio": 0.5}
-        assert residual.estimate(config).throughput == \
-            analytic_rate(config)
-        assert residual.rank_source(config) == "analytic"
+        estimate = residual.estimate(config)
+        assert estimate.throughput == analytic_rate(config)
+        assert estimate.ranked_by == "analytic"
 
     def test_residual_below_min_samples_is_identity(self, tmp_path):
         residual = self.make_residual(min_samples=8)
@@ -282,8 +269,9 @@ class TestResidualModel:
             self.seeded_cache(tmp_path, configs)) == len(configs)
         assert residual.active
         probe = {"batch_size": 128, "ckpt_ratio": 0.5}
-        corrected = residual.estimate(probe).throughput
-        assert residual.rank_source(probe) == "residual"
+        estimate = residual.estimate(probe)
+        corrected = estimate.throughput
+        assert estimate.ranked_by == "residual"
         truth = measured_rate(probe)
         assert abs(corrected - truth) / truth < \
             abs(analytic_rate(probe) - truth) / truth
@@ -306,9 +294,9 @@ class TestResidualModel:
         residual.fit_from_cache(self.seeded_cache(tmp_path, configs))
         assert residual.active
         alien = {"batch_size": 4096, "ckpt_ratio": 0.5}
-        assert residual.estimate(alien).throughput == \
-            analytic_rate(alien)
-        assert residual.rank_source(alien) == "analytic"
+        estimate = residual.estimate(alien)
+        assert estimate.throughput == analytic_rate(alien)
+        assert estimate.ranked_by == "analytic"
         assert residual.num_fallbacks == 1
 
     def test_context_filter_selects_matching_rows(self, tmp_path):
@@ -563,24 +551,9 @@ class TestCorrectPricedBatch:
         assert residual.active
         return residual
 
-    def test_base_rates_match_repricing(self, tmp_path):
-        residual = self.trained(tmp_path)
-        probes = [{"batch_size": batch, "ckpt_ratio": ratio}
-                  for batch in (100, 128, 150, 4096)
-                  for ratio in (0.25, 0.67)]
-        repriced = residual.predict_many(probes)
-        sources = [residual.rank_source(c) for c in probes]
-        given = residual.predict_many(
-            probes, base=[analytic_rate(c) for c in probes])
-        assert [e.throughput for e in given] == \
-            [e.throughput for e in repriced]
-        assert [residual.rank_source(c) for c in probes] == sources
-        assert set(sources) == {"analytic", "residual"}
-        with pytest.raises(ValueError, match="one rate per config"):
-            residual.predict_many(probes, base=[1.0])
-
-    def test_concurrent_batches_keep_their_own_rank_sources(self,
-                                                            tmp_path):
+    def test_concurrent_batches_keep_their_own_ranked_by(self, tmp_path):
+        """Two threads predicting on one shared, fitted model each get
+        the ``ranked_by`` list a lone call gets."""
         import sys
         import threading
 
@@ -588,25 +561,29 @@ class TestCorrectPricedBatch:
         batches = [[{"batch_size": batch, "ckpt_ratio": ratio}
                     for batch in range(104 + 4 * k, 177, 8)
                     for ratio in (0.25, 0.34, 0.5, 0.67, 1.0)]
+                   + [{"batch_size": 4096 * (k + 1), "ckpt_ratio": 0.5}]
                    for k in (0, 1)]
-        keys = [{config_key(c) for c in batch} for batch in batches]
+        alone = [[e.ranked_by for e in residual.predict_many(batch)]
+                 for batch in batches]
+        assert all({"analytic", "residual"} == set(sources)
+                   for sources in alone)
 
-        def predict(batch):
-            residual.predict_many(batch)
+        def predict(k, got):
+            got[k] = [e.ranked_by for e in
+                      residual.predict_many(batches[k])]
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(40):
-                threads = [threading.Thread(target=predict, args=(batch,))
-                           for batch in batches]
+                got = [None, None]
+                threads = [threading.Thread(target=predict, args=(k, got))
+                           for k in (0, 1)]
                 for thread in threads:
                     thread.start()
                 for thread in threads:
                     thread.join(timeout=30)
-                ranked = {config_key(c) for batch in batches for c in batch
-                          if residual.rank_source(c) == "residual"}
-                # the last published batch, whole: never a mixture
-                assert ranked and any(ranked <= k for k in keys)
+                assert not any(thread.is_alive() for thread in threads)
+                assert got == alone
         finally:
             sys.setswitchinterval(interval)

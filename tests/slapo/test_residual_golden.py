@@ -10,7 +10,7 @@ cluster times a config-dependent bias):
   ``ckpt_ratio``, ``placement``, unknown schedules, missing keys), with
   and without the stats/cluster/trace blocks;
 * each corpus's fitted ``ResidualCostModel`` weights (``to_json()``);
-* the ``in_distribution`` mask, the rank sources and the corrected rates
+* the ``in_distribution`` mask, each row's ``ranked_by`` and corrected rate
   over a sample of each pair's feasible plan space;
 * one budgeted :class:`~repro.slapo.PlanService` episode: every answer's
   (config, throughput, cost model, measurements), the final cache digest
@@ -166,7 +166,7 @@ def pair_outputs(cache: TrialCache, family: str, world: int) -> dict:
     # the default featurizer: config, stats and cluster blocks, trace
     # block zeroed
     X = featurize_many(space, stats, cluster)
-    rates = [e.throughput for e in residual.predict_many(space)]
+    estimates = residual.predict_many(space)
     return dict(
         edge_features=featurize_many(list(EDGE_CONFIGS), stats, cluster,
                                      trace).tolist(),
@@ -176,8 +176,8 @@ def pair_outputs(cache: TrialCache, family: str, world: int) -> dict:
         weights=residual.learned.to_json(),
         in_distribution=residual.learned.in_distribution(
             X, margin=residual.ood_margin).tolist(),
-        sources=[residual.rank_source(config) for config in space],
-        rates=rates,
+        sources=[estimate.ranked_by for estimate in estimates],
+        rates=[estimate.throughput for estimate in estimates],
     )
 
 

@@ -7,6 +7,7 @@ regression for coordinate descent.
 """
 
 import json
+import math
 
 import pytest
 
@@ -32,9 +33,28 @@ def paper_fig6_space(space):
     return space
 
 
+def mesh_space(space):
+    """A conditional mesh space: keys differ on either side of pp == 1."""
+    from repro.pipeline import SCHEDULE_NAMES
+    from repro.slapo.tuner import parallelism_symbols
+    from repro.slapo.tuner.space import DEFAULT_PLACEMENTS
+
+    parallelism_symbols(space, 64, max_ep=4,
+                        pipeline_schedules=SCHEDULE_NAMES,
+                        overlap_grad_sync=True,
+                        placements=DEFAULT_PLACEMENTS)
+    space.create_symbol("zero_stage", [0, 1])
+    space.create_symbol("micro_batch", [1, 2])
+
+
 def rect_space(space):
     space.create_symbol("a", [1, 2, 3, 4, 5, 6, 7, 8])
     space.create_symbol("b", [10, 20, 30, 40, 50])
+
+
+def six_space(space):
+    space.create_symbol("a", [1, 2, 3])
+    space.create_symbol("b", [10, 20])
 
 
 def rect_throughput(config):
@@ -70,11 +90,18 @@ class TestCostModelContract:
 
     def test_instance_passthrough(self):
         class Fixed(CostModel):
-            def estimate(self, config):
-                return CostEstimate(throughput=1.0)
+            def predict_many(self, configs):
+                return [CostEstimate(throughput=1.0) for _ in configs]
 
         model = Fixed()
         assert as_cost_model(model) is model
+        assert model.estimate({}) == CostEstimate(throughput=1.0)
+
+    def test_estimates_name_their_model(self):
+        estimates = as_cost_model(lambda c: c["x"]).predict_many(
+            [{"x": 2.0}, {"x": 0.0}])
+        assert [e.ranked_by for e in estimates] == ["callable"] * 2
+        assert [e.fits for e in estimates] == [True, False]
 
     def test_rejects_non_callable(self):
         with pytest.raises(TypeError):
@@ -131,7 +158,7 @@ class TestSimulatorGuided:
         assert report.strategy == "simulator_guided"
         assert len(report.predictions) == report.num_trials
         # The oracle is 8% pessimistic by construction.
-        assert report.mean_prediction_error == pytest.approx(0.08, abs=0.01)
+        assert report.mean_relative_error == pytest.approx(0.08, abs=0.01)
         assert report.exhaustive_seconds > report.search_seconds
         assert report.seconds_saved > 0
 
@@ -155,6 +182,34 @@ class TestSimulatorGuided:
         # ...and earlier results are not rewritten retroactively: the
         # exhaustive run made no predictions, so its trials carry none.
         assert all(t.predicted is None for t in first.trials)
+
+
+    def test_infinite_estimate_is_pruned(self):
+        """A config priced at +inf is pruned, not measured first."""
+        odd = {"a": 2, "b": 20}
+        tuner = AutoTuner(six_space, rect_throughput, seed=0,
+                          cost_model=lambda c: math.inf if c == odd
+                          else rect_throughput(c) * 0.9)
+        result = tuner.simulator_guided(top_k=2, exploration=0)
+        assert odd not in [t.config for t in result.trials]
+        assert result.report.num_pruned == 1
+        assert result.report.mean_relative_error == pytest.approx(0.1)
+
+    def test_nan_estimate_that_fits_is_pruned(self):
+        class NanForOne(CostModel):
+            def predict_many(self, configs):
+                return [CostEstimate(math.nan if c["a"] == 2 else
+                                     float(c["a"] * 100 + c["b"]))
+                        for c in configs]
+
+        tuner = AutoTuner(six_space, rect_throughput, seed=0,
+                          cost_model=NanForOne())
+        result = tuner.simulator_guided(top_k=6, exploration=0)
+        assert result.report.num_pruned == 2
+        # measured best-predicted first, the NaN-priced configs never
+        assert [(t.config["a"], t.config["b"]) for t in result.trials] \
+            == [(3, 20), (3, 10), (1, 20), (1, 10)]
+        assert result.report.rankers == {"cost_model": 4}
 
 
 class TestReportBaseline:
@@ -384,14 +439,24 @@ class TestCoordinateIndex:
         assert tuner.space_scans < len(tuner.configs)
         assert tuner.space_scans <= 3
 
-    def test_candidates_match_bruteforce_scan(self):
-        tuner = AutoTuner(paper_fig6_space, synthetic_throughput)
-        for current in (tuner.configs[0], tuner.configs[-1]):
+    @pytest.mark.parametrize("update", [paper_fig6_space, mesh_space],
+                             ids=["fig6", "mesh"])
+    def test_candidates_match_bruteforce_scan(self, update):
+        tuner = AutoTuner(update, lambda config: 1.0)
+        # rows on both sides of pp == 1, where the mesh space's key set
+        # changes (num_micro_batches and pipeline_schedule need pp > 1)
+        sides = [[c for c in tuner.configs if c.get("pp", 1) == 1],
+                 [c for c in tuner.configs if c.get("pp", 1) > 1]]
+        rows = [side[i] for side in sides if side
+                for i in (0, len(side) // 2, -1)]
+        for current in rows:
             for coord in current:
                 expected = []
                 others = {k: v for k, v in current.items() if k != coord}
                 for config in tuner.configs:
-                    if all(config.get(k) == v for k, v in others.items()) \
+                    if config.keys() == current.keys() \
+                            and all(config[k] == v
+                                    for k, v in others.items()) \
                             and config[coord] not in expected:
                         expected.append(config[coord])
                 assert tuner._coordinate_candidates(current, coord) \
