@@ -16,6 +16,7 @@ from repro.baselines import PipelineRuntime
 from repro.distributed import DeviceMesh, ParallelConfig
 from repro.framework import functional as F
 from repro.models import GPT_2_9B, GPT2LMHeadModel
+from repro.pipeline import simulate_program
 
 
 def main():
@@ -61,7 +62,8 @@ def main():
     mean_loss = runtime.train_step(micro_inputs, loss_fn)
     print(f"1F1B mean micro-batch loss: {mean_loss:.4f} "
           f"(full-batch: {loss.item():.4f})")
-    print(f"pipeline bubble fraction: {runtime.bubble_fraction():.2f}")
+    timeline = simulate_program(runtime.program(), {"F": 1.0, "B": 1.0})
+    print(f"pipeline bubble fraction: {timeline.bubble_fraction:.2f}")
 
     worst = 0.0
     for name, p in model.named_parameters():

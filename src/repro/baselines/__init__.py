@@ -11,12 +11,7 @@ from .megatron import (
     VocabParallelEmbedding,
     build_megatron_model,
 )
-from .pipeline_runtime import (
-    PipelineRuntime,
-    ScheduleTick,
-    gpipe_schedule,
-    one_f_one_b_schedule,
-)
+from .pipeline_runtime import PipelineRuntime
 from .systems import (
     EVALUATORS,
     PIPELINE_LAYER_PATHS,
@@ -27,15 +22,13 @@ from .systems import (
     evaluate_slapo_tp,
     evaluate_slapo_zero3,
 )
-from .zero import ZeroOptimizer, zero3_partition
+from .zero import ZeroOptimizer
 
 __all__ = [
     "build_megatron_model", "MegatronLanguageModel", "UnsupportedModelError",
     "ColumnParallelLinear", "RowParallelLinear", "VocabParallelEmbedding",
     "MegatronParallelAttention", "MegatronParallelMLP", "SUPPORTED_FAMILIES",
-    "ZeroOptimizer", "zero3_partition",
-    "PipelineRuntime", "ScheduleTick", "gpipe_schedule",
-    "one_f_one_b_schedule",
+    "ZeroOptimizer", "PipelineRuntime",
     "SystemResult", "EVALUATORS", "evaluate_megatron", "evaluate_deepspeed",
     "evaluate_slapo_tp", "evaluate_slapo_zero3", "evaluate_slapo_pp",
     "PIPELINE_LAYER_PATHS",

@@ -7,9 +7,12 @@ micro-batches).  The runtime executes any registered tick program
 stage's forward or backward for one micro-batch, activations are handed
 off between stages at forward ticks, and output-gradients are handed
 back at backward ticks — so GPipe, 1F1B, interleaved virtual stages and
-zero-bubble programs all exercise their actual execution orders.  The
-*performance* consequence (bubble, per-stage busy/idle) is priced by
-:mod:`repro.sim.pipeline` off the same programs.
+zero-bubble programs all exercise their actual execution orders.  After
+a step, ``last_trace`` holds the :class:`~repro.pipeline.TickOp` ops
+it ran.  The *performance* consequence (bubble, per-stage busy/idle) is
+priced off the same program by :func:`repro.pipeline.simulate_program`
+(``simulate_program(runtime.program(), {"F": 1.0, "B": 1.0})`` at unit
+cost) and :mod:`repro.sim.pipeline`.
 
 Per-stage backward uses the vector-Jacobian trick: stage boundaries are
 detached (with ``requires_grad``), and a stage's backward seeds its tape
@@ -23,56 +26,11 @@ prices ``B``/``W`` separately, which is where the zb bubble win lives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.framework.module import Module
 from repro.framework.tensor import Tensor
 from repro.pipeline import TickOp, make_program, schedule_info
-
-#: tick-program op kinds → the runtime's legacy tick names
-KIND_NAMES = {"F": "forward", "B": "backward", "W": "weight"}
-
-
-@dataclass
-class ScheduleTick:
-    """One slot of the pipeline schedule: which stage does what."""
-
-    stage: int
-    kind: str  # "forward" | "backward" | "weight"
-    micro_batch: int
-    chunk: int = 0
-
-
-def _as_ticks(ops: Sequence[TickOp]) -> list[ScheduleTick]:
-    return [ScheduleTick(op.stage, KIND_NAMES[op.kind], op.micro_batch,
-                         op.chunk) for op in ops]
-
-
-def gpipe_schedule(num_stages: int, num_micro: int) -> list[ScheduleTick]:
-    """All forwards, then all backwards (GPipe), linearized."""
-    return _as_ticks(make_program("gpipe", num_stages,
-                                  num_micro).linearize())
-
-
-def one_f_one_b_schedule(num_stages: int, num_micro: int
-                         ) -> list[ScheduleTick]:
-    """1F1B, stage-accurate: per-stage warm-up, steady 1F1B, cool-down.
-
-    Stage ``s`` (0-indexed) warms up with ``min(p - s - 1, m)`` forwards,
-    then alternates one forward / one backward, then drains its remaining
-    backwards — Megatron-LM's schedule.  Consequently stage ``s`` holds at
-    most ``min(p - s, m)`` micro-batches of activations in flight (the
-    first stage is the memory bottleneck, the last stage holds one);
-    :func:`repro.sim.memory.stage_inflight` prices exactly this invariant.
-
-    The flat tick list is the program's deadlock-free linearization
-    (:meth:`repro.pipeline.TickProgram.linearize`): ``forward(s, i)``
-    after ``forward(s-1, i)``, and ``backward(s, i)`` after both
-    ``forward(s, i)`` and ``backward(s+1, i)``.
-    """
-    return _as_ticks(make_program("1f1b", num_stages,
-                                  num_micro).linearize())
 
 
 class PipelineRuntime:
@@ -107,17 +65,14 @@ class PipelineRuntime:
                 f"{num_stages} stages × {self.num_chunks} chunks"
             )
         self.num_stages = num_stages
-        #: execution record of the last ``train_step`` (one entry per tick)
-        self.last_trace: list[ScheduleTick] = []
+        #: the ``TickOp``s the last ``train_step`` ran, in execution order
+        self.last_trace: list[TickOp] = []
         #: peak in-flight activation chunks per physical stage, observed
         self.last_stage_peaks: tuple[int, ...] = ()
 
     def program(self):
         """The tick program this runtime executes."""
         return make_program(self.schedule, self.num_stages, self.num_micro)
-
-    def ticks(self) -> list[ScheduleTick]:
-        return _as_ticks(self.program().linearize())
 
     @property
     def fillable(self) -> bool:
@@ -188,9 +143,9 @@ class PipelineRuntime:
         inflight = [0] * self.num_stages
         peaks = [0] * self.num_stages
         losses: list[float] = []
-        trace: list[ScheduleTick] = []
+        ops = program.linearize()
 
-        for op in program.linearize():
+        for op in ops:
             vs = op.vstage(self.num_stages)
             key = (vs, op.micro_batch)
             if op.kind == "F":
@@ -232,21 +187,7 @@ class PipelineRuntime:
                 inflight[op.stage] -= 1
             # "W": weight-gradient bookkeeping tick — the tape autograd
             # already accumulated weight grads during "B" (see module
-            # docstring); nothing to execute, but it is traced so the
-            # sim/runtime agreement tests see the full program.
-            trace.append(ScheduleTick(op.stage, KIND_NAMES[op.kind],
-                                      op.micro_batch, op.chunk))
-        self.last_trace = trace
+            # docstring); nothing to execute.
+        self.last_trace = ops
         self.last_stage_peaks = tuple(peaks)
         return sum(losses) / len(losses)
-
-    def bubble_fraction(self) -> float:
-        """The classic fill/drain idle estimate: (p-1)/(m+p-1).
-
-        Schedule-exact busy/idle pricing (zero-bubble ``W`` filling,
-        interleaved chunks) lives in
-        :func:`repro.pipeline.simulate_program` /
-        :mod:`repro.sim.pipeline`.
-        """
-        p, m = self.num_stages, self.num_micro
-        return (p - 1) / (m + p - 1)

@@ -81,27 +81,3 @@ class ZeroOptimizer:
     def state_bytes(self) -> int:
         """Optimizer-state bytes held on this rank (partitioned)."""
         return sum(p.numel() * 12 for p in self._owned)
-
-
-def zero3_partition(model: Module, group: BaseGroup) -> None:
-    """Stage-3 parameter placement: attach gather-on-demand hooks.
-
-    Each leaf module's parameters are broadcast from their owner before the
-    module runs (simulating the all-gather) — a functional stand-in that
-    keeps numerics identical while the memory model accounts the sharding.
-    """
-    params = [p for _, p in model.named_parameters()]
-    owner = {id(p): i % group.size for i, p in enumerate(params)}
-
-    def gather_hook(module, args):
-        for param in module._parameters.values():
-            if param is None:
-                continue
-            data = group.broadcast(param.data, owner[id(param)])
-            param.data[...] = np.asarray(data, param.data.dtype)
-        return None
-
-    for _, module in model.named_modules():
-        if module._parameters:
-            module.register_forward_pre_hook(gather_hook)
-    model._slapo_meta["zero_stage"] = 3

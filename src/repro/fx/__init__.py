@@ -16,7 +16,7 @@ from .functionalize import (
 )
 from .graph import Graph
 from .graph_module import GraphModule
-from .interpreter import Interpreter, ShapeProp
+from .interpreter import ShapeProp
 from .matcher import (
     Match,
     ModulePattern,
@@ -46,7 +46,7 @@ from .tracer import DEFAULT_LEAF_TYPES, Tracer, symbolic_trace
 __all__ = [
     "Graph", "GraphModule", "Node", "Proxy", "TraceError", "Tracer",
     "symbolic_trace", "DEFAULT_LEAF_TYPES",
-    "Interpreter", "ShapeProp",
+    "ShapeProp",
     "Match", "ModulePattern", "SubgraphMatcher", "find_matches",
     "find_nodes_by_regex", "trace_pattern",
     "extract_match_as_module", "replace_match_with_module",

@@ -13,7 +13,6 @@ a fragment cut out of it holds exactly the collectives it contains.
 from __future__ import annotations
 
 from repro.framework.module import Module
-from repro.framework.parameter import Parameter
 
 from .graph import Graph
 from .node import Node, map_arg
@@ -83,14 +82,22 @@ class GraphModule(Module):
 
     # ------------------------------------------------------------------ #
     def forward(self, *args, **kwargs):
-        env: dict[Node, object] = self._bind_inputs(args, kwargs)
+        return self._walk(self._bind_inputs(args, kwargs))
 
+    def _walk(self, env: dict, visit=None):
+        """Execute the graph from bound placeholders; return its output.
+
+        ``visit(node, value)``, when given, sees every placeholder and
+        every computed node's value as it is produced (``ShapeProp``).
+        """
         def lookup(n: Node):
             return env[n]
 
         result = None
         for node in self.graph:
             if node.op == "placeholder":
+                if visit is not None:
+                    visit(node, env[node])
                 continue
             call_args = map_arg(node.args, lookup)
             call_kwargs = map_arg(node.kwargs, lookup)
@@ -110,6 +117,8 @@ class GraphModule(Module):
             else:
                 raise RuntimeError(f"unknown opcode {node.op}")
             env[node] = value
+            if visit is not None:
+                visit(node, value)
         return result
 
     def _bind_inputs(self, args, kwargs) -> dict:

@@ -1,73 +1,34 @@
-"""Graph interpreters: instrumented execution and shape propagation."""
+"""Shape propagation over a GraphModule's own executor."""
 
 from __future__ import annotations
 
 from repro.framework.tensor import Tensor
 
 from .graph_module import GraphModule
-from .node import Node, map_arg
+from .node import Node
 
 
-class Interpreter:
-    """Executes a GraphModule node by node with overridable handlers."""
+class ShapeProp:
+    """Annotates every node with ``meta['shape']`` / ``meta['dtype']``.
+
+    ``run`` binds its inputs and walks the graph exactly as calling the
+    module does, so it accepts the same calls.  Run it with meta tensors
+    to get whole-graph shape inference without any allocation — the
+    performance simulator's front door.
+    """
 
     def __init__(self, gm: GraphModule):
         self.gm = gm
 
-    def run(self, *args):
-        env: dict[Node, object] = {}
-        placeholders = self.gm.graph.placeholders()
-        for node, value in zip(placeholders, args):
-            env[node] = value
-
-        def lookup(n: Node):
-            return env[n]
-
-        result = None
-        for node in self.gm.graph:
-            if node.op == "placeholder":
-                self.on_node(node, env.get(node))
-                continue
-            call_args = map_arg(node.args, lookup)
-            call_kwargs = map_arg(node.kwargs, lookup)
-            if node.op == "get_attr":
-                value = self.gm._resolve_attr(node.target)
-            elif node.op == "call_function":
-                value = self.call_function(node, call_args, call_kwargs)
-            elif node.op == "call_method":
-                obj, *rest = call_args
-                value = getattr(obj, node.target)(*rest, **call_kwargs)
-            elif node.op == "call_module":
-                value = self.call_module(node, call_args, call_kwargs)
-            elif node.op == "output":
-                result = call_args[0]
-                break
-            env[node] = value
-            self.on_node(node, value)
-        return result
-
-    def call_function(self, node: Node, args, kwargs):
-        return node.target(*args, **kwargs)
-
-    def call_module(self, node: Node, args, kwargs):
-        return self.gm.get_submodule(node.target)(*args, **kwargs)
-
-    def on_node(self, node: Node, value) -> None:
-        """Hook invoked after each node executes."""
+    def run(self, *args, **kwargs):
+        return self.gm._walk(self.gm._bind_inputs(args, kwargs), _annotate)
 
 
-class ShapeProp(Interpreter):
-    """Annotates every node with ``meta['shape']`` / ``meta['dtype']``.
-
-    Run it with meta tensors to get whole-graph shape inference without any
-    allocation — the performance simulator's front door.
-    """
-
-    def on_node(self, node: Node, value) -> None:
-        if isinstance(value, Tensor):
-            node.meta["shape"] = tuple(value.shape)
-            node.meta["dtype"] = value.dtype
-        elif isinstance(value, tuple) and value and \
-                all(isinstance(v, Tensor) for v in value):
-            node.meta["shape"] = tuple(tuple(v.shape) for v in value)
-            node.meta["dtype"] = value[0].dtype
+def _annotate(node: Node, value) -> None:
+    if isinstance(value, Tensor):
+        node.meta["shape"] = tuple(value.shape)
+        node.meta["dtype"] = value.dtype
+    elif isinstance(value, tuple) and value and \
+            all(isinstance(v, Tensor) for v in value):
+        node.meta["shape"] = tuple(tuple(v.shape) for v in value)
+        node.meta["dtype"] = value[0].dtype

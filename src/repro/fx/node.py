@@ -74,7 +74,8 @@ class Node:
         self._args = args
         self._kwargs = kwargs
         self.users: dict[Node, None] = {}
-        # Free-form metadata: shapes from ShapeProp, pipeline annotations, ...
+        # Free-form metadata: "shape"/"dtype" (ShapeProp), "default" and
+        # "pytree_parent" (tracer placeholders), "effect" (functionalize).
         self.meta: dict[str, Any] = {}
         for used in self.all_input_nodes:
             used.users[self] = None

@@ -17,27 +17,9 @@ def call_module(name_regex: str, *args):
         "call_module", ModulePattern(name_regex), args, {})
 
 
-def scaled_dot_product(q, k, v, scale):
-    """The vanilla attention core: matched and replaced by flash attention."""
-    attn = q @ k.transpose(-2, -1)
-    attn = attn / scale
-    attn = F.softmax(attn, dim=-1)
-    return attn @ v
-
-
 def scaled_dot_product_dropout(q, k, v, scale, p):
     """Attention core including the attention-probability dropout."""
     attn = q @ k.transpose(-2, -1)
     attn = attn / scale
     attn = F.dropout(F.softmax(attn, dim=-1), p)
     return attn @ v
-
-
-def bias_gelu(x, bias):
-    """Bias-add + GELU (the paper's Bias-GeLU fusion pattern)."""
-    return F.gelu(x + bias)
-
-
-def bias_dropout_residual(x, bias, residual, p):
-    """Bias-add + dropout + residual-add (pre-LayerNorm epilogue)."""
-    return F.dropout(x + bias, p) + residual

@@ -110,6 +110,11 @@ def as_cost_model(obj) -> CostModel:
 class SimCostModel(CostModel):
     """Price tuner configs with the analytical simulator (:mod:`repro.sim`).
 
+    The micro-batch is ``config["micro_batch"]``, else
+    ``config["batch_size"]`` read as a global batch and divided by the
+    data-parallel degree; when neither is given the planner sweeps
+    micro-batch candidates itself.
+
     Parameters
     ----------
     trace_fn:
@@ -124,11 +129,6 @@ class SimCostModel(CostModel):
         Fixed :class:`~repro.distributed.mesh.ParallelConfig`, or
         ``parallel_fn(config) -> ParallelConfig`` when tp/dp/pp are
         themselves search coordinates.
-    micro_batch_fn:
-        ``micro_batch_fn(config, parallel) -> int | None``.  The default
-        reads ``config["batch_size"]`` as a global batch and divides by
-        the data-parallel degree; when neither is available the planner
-        sweeps micro-batch candidates itself.
     zero_stage / num_micro_batches / kernel_cost:
         Forwarded to :func:`repro.sim.predict_batch`.  A
         ``num_micro_batches`` key in the config (e.g. declared by
@@ -157,8 +157,6 @@ class SimCostModel(CostModel):
                  cluster: ClusterSpec,
                  parallel: ParallelConfig | Callable[[dict], ParallelConfig]
                  = ParallelConfig(),
-                 micro_batch_fn: Callable[[dict, ParallelConfig], int | None]
-                 | None = None,
                  zero_stage: int = 0,
                  num_micro_batches: int = 1,
                  kernel_cost: KernelCostModel | None = None,
@@ -167,7 +165,6 @@ class SimCostModel(CostModel):
         self._trace_fn = trace_fn
         self.cluster = cluster
         self._parallel = parallel
-        self._micro_batch_fn = micro_batch_fn
         self.zero_stage = zero_stage
         self.num_micro_batches = num_micro_batches
         self.kernel_cost = kernel_cost
@@ -226,8 +223,6 @@ class SimCostModel(CostModel):
 
     def _resolve_micro_batch(self, config: dict,
                              parallel: ParallelConfig) -> int | None:
-        if self._micro_batch_fn is not None:
-            return self._micro_batch_fn(config, parallel)
         if "micro_batch" in config:
             return int(config["micro_batch"])
         if "batch_size" in config:

@@ -9,12 +9,11 @@ from repro.baselines import (
     UnsupportedModelError,
     ZeroOptimizer,
     build_megatron_model,
-    gpipe_schedule,
-    one_f_one_b_schedule,
 )
 from repro.distributed import LocalCluster
 from repro.framework import functional as F
 from repro.models.configs import BERT_1B
+from repro.pipeline import make_program, simulate_program
 
 
 class TestMegatronBaseline:
@@ -144,19 +143,27 @@ class TestSlapoPPEvaluator:
 
 class TestPipelineRuntime:
     def test_schedules_cover_all_work(self):
-        for maker in (gpipe_schedule, one_f_one_b_schedule):
-            ticks = maker(num_stages=3, num_micro=4)
-            fwd = {(t.stage, t.micro_batch) for t in ticks
-                   if t.kind == "forward"}
-            bwd = {(t.stage, t.micro_batch) for t in ticks
-                   if t.kind == "backward"}
+        for name in ("gpipe", "1f1b"):
+            ticks = make_program(name, 3, 4).linearize()
+            fwd = {(t.stage, t.micro_batch) for t in ticks if t.kind == "F"}
+            bwd = {(t.stage, t.micro_batch) for t in ticks if t.kind == "B"}
             assert fwd == {(s, m) for s in range(3) for m in range(4)}
             assert bwd == fwd
 
     def test_bubble_fraction(self):
+        """The bubble is read off the runtime's own program: the
+        fill/drain form (p-1)/(m+p-1) holds for 1F1B, and the split-
+        backward zb program at unit F/B/W cost beats it."""
         runtime = PipelineRuntime([_TwoLayer(), _TwoLayer()],
                                   num_micro_batches=4)
-        assert runtime.bubble_fraction() == pytest.approx(1 / 5)
+        timeline = simulate_program(runtime.program(), {"F": 1.0, "B": 1.0})
+        assert timeline.bubble_fraction == pytest.approx(1 / 5)
+        zb = PipelineRuntime([_TwoLayer()] * 4, num_micro_batches=8,
+                             schedule="zb")
+        timeline = simulate_program(zb.program(),
+                                    {"F": 1.0, "B": 1.0, "W": 1.0})
+        assert timeline.bubble_fraction == pytest.approx(0.2)
+        assert timeline.bubble_fraction < 3 / 11  # (p-1)/(m+p-1)
 
     def test_bad_schedule_name(self):
         with pytest.raises(ValueError):

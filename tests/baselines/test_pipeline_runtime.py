@@ -13,14 +13,11 @@ import pytest
 
 import repro.slapo as slapo
 from repro import framework as fw
-from repro.baselines import (
-    PipelineRuntime,
-    gpipe_schedule,
-    one_f_one_b_schedule,
-)
+from repro.baselines import PipelineRuntime
 from repro.distributed import DeviceMesh, ParallelConfig
 from repro.framework import functional as F
 from repro.models import GPT_2_9B, GPT2LMHeadModel
+from repro.pipeline import make_program
 
 
 def _build_pipeline(cut_layers, pp):
@@ -168,13 +165,9 @@ def test_train_step_is_tick_driven(schedule):
     assert log == [op.vstage(num_stages) for op in linear
                    if op.kind == "F"]
     # the trace replays the whole program, W bookkeeping ticks included
-    kind_names = {"F": "forward", "B": "backward", "W": "weight"}
-    assert [(t.stage, t.kind, t.micro_batch, t.chunk)
-            for t in runtime.last_trace] == \
-        [(op.stage, kind_names[op.kind], op.micro_batch, op.chunk)
-         for op in linear]
+    assert runtime.last_trace == linear
     if schedule == "zb":
-        assert any(t.kind == "weight" for t in runtime.last_trace)
+        assert any(t.kind == "W" for t in runtime.last_trace)
 
 
 class TestTickScheduleProperties:
@@ -185,25 +178,25 @@ class TestTickScheduleProperties:
     @pytest.mark.parametrize("p,m", CASES)
     def test_dependencies_respected(self, p, m):
         done = set()
-        for tick in one_f_one_b_schedule(p, m):
+        for tick in make_program("1f1b", p, m).linearize():
             key = (tick.kind, tick.stage, tick.micro_batch)
-            if tick.kind == "forward":
+            if tick.kind == "F":
                 assert tick.stage == 0 or \
-                    ("forward", tick.stage - 1, tick.micro_batch) in done
+                    ("F", tick.stage - 1, tick.micro_batch) in done
             else:
                 # every backward is preceded by its own forward and by the
                 # downstream stage's backward
-                assert ("forward", tick.stage, tick.micro_batch) in done
+                assert ("F", tick.stage, tick.micro_batch) in done
                 assert tick.stage == p - 1 or \
-                    ("backward", tick.stage + 1, tick.micro_batch) in done
+                    ("B", tick.stage + 1, tick.micro_batch) in done
             done.add(key)
 
     @pytest.mark.parametrize("p,m", CASES)
     def test_all_work_covered_exactly_once(self, p, m):
-        for maker in (one_f_one_b_schedule, gpipe_schedule):
-            ticks = maker(p, m)
+        for name in ("1f1b", "gpipe"):
+            ticks = make_program(name, p, m).linearize()
             everything = {(s, i, kind) for s in range(p) for i in range(m)
-                          for kind in ("forward", "backward")}
+                          for kind in ("F", "B")}
             seen = [(t.stage, t.micro_batch, t.kind) for t in ticks]
             assert len(seen) == len(everything)
             assert set(seen) == everything
@@ -216,8 +209,8 @@ class TestTickScheduleProperties:
 
         inflight = [0] * p
         peak = [0] * p
-        for tick in one_f_one_b_schedule(p, m):
-            inflight[tick.stage] += 1 if tick.kind == "forward" else -1
+        for tick in make_program("1f1b", p, m).linearize():
+            inflight[tick.stage] += 1 if tick.kind == "F" else -1
             assert inflight[tick.stage] >= 0
             peak[tick.stage] = max(peak[tick.stage], inflight[tick.stage])
         assert peak == [stage_inflight(s, p, m) for s in range(p)]
@@ -226,12 +219,12 @@ class TestTickScheduleProperties:
         """The point of 1F1B: bounded in-flight work (GPipe holds all m)."""
         p, m = 3, 8
 
-        def peaks(ticks):
+        def peaks(name):
             inflight, peak = [0] * p, [0] * p
-            for t in ticks:
-                inflight[t.stage] += 1 if t.kind == "forward" else -1
+            for t in make_program(name, p, m).linearize():
+                inflight[t.stage] += 1 if t.kind == "F" else -1
                 peak[t.stage] = max(peak[t.stage], inflight[t.stage])
             return peak
 
-        assert peaks(one_f_one_b_schedule(p, m)) == [3, 2, 1]
-        assert peaks(gpipe_schedule(p, m)) == [m, m, m]
+        assert peaks("1f1b") == [3, 2, 1]
+        assert peaks("gpipe") == [m, m, m]

@@ -28,6 +28,15 @@ class Outer(fw.Module):
         return self.norm(self.mlp(x) + x)
 
 
+class Scaled(fw.Module):
+    def __init__(self):
+        super().__init__()
+        self.fc = fw.Linear(8, 16)
+
+    def forward(self, x, scale=fw.ones((3, 1, 1))):
+        return self.fc(x) * scale
+
+
 class ControlFlow(fw.Module):
     def forward(self, x):
         if x.sum().item() > 0:  # data-dependent branch: untraceable
@@ -156,3 +165,28 @@ class TestShapeProp:
         gm = fx.symbolic_trace(model)
         fx.ShapeProp(gm).run(fw.Tensor.meta((1024, 8)))
         assert gm.graph.output_node.args[0].meta["shape"] == (1024, 8)
+
+    @staticmethod
+    def _shapes(gm):
+        return {n.name: n.meta["shape"] for n in gm.graph
+                if n.op != "output"}
+
+    def test_defaulted_placeholder_binds_its_default(self):
+        """A placeholder traced with ``include_defaults`` takes its
+        default when the call omits it, as ``gm(x)`` does."""
+        gm = fx.symbolic_trace(Scaled(), include_defaults=("scale",))
+        x = fw.randn(4, 8)
+        out = fx.ShapeProp(gm).run(x)
+        assert out.shape == gm(x).shape == (3, 4, 16)
+        assert self._shapes(gm) == {"x": (4, 8), "scale": (3, 1, 1),
+                                    "fc": (4, 16), "mul": (3, 4, 16)}
+
+    def test_keyword_inputs(self):
+        gm = fx.symbolic_trace(Scaled(), include_defaults=("scale",))
+        x, scale = fw.randn(4, 8), fw.ones((2, 1, 1))
+        out = fx.ShapeProp(gm).run(x=x, scale=scale)
+        assert out.shape == gm(x=x, scale=scale).shape == (2, 4, 16)
+        assert self._shapes(gm) == {"x": (4, 8), "scale": (2, 1, 1),
+                                    "fc": (4, 16), "mul": (2, 4, 16)}
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            fx.ShapeProp(gm).run(x, bias=scale)

@@ -10,9 +10,9 @@ runtime's tick schedule, and the mesh/simulator rank-group agreement.
 import pytest
 
 import repro.slapo as slapo
-from repro.baselines import one_f_one_b_schedule
 from repro.distributed import P3DN_NODE, DeviceMesh, ParallelConfig, axis_ranks
 from repro.models import MODEL_ZOO, data
+from repro.pipeline import make_program
 from repro.schedules import SCHEDULES
 from repro.sim import (
     even_cuts,
@@ -271,8 +271,8 @@ class TestStageMemory:
             for m in (1, 2, 4, 8):
                 inflight = [0] * p
                 peak = [0] * p
-                for tick in one_f_one_b_schedule(p, m):
-                    delta = 1 if tick.kind == "forward" else -1
+                for tick in make_program("1f1b", p, m).linearize():
+                    delta = 1 if tick.kind == "F" else -1
                     inflight[tick.stage] += delta
                     peak[tick.stage] = max(peak[tick.stage],
                                            inflight[tick.stage])
@@ -405,7 +405,7 @@ class TestSimRuntimeAgreement:
     def test_unit_cost_busy_counts_ops(self, name, p, m):
         """Under unit tick costs a stage's busy time *is* its op count,
         and busy + idle partitions the makespan on every stage."""
-        from repro.pipeline import make_program, simulate_program
+        from repro.pipeline import simulate_program
 
         program = make_program(name, p, m)
         timeline = simulate_program(program,

@@ -108,7 +108,7 @@ class TestMemoryModel:
         fixed = mem.params + mem.grads + mem.optimizer
         assert fixed == pytest.approx(16 * model.num_parameters(), rel=0.01)
 
-    def test_zero3_partitions_state(self, bert_trace):
+    def test_zero3_shards_fixed_state(self, bert_trace):
         model, trace = bert_trace
         solo = model_memory(model, trace, 1, zero_stage=0, dp_size=8)
         zero = model_memory(model, trace, 1, zero_stage=3, dp_size=8)

@@ -8,8 +8,8 @@ from repro import framework as fw
 from repro import fx
 from repro.framework import functional as F
 from repro.kernels import FlashAttention
+from repro.schedules.common import attention_core_nodrop, bias_gelu
 from repro.slapo import SchedulingError
-from repro.slapo.pattern import bias_gelu, scaled_dot_product
 
 
 class Attention(fw.Module):
@@ -78,7 +78,7 @@ class TestTrace:
     def test_find_requires_trace(self):
         sch = slapo.create_schedule(Block())
         with pytest.raises(SchedulingError, match="static graph"):
-            sch["attention"].find(scaled_dot_product)
+            sch["attention"].find(attention_core_nodrop)
 
 
 class TestFindReplaceFuse:
@@ -92,7 +92,7 @@ class TestFindReplaceFuse:
 
     def test_find_attention_core(self):
         _, _, sub = self._traced_attention_schedule()
-        matches = sub.find(scaled_dot_product)
+        matches = sub.find(attention_core_nodrop)
         assert len(matches) == 1
 
     def test_find_regex(self):
@@ -105,7 +105,7 @@ class TestFindReplaceFuse:
         x = fw.randn(2, 4, 8)
         model.eval()
         expected = model(x).numpy()
-        matches = sub.find(scaled_dot_product)
+        matches = sub.find(attention_core_nodrop)
         sub.replace(FlashAttention(), matches, name="FA")
         assert any(n.op == "call_module" and n.target == "FA"
                    for n in model.attention.graph)
@@ -117,7 +117,7 @@ class TestFindReplaceFuse:
         x = fw.randn(2, 4, 8)
         model.eval()
         expected = model(x).numpy()
-        matches = sub.find(scaled_dot_product)
+        matches = sub.find(attention_core_nodrop)
 
         def sdpa(q, k, v, scale):
             return F.scaled_dot_product_attention(q, k, v,
@@ -148,7 +148,7 @@ class TestFindReplaceFuse:
 
     def test_fuse_unknown_compiler_rejected(self):
         model, sch, sub = self._traced_attention_schedule()
-        matches = sub.find(scaled_dot_product)
+        matches = sub.find(attention_core_nodrop)
         with pytest.raises(Exception, match="unknown compiler"):
             sub.fuse(matches, compiler="GCC")
 
@@ -166,7 +166,7 @@ class TestFindReplaceFuse:
         sch = slapo.create_schedule(model)
         sub = sch["attention"]
         sub.trace(flatten=True)
-        matches = sub.find(scaled_dot_product)
+        matches = sub.find(attention_core_nodrop)
         sub.checkpoint(matches)
         np.testing.assert_allclose(model(x).numpy(), expected, rtol=1e-4,
                                    atol=1e-5)

@@ -503,9 +503,8 @@ class TestSimCostModel:
             trace_key_fn=lambda config: None,
             cluster=P3DN_NODE,
             parallel=ParallelConfig(dp=8),
-            micro_batch_fn=lambda config, parallel: 10 ** 7,
         )
-        estimate = cost_model.estimate({"batch_size": 64})
+        estimate = cost_model.estimate({"micro_batch": 10 ** 7})
         assert not estimate.fits
         assert estimate.throughput == 0.0
 
