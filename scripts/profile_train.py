@@ -10,7 +10,9 @@ by phase (forward + loss, backward, optimizer), then
 ``--steps`` more under its own ``cProfile`` profiler (cProfile follows
 one thread, so every rank thread gets one).  Prints the traced memory
 of the step (bytes live when backward starts, the step's peak, bytes
-live after backward, all counted from the step's start), the per-rank
+live after backward, all counted from the step's start) next to the
+simulator's activations for the same step (``model_memory`` over rank
+0's meta trace of model and loss, times the two ranks), the per-rank
 phase split and rank 0's top ``--top`` functions by self time, in ms
 per step.
 
@@ -46,9 +48,11 @@ import repro.slapo as slapo  # noqa: E402
 from repro import framework as fw  # noqa: E402
 from repro.distributed import (DeviceMesh, LocalCluster,  # noqa: E402
                                ParallelConfig)
+from repro.framework import events as fw_events  # noqa: E402
 from repro.framework import functional as F  # noqa: E402
-from repro.models import GPT_TRAIN_SIZES, MODEL_ZOO  # noqa: E402
+from repro.models import GPT_TRAIN_SIZES, MODEL_ZOO, data  # noqa: E402
 from repro.schedules import schedule_gpt  # noqa: E402
+from repro.sim import TraceRecorder, model_memory  # noqa: E402
 
 TP = 2
 BATCH = 4
@@ -56,23 +60,43 @@ SEED = 0
 PHASES = ("forward", "backward", "optimizer")
 
 
-def build_rank(ctx, config):
+def build_model(config, mesh, device="cpu"):
     fw.manual_seed(SEED)  # every rank builds identical full weights
-    model = MODEL_ZOO["GPT"][0](config)
-    sch = slapo.create_schedule(
-        model, mesh=DeviceMesh(ParallelConfig(tp=TP), ctx=ctx))
+    sch = slapo.create_schedule(MODEL_ZOO["GPT"][0](config, device=device),
+                                mesh=mesh)
     schedule_gpt(sch, config, ckpt_ratio=0.5)
-    model = slapo.build(sch).model
+    return slapo.build(sch).model
+
+
+def build_rank(ctx, config):
+    model = build_model(config, DeviceMesh(ParallelConfig(tp=TP), ctx=ctx))
     return model, fw.AdamW(model.parameters(), lr=1e-3)
+
+
+def step_loss(model, batch, vocab: int):
+    ids, labels = batch
+    return F.cross_entropy(model(ids).reshape(-1, vocab), labels)
+
+
+def predicted_activations(config) -> float:
+    """The simulator's activation bytes for the step, both ranks."""
+    model = build_model(config, DeviceMesh(ParallelConfig(tp=TP), rank=0,
+                                           sim=True), device="meta")
+    recorder = TraceRecorder()
+    with fw_events.recording(recorder):
+        step_loss(model, data.lm_batch(config, BATCH, device="meta"),
+                  config.vocab_size)
+    trace = recorder.finish()
+    trace.ref_batch = BATCH
+    return TP * model_memory(model, trace, BATCH).activations
 
 
 def train_step(model, opt, batch, vocab: int) -> dict:
     """One step; returns seconds per phase."""
-    ids, labels = batch
     times = {}
     start = time.perf_counter()
     opt.zero_grad()
-    loss = F.cross_entropy(model(ids).reshape(-1, vocab), labels)
+    loss = step_loss(model, batch, vocab)
     times["forward"] = time.perf_counter() - start
     start = time.perf_counter()
     loss.backward()
@@ -93,13 +117,12 @@ def traced_step(ctx, model, opt, batch, vocab: int) -> dict:
     ``peak`` the step's high-water mark, optimizer included.
     """
     group = ctx.world_group()
-    ids, labels = batch
     opt.zero_grad()
     group.barrier()
     if ctx.rank == 0:
         tracemalloc.start()
     group.barrier()
-    loss = F.cross_entropy(model(ids).reshape(-1, vocab), labels)
+    loss = step_loss(model, batch, vocab)
     group.barrier()
     memory = {"backward_start": tracemalloc.get_traced_memory()[0]}
     group.barrier()
@@ -140,7 +163,8 @@ def profile(size: str, steps: int):
         return memory, phases, pstats.Stats(profiler)
 
     memory, phases, stats = zip(*LocalCluster(TP).run(rank))
-    return memory[0], phases, stats
+    return dict(memory[0], predicted=predicted_activations(config)), \
+        phases, stats
 
 
 def _where(func) -> str:
@@ -159,6 +183,7 @@ def report(memory, phases, stats, steps: int, top: int) -> str:
     lines = ["traced memory of one step, both ranks (MB, from the step's "
              "start):"]
     for key, label in (("backward_start", "live when backward starts"),
+                       ("predicted", "simulator's activations"),
                        ("peak", "step peak"),
                        ("after_backward", "live after backward")):
         lines.append(f"  {label:<26}{memory[key] / 1e6:>8.1f}")

@@ -68,7 +68,7 @@ def fused_region(name, backend="custom"):
 
 
 @contextmanager
-def layer_region(module=None):
+def layer_region(module=None, inputs=()):
     """Mark the ops inside as one checkpointable layer (a checkpoint unit).
 
     Modules flagged ``_slapo_meta["ckpt_unit"]`` emit this around their
@@ -76,13 +76,14 @@ def layer_region(module=None):
     checkpoint ratios can be re-priced without re-tracing the model.
     ``module`` (the unit itself, when available) lets the recorder also
     attribute parameter bytes to the span — the pipeline-stage planner
-    uses those to price per-stage memory.
+    uses those to price per-stage memory.  ``inputs`` (the unit's
+    positional arguments) are what a checkpoint of the unit keeps.
     """
     recorder = get_recorder()
     if recorder is None or not hasattr(recorder, "begin_layer"):
         yield
         return
-    recorder.begin_layer(module)
+    recorder.begin_layer(module, inputs)
     try:
         yield
     finally:

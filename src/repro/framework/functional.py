@@ -156,13 +156,61 @@ def _finalize(name, data, inputs, backward_fn, dtype=None, flops=0,
 
 
 def _meta_result(name, shape, dtype, inputs, flops=0, bytes_moved=None,
-                 meta=None):
+                 meta=None, saved=(), saves_out=False):
+    """Report a meta op and return its storage-less output.
+
+    ``saved`` declares what the eager op's backward closure keeps: tensors
+    (or numpy arrays) whose storage it holds, and ints for the bytes of
+    buffers the op allocates for it; ``saves_out`` adds the output.  The
+    declaration reaches the recorder as ``meta["saved"]``.
+    """
     if bytes_moved is None:
         bytes_moved = _nbytes(shape, dtype) + builtins.sum(
             t.nbytes for t in inputs if isinstance(t, Tensor)
         )
+    out = Tensor.meta(shape, dtype)
+    if saved or saves_out:
+        meta = {**(meta or {}),
+                "saved": (*saved, out) if saves_out else tuple(saved)}
     events.record_op(name, tuple(shape), dtype, flops, bytes_moved, meta)
-    return Tensor.meta(shape, dtype)
+    return out
+
+
+def _f32(t):
+    """What ``t.data.astype(np.float32, copy=False)`` keeps: ``t`` itself
+    when it is fp32, else the bytes of a fresh fp32 copy."""
+    return t if t.dtype == dtypes.float32 else 4 * t.numel()
+
+
+def _view(out, x, strided=False):
+    """Mark meta ``out`` as a numpy view of ``x``'s storage, as the eager
+    op returns one; ``strided`` when it is no longer C-contiguous."""
+    out._base = getattr(x, "_base", x)
+    out._strided = strided or getattr(x, "_strided", False)
+    return out
+
+
+def buffer_owner(item):
+    """(owner, bytes) of the buffer a tensor or array keeps alive.
+
+    A meta view points at its source through ``_base``; a real array is
+    followed to the array owning its memory.
+    """
+    if isinstance(item, Tensor):
+        if item.is_meta:
+            base = getattr(item, "_base", item)
+            return base, base.nbytes
+        item = item.data
+    while isinstance(item.base, np.ndarray):
+        item = item.base
+    return item, item.nbytes
+
+
+def _reshape_views(x, shape) -> bool:
+    """Whether numpy's reshape of ``x``'s data to ``shape`` is a view: a
+    contiguous source, or only size-1 axes added or dropped."""
+    return not getattr(x, "_strided", False) or \
+        [s for s in shape if s != 1] == [s for s in x.shape if s != 1]
 
 
 # ---------------------------------------------------------------------- #
@@ -187,7 +235,10 @@ def _binary(name, a, b, fwd, bwd_a, bwd_b, saves="", flops_per_elem=1):
     if _any_meta(a, b):
         shape = np.broadcast_shapes(tuple(a.shape), tuple(b.shape))
         return _meta_result(name, shape, out_dtype, (a, b),
-                            flops=_numel(shape) * flops_per_elem)
+                            flops=_numel(shape) * flops_per_elem,
+                            saved=[t for c, t in (("x", a), ("y", b))
+                                   if c in saves],
+                            saves_out="o" in saves)
     data = fwd(a.data, b.data)
     x = a.data if "x" in saves else None
     y = b.data if "y" in saves else None
@@ -289,7 +340,9 @@ def _unary(name, x, fwd, bwd, saves="", flops_per_elem=1):
     x = astensor(x)
     if x.is_meta:
         return _meta_result(name, tuple(x.shape), x.dtype, (x,),
-                            flops=x.numel() * flops_per_elem)
+                            flops=x.numel() * flops_per_elem,
+                            saved=(x,) if "v" in saves else (),
+                            saves_out="o" in saves)
     data = fwd(x.data)
     v = x.data if "v" in saves else None
     o = data if "o" in saves else None
@@ -381,7 +434,9 @@ def gelu(x):
     x = astensor(x)
     if x.is_meta:
         return _meta_result("gelu", tuple(x.shape), x.dtype, (x,),
-                            flops=10 * x.numel())
+                            flops=10 * x.numel(),
+                            saved=(x, 4 * x.numel())
+                            if x.dtype == dtypes.float32 else (x,))
     v = x.data
     one_plus_erf = 1.0 + _erf(v * _INV_SQRT2)
     data = (0.5 * v * one_plus_erf).astype(v.dtype, copy=False)
@@ -454,7 +509,8 @@ def where(cond, a, b):
     if _any_meta(cond, a, b):
         shape = np.broadcast_shapes(tuple(cond.shape), tuple(a.shape),
                                     tuple(b.shape))
-        return _meta_result("where", shape, out_dtype, (cond, a, b))
+        return _meta_result("where", shape, out_dtype, (cond, a, b),
+                            saved=(cond,))
     data = np.where(cond.data, a.data, b.data)
     mask, a_shape, b_shape = cond.data, tuple(a.shape), tuple(b.shape)
 
@@ -471,7 +527,8 @@ def masked_fill(x, mask, value):
     x, mask = astensor(x), astensor(mask)
     if _any_meta(x, mask):
         shape = np.broadcast_shapes(tuple(x.shape), tuple(mask.shape))
-        return _meta_result("masked_fill", shape, x.dtype, (x, mask))
+        return _meta_result("masked_fill", shape, x.dtype, (x, mask),
+                            saved=(mask.numel(),))
     mask_b = np.broadcast_to(mask.data.astype(bool), x.data.shape)
     data = np.where(mask_b, np.asarray(value, x.data.dtype), x.data)
 
@@ -502,7 +559,8 @@ def reshape(x, shape):
     x = astensor(x)
     new_shape = _resolve_shape(shape, x.numel())
     if x.is_meta:
-        return _meta_result("reshape", new_shape, x.dtype, (x,), bytes_moved=0)
+        out = _meta_result("reshape", new_shape, x.dtype, (x,), bytes_moved=0)
+        return _view(out, x) if _reshape_views(x, new_shape) else out
     old_shape = tuple(x.shape)
     data = x.data.reshape(new_shape)
 
@@ -542,8 +600,10 @@ def permute(x, dims):
     dims = tuple(d % x.ndim for d in dims)
     if x.is_meta:
         shape = tuple(x.shape[d] for d in dims)
-        return _meta_result("permute", shape, x.dtype, (x,),
-                            bytes_moved=2 * x.nbytes)
+        moved = [d for d in dims if x.shape[d] != 1]
+        return _view(_meta_result("permute", shape, x.dtype, (x,),
+                                  bytes_moved=2 * x.nbytes),
+                     x, strided=moved != sorted(moved))
     inverse = tuple(np.argsort(dims))
     data = np.transpose(x.data, dims)
 
@@ -637,7 +697,10 @@ def getitem(x, index):
         # Infer the sliced shape with a zero-stride dummy array.
         dummy = np.broadcast_to(np.zeros(1, dtype=np.int8), tuple(x.shape))
         shape = dummy[_unwrap_index(index)].shape
-        return _meta_result("getitem", shape, x.dtype, (x,), bytes_moved=0)
+        parts = index if isinstance(index, tuple) else (index,)
+        return _meta_result("getitem", shape, x.dtype, (x,), bytes_moved=0,
+                            saved=[p for p in parts
+                                   if isinstance(p, (Tensor, np.ndarray))])
     index = _unwrap_index(index)
     basic = _is_basic_index(index)
     data = np.asarray(x.data[index])
@@ -791,7 +854,8 @@ def max(x, dim=None, keepdim: bool = False):
     x = astensor(x)
     if x.is_meta:
         shape = _reduce_shape(tuple(x.shape), dim, keepdim)
-        return _meta_result("max", shape, x.dtype, (x,), flops=x.numel())
+        return _meta_result("max", shape, x.dtype, (x,), flops=x.numel(),
+                            saved=(x,), saves_out=dim is not None)
     data = x.data.max(axis=dim, keepdims=keepdim) if dim is not None \
         else x.data.max()
     src = x.data
@@ -848,7 +912,8 @@ def matmul(a, b):
     flops = 2 * _numel(out_shape) * k
     if _any_meta(a, b):
         return _meta_result("matmul", out_shape, out_dtype, (a, b),
-                            flops=flops, meta={"kernel": "gemm"})
+                            flops=flops, meta={"kernel": "gemm"},
+                            saved=(a, b))
     x, y = a.data, b.data
     data = x @ y
 
@@ -876,9 +941,11 @@ def linear(x, weight, bias=None):
     tokens = _numel(x.shape[:-1])
     flops = 2 * tokens * in_features * out_features
     if _any_meta(x, weight) or (bias is not None and astensor(bias).is_meta):
+        x2d = x if _reshape_views(x, (tokens, in_features)) else x.nbytes
         return _meta_result("linear", out_shape, x.dtype,
                             (x, weight) + ((bias,) if bias is not None else ()),
-                            flops=flops, meta={"kernel": "gemm"})
+                            flops=flops, meta={"kernel": "gemm"},
+                            saved=(x2d, weight))
     x2d = x.data.reshape(-1, in_features)
     data = x2d @ weight.data.T
     if bias is not None:
@@ -911,7 +978,7 @@ def softmax(x, dim: int = -1):
     x = astensor(x)
     if x.is_meta:
         return _meta_result("softmax", tuple(x.shape), x.dtype, (x,),
-                            flops=5 * x.numel())
+                            flops=5 * x.numel(), saves_out=True)
     v = x.data.astype(np.float32, copy=False)
     e = v - v.max(axis=dim, keepdims=True)
     np.exp(e, out=e)
@@ -935,7 +1002,7 @@ def log_softmax(x, dim: int = -1):
     x = astensor(x)
     if x.is_meta:
         return _meta_result("log_softmax", tuple(x.shape), x.dtype, (x,),
-                            flops=5 * x.numel())
+                            flops=5 * x.numel(), saves_out=True)
     v = x.data.astype(np.float32, copy=False)
     v = v - v.max(axis=dim, keepdims=True)
     lse = np.log(np.exp(v).sum(axis=dim, keepdims=True))
@@ -966,8 +1033,12 @@ def layer_norm(x, normalized_shape, weight=None, bias=None, eps: float = 1e-5):
     if bias is not None:
         inputs.append(astensor(bias))
     if _any_meta(*inputs):
+        rows = x.numel() // _numel(normalized_shape)
+        # fp32 x_hat and inv_std, and the fp32 weight
+        saved = (4 * x.numel(), 4 * rows) + \
+            ((_f32(inputs[1]),) if weight is not None else ())
         return _meta_result("layer_norm", tuple(x.shape), x.dtype,
-                            tuple(inputs), flops=8 * x.numel())
+                            tuple(inputs), flops=8 * x.numel(), saved=saved)
     v = x.data.astype(np.float32, copy=False)
     x_hat = v - v.mean(axis=axes, keepdims=True)
     scratch = x_hat * x_hat
@@ -986,6 +1057,7 @@ def layer_norm(x, normalized_shape, weight=None, bias=None, eps: float = 1e-5):
         data += bias.data.astype(np.float32, copy=False)
     data = data.astype(x.data.dtype, copy=False)
     reduce_axes = tuple(range(x.ndim - ndims))
+    out_np_dtype = data.dtype
     w_dtype = None if weight is None else weight.data.dtype
     b_dtype = None if bias is None else bias.data.dtype
 
@@ -998,7 +1070,7 @@ def layer_norm(x, normalized_shape, weight=None, bias=None, eps: float = 1e-5):
         gx -= np.multiply(x_hat, scratch.mean(axis=axes, keepdims=True),
                           out=scratch)
         gx *= inv_std
-        grads = [gx.astype(data.dtype, copy=False)]
+        grads = [gx.astype(out_np_dtype, copy=False)]
         if w_dtype is not None:
             grads.append(np.multiply(g, x_hat, out=scratch)
                          .sum(axis=reduce_axes)
@@ -1017,8 +1089,11 @@ def rms_norm(x, weight, eps: float = 1e-6):
     """RMSNorm (LLaMA): x / rms(x) * weight, no mean subtraction."""
     x, weight = astensor(x), astensor(weight)
     if _any_meta(x, weight):
+        # fp32 x, inv_rms, x_hat and weight
+        saved = (_f32(x), 4 * (x.numel() // x.shape[-1]), 4 * x.numel(),
+                 _f32(weight))
         return _meta_result("rms_norm", tuple(x.shape), x.dtype, (x, weight),
-                            flops=6 * x.numel())
+                            flops=6 * x.numel(), saved=saved)
     v = x.data.astype(np.float32, copy=False)
     ms = (v * v).mean(axis=-1, keepdims=True)
     inv_rms = 1.0 / np.sqrt(ms + eps)
@@ -1026,7 +1101,7 @@ def rms_norm(x, weight, eps: float = 1e-6):
     w = weight.data.astype(np.float32, copy=False)
     data = (x_hat * w).astype(x.data.dtype, copy=False)
     reduce_axes = tuple(range(x.ndim - 1))
-    w_dtype = weight.data.dtype
+    out_np_dtype, w_dtype = data.dtype, weight.data.dtype
 
     def backward(grad):
         g = grad.astype(np.float32, copy=False)
@@ -1034,7 +1109,7 @@ def rms_norm(x, weight, eps: float = 1e-6):
         inner = (gw_hat * v).mean(axis=-1, keepdims=True)
         gx = (inv_rms * gw_hat - v * inner * inv_rms ** 3)
         gweight = (g * x_hat).sum(axis=reduce_axes)
-        return (gx.astype(data.dtype, copy=False),
+        return (gx.astype(out_np_dtype, copy=False),
                 gweight.astype(w_dtype, copy=False))
 
     return _finalize("rms_norm", data, (x, weight), backward, dtype=x.dtype,
@@ -1049,8 +1124,12 @@ def batch_norm(x, running_mean, running_var, weight=None, bias=None,
     x = astensor(x)
     inputs = [x] + [astensor(t) for t in (weight, bias) if t is not None]
     if _any_meta(*inputs):
+        # fp32 x_hat, inv_std and weight copies
+        channels = 4 * x.shape[1]
+        saved = (4 * x.numel(), channels) + \
+            ((channels,) if weight is not None else ())
         return _meta_result("batch_norm", tuple(x.shape), x.dtype,
-                            tuple(inputs), flops=8 * x.numel())
+                            tuple(inputs), flops=8 * x.numel(), saved=saved)
     axes = (0, 2, 3) if x.ndim == 4 else (0,)
     v = x.data.astype(np.float32)
     if training:
@@ -1075,6 +1154,7 @@ def batch_norm(x, running_mean, running_var, weight=None, bias=None,
     data = data.astype(x.data.dtype)
     w = (weight.data.astype(np.float32).reshape(shape)
          if weight is not None else 1.0)
+    out_np_dtype = data.dtype
     w_dtype = None if weight is None else weight.data.dtype
     b_dtype = None if bias is None else bias.data.dtype
 
@@ -1087,7 +1167,7 @@ def batch_norm(x, running_mean, running_var, weight=None, bias=None,
             gx = inv_std.reshape(shape) * (g_hat - mean_g - x_hat * mean_gx)
         else:
             gx = inv_std.reshape(shape) * g_hat
-        grads = [gx.astype(data.dtype)]
+        grads = [gx.astype(out_np_dtype)]
         if w_dtype is not None:
             grads.append((g * x_hat).sum(axis=axes).astype(w_dtype))
         if b_dtype is not None:
@@ -1104,19 +1184,22 @@ def batch_norm(x, running_mean, running_var, weight=None, bias=None,
 @traceable
 def dropout(x, p: float = 0.5, training: bool = True):
     x = astensor(x)
+    active = training and p != 0.0
     if x.is_meta:
         return _meta_result("dropout", tuple(x.shape), x.dtype, (x,),
-                            flops=x.numel())
-    if not training or p == 0.0:
+                            flops=x.numel(),
+                            saved=(x.numel(),) if active else ())  # bool mask
+    if not active:
         return _finalize("dropout", x.data.copy(), (x,), lambda g: (g,),
                          dtype=x.dtype)
     keep = 1.0 - p
     mask = (frandom.generator().random(x.data.shape) < keep)
-    scale = np.asarray(1.0 / keep, dtype=np.float32)
-    data = (x.data * mask * scale).astype(x.data.dtype)
+    scale = np.float32(1.0 / keep)
+    out_np_dtype = x.data.dtype
+    data = (x.data * mask * scale).astype(out_np_dtype)
 
     def backward(grad):
-        return ((grad * mask * scale).astype(data.dtype),)
+        return ((grad * mask * scale).astype(out_np_dtype),)
 
     return _finalize("dropout", data, (x,), backward, dtype=x.dtype,
                      flops=x.numel())
@@ -1133,16 +1216,18 @@ def embedding(indices, weight, padding_idx: int | None = None):
     if _any_meta(indices, weight):
         return _meta_result("embedding", out_shape, weight.dtype,
                             (indices, weight),
-                            bytes_moved=2 * _nbytes(out_shape, weight.dtype))
+                            bytes_moved=2 * _nbytes(out_shape, weight.dtype),
+                            saved=(8 * indices.numel(),))  # int64 indices
     idx = indices.data.astype(np.int64)
     data = weight.data[idx]
+    out_np_dtype = data.dtype
 
     def backward(grad):
         gw = np.zeros((vocab, hidden), dtype=np.float32)
         np.add.at(gw, idx.reshape(-1), grad.reshape(-1, hidden))
         if padding_idx is not None:
             gw[padding_idx] = 0
-        return (None, gw.astype(data.dtype))
+        return (None, gw.astype(out_np_dtype))
 
     return _finalize("embedding", data, (indices, weight), backward,
                      dtype=weight.dtype)
@@ -1159,8 +1244,11 @@ def cross_entropy(logits, targets, ignore_index: int = -100):
     """
     logits, targets = astensor(logits), astensor(targets)
     if logits.is_meta or targets.is_meta:
+        n = logits.shape[0]
+        # fp32 log p, int64 target indices, bool validity
         return _meta_result("cross_entropy", (), dtypes.float32,
-                            (logits, targets), flops=6 * logits.numel())
+                            (logits, targets), flops=6 * logits.numel(),
+                            saved=(4 * logits.numel(), 8 * n, n))
     n, c = logits.shape
     idx = targets.data.astype(np.int64)
     valid = idx != ignore_index
@@ -1241,24 +1329,29 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0):
     inputs = (x, weight) if bias is None else (x, weight, astensor(bias))
     if _any_meta(*inputs):
         return _meta_result("conv2d", out_shape, x.dtype, inputs,
-                            flops=flops, meta={"kernel": "gemm"})
-    cols, ho, wo = _im2col(x.data.astype(np.float32), kh, kw, stride, padding)
-    w_mat = weight.data.astype(np.float32).reshape(out_ch, -1)
+                            flops=flops, meta={"kernel": "gemm"},
+                            saved=(_f32(x), weight))
+    x32, w_data = x.data.astype(np.float32, copy=False), weight.data
+    cols, ho, wo = _im2col(x32, kh, kw, stride, padding)
+    w_mat = w_data.astype(np.float32).reshape(out_ch, -1)
     out_mat = cols @ w_mat.T
     if bias is not None:
         out_mat = out_mat + bias.data.astype(np.float32)
     data = (out_mat.reshape(n, ho, wo, out_ch).transpose(0, 3, 1, 2)
             .astype(x.data.dtype))
     w_shape, w_dtype = tuple(weight.shape), weight.data.dtype
-    has_bias = bias is not None
+    out_np_dtype, has_bias = data.dtype, bias is not None
 
     def backward(grad):
         g_mat = (grad.transpose(0, 2, 3, 1).reshape(-1, out_ch)
                  .astype(np.float32))
+        # the im2col columns and the fp32 weight are rebuilt, not kept
+        cols = _im2col(x32, kh, kw, stride, padding)[0]
         gw = (g_mat.T @ cols).reshape(w_shape).astype(w_dtype)
-        g_cols = g_mat @ w_mat
+        g_cols = g_mat @ w_data.astype(np.float32, copy=False) \
+            .reshape(out_ch, -1)
         gx = _col2im(g_cols, (n, c, h, w), kh, kw, stride, padding, ho, wo) \
-            .astype(data.dtype)
+            .astype(out_np_dtype)
         if has_bias:
             return (gx, gw, g_mat.sum(axis=0).astype(np.float32))
         return (gx, gw)
@@ -1277,7 +1370,11 @@ def max_pool2d(x, kernel_size: int, stride: int | None = None,
     wo = _conv_out_size(w, kernel_size, stride, padding)
     out_shape = (n, c, ho, wo)
     if x.is_meta:
-        return _meta_result("max_pool2d", out_shape, x.dtype, (x,))
+        # the padded input and the window maxima
+        padded_numel = n * c * (h + 2 * padding) * (w + 2 * padding)
+        saved = ((padded_numel + _numel(out_shape)) * x.dtype.itemsize,)
+        return _meta_result("max_pool2d", out_shape, x.dtype, (x,),
+                            saved=saved)
     padded = np.pad(x.data, ((0, 0), (0, 0), (padding, padding),
                              (padding, padding)),
                     constant_values=-np.inf)
@@ -1390,10 +1487,16 @@ def scaled_dot_product_attention(query, key, value, attn_mask=None,
     if _any_meta(q, k, v):
         # Bytes: inputs + outputs only — no s_q*s_k intermediate.
         io_bytes = q.nbytes + k.nbytes + v.nbytes + _nbytes(out_shape, q.dtype)
+        # fp32 copies of q, k, v and the probabilities; with dropout also
+        # the dropped probabilities and the bool mask
+        scores = _numel(b_shape) * s_q * s_k
+        saved = (4 * q.numel(), 4 * k.numel(), 4 * v.numel(), 4 * scores)
+        if dropout_p > 0.0 and training:
+            saved += (4 * scores, scores)
         return _meta_result("sdpa", out_shape, q.dtype, (q, k, v),
                             flops=flops,
                             bytes_moved=io_bytes,
-                            meta={"kernel": "flash_attention"})
+                            meta={"kernel": "flash_attention"}, saved=saved)
     q32 = q.data.astype(np.float32)
     k32 = k.data.astype(np.float32)
     v32 = v.data.astype(np.float32)
@@ -1414,7 +1517,8 @@ def scaled_dot_product_attention(query, key, value, attn_mask=None,
     else:
         probs_used = probs
     data = (probs_used @ v32).astype(q.data.dtype)
-    k_np_dtype, v_np_dtype = k.data.dtype, v.data.dtype
+    q_np_dtype, k_np_dtype, v_np_dtype = q.data.dtype, k.data.dtype, \
+        v.data.dtype
 
     def backward(grad):
         g = grad.astype(np.float32)
@@ -1428,7 +1532,7 @@ def scaled_dot_product_attention(query, key, value, attn_mask=None,
             gs = np.where(np.triu(np.ones((s_q, s_k), dtype=bool), k=1), 0, gs)
         gq = (gs @ k32) * scale
         gk = (np.swapaxes(gs, -1, -2) @ q32) * scale
-        return (gq.astype(data.dtype), gk.astype(k_np_dtype),
+        return (gq.astype(q_np_dtype), gk.astype(k_np_dtype),
                 gv.astype(v_np_dtype))
 
     io_bytes = q.nbytes + k.nbytes + v.nbytes + _nbytes(out_shape, q.dtype)

@@ -268,7 +268,7 @@ class Module:
                          for a in args)
         if self._slapo_meta.get("ckpt_unit") \
                 and fw_events.get_recorder() is not None:
-            with fw_events.layer_region(self):
+            with fw_events.layer_region(self, args):
                 output = self._run_forward(args, kwargs)
         else:
             output = self._run_forward(args, kwargs)

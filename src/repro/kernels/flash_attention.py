@@ -17,10 +17,10 @@ import math
 
 import numpy as np
 
-from repro.framework import events
+from repro.framework import dtype as fw_dtypes
 from repro.framework import functional as F
 from repro.framework.module import Module
-from repro.framework.tensor import Tensor, astensor
+from repro.framework.tensor import astensor
 
 
 def _block_scores(q_rows, k_blk, scale, causal, row0, start):
@@ -82,10 +82,15 @@ class FlashAttentionFunction:
         io_bytes = q.nbytes + k.nbytes + v.nbytes
         meta = {"kernel": "flash_attention"}
         if q.is_meta or k.is_meta or v.is_meta:
-            events.record_op("flash_attention", out_shape, q.dtype,
-                             flops=flops, bytes_moved=io_bytes * 2,
-                             meta=meta)
-            return Tensor.meta(out_shape, q.dtype)
+            # fp32 q, k, v and output, and the row log-sum-exp
+            fp32 = q.dtype == fw_dtypes.float32
+            saved = (F._f32(q), F._f32(k), F._f32(v), 4 * batch * s_q)
+            if not fp32:
+                saved += (4 * F._numel(out_shape),)
+            return F._meta_result("flash_attention", out_shape, q.dtype,
+                                  (q, k, v), flops=flops,
+                                  bytes_moved=io_bytes * 2, meta=meta,
+                                  saved=saved, saves_out=fp32)
         q32 = q.data.astype(np.float32, copy=False)
         k32 = k.data.astype(np.float32, copy=False)
         v32 = v.data.astype(np.float32, copy=False)

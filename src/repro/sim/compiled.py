@@ -28,11 +28,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .events import ModelTrace, _save_factor
+from .events import ModelTrace
 from .kernel_cost import fused_efficiency
 
-#: dtypes whose outputs participate in activation/backward accounting
-_ACT_DTYPES = ("float16", "float32", "float64")
 #: dtypes considered when sizing the pipeline-stage boundary tensor
 _BOUNDARY_DTYPES = ("float16", "float32")
 
@@ -44,16 +42,15 @@ class CompiledTrace:
     flops: np.ndarray
     bytes_moved: np.ndarray
     out_bytes: np.ndarray
-    save_factor: np.ndarray
+    #: bytes each op leaves live for backward (see
+    #: :meth:`ModelTrace.activation_bytes`)
+    retained_bytes: np.ndarray
     is_fp16: np.ndarray
     is_gemm: np.ndarray
     is_flash: np.ndarray
     #: backend efficiency of compiler-fused kernels (1.0 for plain ops)
     fused_eff: np.ndarray
-    #: output dtype participates in activation accounting (fp16/32/64)
-    is_float_act: np.ndarray
     in_checkpoint: np.ndarray
-    checkpoint_boundary: np.ndarray
     #: (group_tag, kind) -> (count of non-empty comms, summed bytes)
     comm_totals: dict[tuple[str, str], tuple[int, float]]
     #: (tag, kind, count, bytes) of the tp/ep ``comm_totals`` with traffic
@@ -87,11 +84,7 @@ class CompiledTrace:
         """Prefix sums (length n+1) of retained activation bytes per op."""
         cached = self._cumulative.get("act")
         if cached is None:
-            retained = self.is_float_act \
-                & ~(self.in_checkpoint & ~self.checkpoint_boundary)
-            per_op = np.where(retained, self.out_bytes * self.save_factor,
-                              0.0)
-            cached = np.concatenate(([0.0], np.cumsum(per_op)))
+            cached = np.concatenate(([0.0], np.cumsum(self.retained_bytes)))
             self._cumulative["act"] = cached
         return cached
 
@@ -127,28 +120,28 @@ class CompiledTrace:
         flops = np.empty(n)
         bytes_moved = np.empty(n)
         out_bytes = np.empty(n)
-        save_factor = np.empty(n)
+        retained_bytes = np.empty(n)
         is_fp16 = np.empty(n, dtype=bool)
         is_gemm = np.empty(n, dtype=bool)
         is_flash = np.empty(n, dtype=bool)
         fused_eff = np.ones(n)
-        is_float_act = np.empty(n, dtype=bool)
         in_checkpoint = np.empty(n, dtype=bool)
-        checkpoint_boundary = np.empty(n, dtype=bool)
         boundary_sizes = []
+        unit_inputs = {span.op_end - 1: span.input_bytes
+                       for span in trace.layers}
         for i, op in enumerate(ops):
             flops[i] = op.flops
             bytes_moved[i] = op.bytes_moved
             out_bytes[i] = op.out_bytes
-            save_factor[i] = _save_factor(op)
+            retained_bytes[i] = \
+                unit_inputs.get(i, op.out_bytes) if op.checkpoint_boundary \
+                else 0.0 if op.in_checkpoint else op.saved_bytes
             is_fp16[i] = op.dtype_name == "float16"
             is_gemm[i] = op.kernel == "gemm"
             is_flash[i] = op.kernel == "flash_attention"
             if op.kernel.startswith("fused:"):
                 fused_eff[i] = fused_efficiency(op.kernel)
-            is_float_act[i] = op.dtype_name in _ACT_DTYPES
             in_checkpoint[i] = op.in_checkpoint
-            checkpoint_boundary[i] = op.checkpoint_boundary
             if op.dtype_name in _BOUNDARY_DTYPES:
                 boundary_sizes.append(op.out_bytes)
 
@@ -167,14 +160,11 @@ class CompiledTrace:
         boundary_sizes.sort()
         boundary = boundary_sizes[len(boundary_sizes) // 2] \
             if boundary_sizes else 0.0
-        retained = is_float_act & ~(in_checkpoint & ~checkpoint_boundary)
         return cls(
             flops=flops, bytes_moved=bytes_moved, out_bytes=out_bytes,
-            save_factor=save_factor, is_fp16=is_fp16, is_gemm=is_gemm,
+            retained_bytes=retained_bytes, is_fp16=is_fp16, is_gemm=is_gemm,
             is_flash=is_flash, fused_eff=fused_eff,
-            is_float_act=is_float_act,
             in_checkpoint=in_checkpoint,
-            checkpoint_boundary=checkpoint_boundary,
             comm_totals=comm_totals,
             axis_kinds=[(*key, count, total)
                         for key, (count, total) in comm_totals.items()
@@ -185,8 +175,7 @@ class CompiledTrace:
             max_out_bytes=float(out_bytes.max()) if n else 0.0,
             total_flops=float(flops.sum()),
             checkpointed_flops=float(flops[in_checkpoint].sum()),
-            activation_bytes=float(
-                (out_bytes[retained] * save_factor[retained]).sum()),
+            activation_bytes=float(retained_bytes.sum()),
         )
 
 

@@ -6,7 +6,9 @@ reports into a :class:`ModelTrace`, honouring fused regions (ops inside
 collapse into one launch with boundary-only memory traffic), checkpoint
 regions (interior activations are not retained; recompute cost is owed in
 the backward pass), and layer regions (checkpoint-unit spans the planner
-uses to re-price checkpoint ratios without re-tracing).
+uses to re-price checkpoint ratios without re-tracing).  What an op keeps
+for backward it declares itself (``meta["saved"]``); the recorder counts
+each buffer once per trace.
 """
 
 from __future__ import annotations
@@ -14,6 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.framework import events as fw_events
+from repro.framework.functional import buffer_owner
+from repro.framework.parameter import Parameter
+from repro.framework.tensor import Tensor
 
 
 @dataclass
@@ -23,13 +28,17 @@ class OpEvent:
     dtype_name: str
     flops: float
     bytes_moved: float
-    #: bytes of the op's output tensor (activation accounting)
+    #: bytes of the op's output tensor (boundary and workspace sizing)
     out_bytes: float
+    #: bytes the op's backward keeps alive that no earlier op already kept
+    #: (parameters excluded); a fused launch sums its members
+    saved_bytes: float = 0.0
     kernel: str = "elementwise"
     in_checkpoint: bool = False
     #: number of primitive ops folded into this launch (fusion)
     fused_count: int = 1
-    #: True for the final op of a checkpoint region (its output is retained)
+    #: True for the final op of a checkpoint region (it prices what the
+    #: checkpoint keeps)
     checkpoint_boundary: bool = False
 
 
@@ -61,6 +70,9 @@ class LayerSpan:
     #: parameter bytes of the unit's module (tied weights counted once per
     #: unit) — lets the pipeline planner price per-stage memory exactly
     param_bytes: float = 0.0
+    #: bytes of the unit's tensor inputs not already an earlier unit's
+    #: input: what a checkpoint of the unit keeps for its recompute
+    input_bytes: float = 0.0
 
 
 @dataclass
@@ -102,22 +114,11 @@ class ModelTrace:
         return len(self.ops)
 
     def activation_bytes(self) -> float:
-        """Forward activations retained for the backward pass.
-
-        Each op contributes ``out_bytes × save_factor``, where the factor
-        models what reverse-mode autodiff actually keeps: views and
-        linearly-differentiable ops save nothing, dropout keeps a 1-byte
-        mask, GEMMs/norms/softmax keep a full tensor.  On a vanilla
-        transformer layer this accounting lands on Korthikanti et al.'s
-        ``34·sbh + 5·a·s²·b`` closed form.
-
-        Additionally:
-
-        * ops inside a checkpoint region store nothing except the region's
-          boundary output;
-        * fused kernels store only their output (intermediates never reach
-          HBM);
-        * integer/bool outputs (indices, masks) are ignored.
+        """Forward activations retained for the backward pass: each op's
+        :attr:`OpEvent.saved_bytes`, what it declares its eager backward
+        closure holds.  Ops inside a checkpoint region keep nothing; the
+        checkpoint keeps the region's inputs, priced at its boundary op as
+        the unit's :attr:`LayerSpan.input_bytes` (else the op's output).
         """
         return self.compiled().activation_bytes
 
@@ -152,11 +153,35 @@ class TraceRecorder:
         self._checkpoint_depth = 0
         #: op index where the current outermost checkpoint region began
         self._checkpoint_start = 0
-        #: stack of open layer regions: (op index, comm index, module)
-        self._layer_stack: list[tuple[int, int, object]] = []
+        #: open layer regions: (op index, comm index, module, inputs)
+        self._layer_stack: list[tuple[int, int, object, tuple]] = []
+        #: id -> owner of each buffer an op saved / a unit took as input;
+        #: holding the owners keeps the ids unique until :meth:`finish`
+        self._saved: dict[int, object] = {}
+        self._unit_inputs: dict[int, object] = {}
+
+    def _new_bytes(self, items, seen: dict) -> float:
+        """Bytes of ``items`` not in ``seen`` (then added); an int is a
+        buffer the op allocated, parameters are skipped."""
+        total = 0
+        for item in items:
+            if isinstance(item, int):
+                total += item
+                continue
+            owner, nbytes = buffer_owner(item)
+            if not isinstance(owner, Parameter) and id(owner) not in seen:
+                seen[id(owner)] = owner
+                total += nbytes
+        return float(total)
+
+    def finish(self) -> ModelTrace:
+        """Drop the buffer keys; the trace keeps only byte counts."""
+        self._saved, self._unit_inputs = {}, {}
+        return self.trace
 
     # -- framework hooks ------------------------------------------------ #
     def record_op(self, name, out_shape, dtype, flops, bytes_moved, meta):
+        meta = meta or {}
         event = OpEvent(
             name=name,
             out_shape=tuple(out_shape),
@@ -164,7 +189,8 @@ class TraceRecorder:
             flops=float(flops),
             bytes_moved=float(bytes_moved),
             out_bytes=_nbytes(out_shape, dtype),
-            kernel=(meta or {}).get("kernel", _classify(name)),
+            saved_bytes=self._new_bytes(meta.get("saved", ()), self._saved),
+            kernel=meta.get("kernel", _classify(name)),
             in_checkpoint=self._checkpoint_depth > 0,
         )
         if self._fused_stack:
@@ -200,6 +226,7 @@ class TraceRecorder:
             # intermediates stay in registers/shared memory.
             bytes_moved=2.0 * max(op.out_bytes for op in ops),
             out_bytes=last.out_bytes,
+            saved_bytes=sum(op.saved_bytes for op in ops),
             kernel="gemm" if gemm_flops > 0 else f"fused:{backend}",
             in_checkpoint=self._checkpoint_depth > 0,
             fused_count=sum(op.fused_count for op in ops),
@@ -221,39 +248,21 @@ class TraceRecorder:
             # The region's final output is the retained boundary tensor.
             self.trace.ops[-1].checkpoint_boundary = True
 
-    def begin_layer(self, module=None):
+    def begin_layer(self, module=None, inputs=()):
         self._layer_stack.append((len(self.trace.ops),
-                                  len(self.trace.comms), module))
+                                  len(self.trace.comms), module, inputs))
 
     def end_layer(self):
-        op_start, comm_start, module = self._layer_stack.pop()
+        op_start, comm_start, module, inputs = self._layer_stack.pop()
         if self._layer_stack:
             return  # nested units collapse into the outermost span
         self.trace.layers.append(LayerSpan(
             op_start=op_start, op_end=len(self.trace.ops),
             comm_start=comm_start, comm_end=len(self.trace.comms),
-            param_bytes=_module_param_bytes(module)))
-
-
-#: fraction of the output tensor autograd retains, by op name
-_SAVE_FACTORS = {
-    # views / free-to-recompute / linear ops: producers already saved inputs
-    "reshape": 0.0, "permute": 0.0, "getitem": 0.0, "expand": 0.0,
-    "cat": 0.0, "split": 0.0, "add": 0.0, "sub": 0.0, "neg": 0.0,
-    "cast": 0.0, "clone": 0.0, "where": 0.0, "masked_fill": 0.0,
-    "mul": 0.0, "div": 0.0, "embedding": 0.0, "split_heads": 0.0,
-    "merge_heads": 0.0, "sum": 0.0, "mean": 0.0, "max": 0.0,
-    # cheap masks
-    "dropout": 0.5,  # 1-byte mask per fp16 element
-    "relu": 0.25,
-    "max_pool2d": 0.25,
-}
-
-
-def _save_factor(op: OpEvent) -> float:
-    if op.name.startswith("fused:"):
-        return 1.0
-    return _SAVE_FACTORS.get(op.name, 1.0)
+            param_bytes=_module_param_bytes(module),
+            input_bytes=self._new_bytes(
+                [t for t in inputs if isinstance(t, Tensor)],
+                self._unit_inputs)))
 
 
 def _classify(name: str) -> str:
@@ -277,7 +286,7 @@ def trace_model(model, *example_inputs, ref_batch: int = 1) -> ModelTrace:
     recorder = TraceRecorder()
     with fw_events.recording(recorder):
         model(*example_inputs)
-    trace = recorder.trace
+    trace = recorder.finish()
     trace.ref_batch = ref_batch
     from .memory import compute_model_stats  # late import, avoids cycle
 

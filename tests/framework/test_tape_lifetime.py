@@ -145,6 +145,25 @@ def test_no_backward_closure_holds_a_tensor(name):
     assert held == [], f"{name}'s backward closure holds {held}"
 
 
+#: ops whose backward formula reads the output itself
+_READS_OUTPUT = {"exp", "sqrt", "rsqrt", "tanh", "sigmoid", "softmax",
+                 "log_softmax", "max", "flash_attention"}
+
+
+def _owner(array):
+    while isinstance(array.base, np.ndarray):
+        array = array.base
+    return array
+
+
+@pytest.mark.parametrize("name", sorted(_ops()))
+def test_a_backward_closure_holds_its_output_only_to_read_it(name):
+    out = _ops()[name]()
+    held = [v for v in _closure_values(out.grad_fn.backward_fn)
+            if isinstance(v, np.ndarray) and _owner(v) is _owner(out.data)]
+    assert bool(held) == (name in _READS_OUTPUT), name
+
+
 @pytest.mark.parametrize("name,saved", [("add", 0), ("sub", 0), ("neg", 0),
                                         ("exp", 1), ("tanh", 1), ("log", 1),
                                         ("mul", 2), ("rsqrt", 2)])

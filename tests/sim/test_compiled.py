@@ -22,7 +22,6 @@ from repro.sim import (
     step_time,
     trace_model,
 )
-from repro.sim.events import _save_factor
 
 
 @pytest.fixture(scope="module")
@@ -144,13 +143,9 @@ class TestCompiledAggregates:
 
     def test_activation_bytes_match_reference_loop(self, bert_traced):
         _, trace = bert_traced
-        total = 0.0
-        for op in trace.ops:
-            if op.dtype_name not in ("float16", "float32", "float64"):
-                continue
-            if op.in_checkpoint and not op.checkpoint_boundary:
-                continue
-            total += op.out_bytes * _save_factor(op)
+        assert not any(op.in_checkpoint for op in trace.ops)
+        total = sum(op.saved_bytes for op in trace.ops)
+        assert total > 0
         assert trace.activation_bytes() == pytest.approx(total, rel=1e-12)
 
     def test_flop_aggregates_match_reference_loop(self, bert_traced):

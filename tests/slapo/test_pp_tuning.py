@@ -151,7 +151,7 @@ class TestJointScheduleSearch:
                    for c in enumerate_space(update))
 
     def test_schedule_coordinate_changes_prediction(self, gpt_cost_model):
-        base = {"tp": 4, "pp": 2, "micro_batch": 2,
+        base = {"tp": 4, "pp": 2, "micro_batch": 1,
                 "num_micro_batches": 8}
         default = gpt_cost_model.estimate(base)
         zb = gpt_cost_model.estimate(
