@@ -191,19 +191,18 @@ def _view(out, x, strided=False):
 
 
 def buffer_owner(item):
-    """(owner, bytes) of the buffer a tensor or array keeps alive.
+    """The tensor or array owning the buffer a tensor or array keeps alive.
 
     A meta view points at its source through ``_base``; a real array is
     followed to the array owning its memory.
     """
     if isinstance(item, Tensor):
         if item.is_meta:
-            base = getattr(item, "_base", item)
-            return base, base.nbytes
+            return getattr(item, "_base", item)
         item = item.data
     while isinstance(item.base, np.ndarray):
         item = item.base
-    return item, item.nbytes
+    return item
 
 
 def _reshape_views(x, shape) -> bool:

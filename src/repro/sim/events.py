@@ -155,23 +155,22 @@ class TraceRecorder:
         self._checkpoint_start = 0
         #: open layer regions: (op index, comm index, module, inputs)
         self._layer_stack: list[tuple[int, int, object, tuple]] = []
-        #: id -> owner of each buffer an op saved / a unit took as input;
-        #: holding the owners keeps the ids unique until :meth:`finish`
+        #: id -> owner of each buffer counted so far, held until finish()
         self._saved: dict[int, object] = {}
         self._unit_inputs: dict[int, object] = {}
 
     def _new_bytes(self, items, seen: dict) -> float:
-        """Bytes of ``items`` not in ``seen`` (then added); an int is a
-        buffer the op allocated, parameters are skipped."""
+        """Bytes of ``items`` not yet ``seen``; an int is a fresh buffer."""
         total = 0
         for item in items:
             if isinstance(item, int):
                 total += item
                 continue
-            owner, nbytes = buffer_owner(item)
-            if not isinstance(owner, Parameter) and id(owner) not in seen:
+            owner = buffer_owner(item)
+            if id(owner) not in seen:
                 seen[id(owner)] = owner
-                total += nbytes
+                if not isinstance(owner, Parameter):
+                    total += owner.nbytes
         return float(total)
 
     def finish(self) -> ModelTrace:
@@ -182,6 +181,7 @@ class TraceRecorder:
     # -- framework hooks ------------------------------------------------ #
     def record_op(self, name, out_shape, dtype, flops, bytes_moved, meta):
         meta = meta or {}
+        saved = meta.get("saved")
         event = OpEvent(
             name=name,
             out_shape=tuple(out_shape),
@@ -189,7 +189,7 @@ class TraceRecorder:
             flops=float(flops),
             bytes_moved=float(bytes_moved),
             out_bytes=_nbytes(out_shape, dtype),
-            saved_bytes=self._new_bytes(meta.get("saved", ()), self._saved),
+            saved_bytes=self._new_bytes(saved, self._saved) if saved else 0.0,
             kernel=meta.get("kernel", _classify(name)),
             in_checkpoint=self._checkpoint_depth > 0,
         )
