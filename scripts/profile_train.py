@@ -4,17 +4,20 @@ Builds the ``train_gpt_tp2`` benchmark configuration from public APIs
 (``MODEL_ZOO["GPT"]`` at ``GPT_TRAIN_SIZES``,
 ``schedule_gpt(ckpt_ratio=0.5)``, ``slapo.build``, ``AdamW``,
 ``LocalCluster(2)``): a tiny GPT sharded over two rank threads, batch 4,
-seed 0.  Each rank runs one warm-up step, then one step under
-``tracemalloc`` (both rank threads, untimed), then ``--steps`` steps timed
-by phase (forward + loss, backward, optimizer), then
-``--steps`` more under its own ``cProfile`` profiler (cProfile follows
-one thread, so every rank thread gets one).  Prints the traced memory
-of the step (bytes live when backward starts, the step's peak, bytes
-live after backward, all counted from the step's start) next to the
-simulator's activations for the same step (``model_memory`` over rank
-0's meta trace of model and loss, times the two ranks), the per-rank
-phase split and rank 0's top ``--top`` functions by self time, in ms
-per step.
+seed 0.  Each rank builds and runs one warm-up step under
+``tracemalloc``, then one step under ``tracemalloc`` (both rank threads,
+untimed), then ``--steps`` steps timed by phase (forward + loss,
+backward, optimizer), then ``--steps`` more under its own ``cProfile``
+profiler (cProfile follows one thread, so every rank thread gets one).
+Prints what each rank keeps between steps (its parameter, gradient and
+optimizer-state bytes, and the bytes both ranks left live after build
+and warm-up) next to the simulator's ``fixed_state_bytes`` for the
+shard; the traced memory of the step (bytes live when backward starts,
+the step's peak, bytes live after backward, all counted from the step's
+start) next to the simulator's activations for the same step
+(``model_memory`` over rank 0's meta trace of model and loss, times the
+two ranks); the per-rank phase split and rank 0's top ``--top``
+functions by self time, in ms per step.
 
     python scripts/profile_train.py [--size tiny|full] [--steps N] [--top K]
 
@@ -53,11 +56,14 @@ from repro.framework import functional as F  # noqa: E402
 from repro.models import GPT_TRAIN_SIZES, MODEL_ZOO, data  # noqa: E402
 from repro.schedules import schedule_gpt  # noqa: E402
 from repro.sim import TraceRecorder, model_memory  # noqa: E402
+from repro.sim.memory import (compute_model_stats,  # noqa: E402
+                              fixed_state_bytes)
 
 TP = 2
 BATCH = 4
 SEED = 0
 PHASES = ("forward", "backward", "optimizer")
+STATE = ("params", "grads", "optimizer")
 
 
 def build_model(config, mesh, device="cpu"):
@@ -78,8 +84,9 @@ def step_loss(model, batch, vocab: int):
     return F.cross_entropy(model(ids).reshape(-1, vocab), labels)
 
 
-def predicted_activations(config) -> float:
-    """The simulator's activation bytes for the step, both ranks."""
+def predicted(config) -> dict:
+    """The simulator's numbers for rank 0's shard: ``fixed_state_bytes``
+    at ZeRO 0 by term, and the step's activations times the two ranks."""
     model = build_model(config, DeviceMesh(ParallelConfig(tp=TP), rank=0,
                                            sim=True), device="meta")
     recorder = TraceRecorder()
@@ -88,7 +95,26 @@ def predicted_activations(config) -> float:
                   config.vocab_size)
     trace = recorder.finish()
     trace.ref_batch = BATCH
-    return TP * model_memory(model, trace, BATCH).activations
+    stats = compute_model_stats(model)
+    fixed = fixed_state_bytes(stats.param_bytes, stats.param_count,
+                              stats.layer_count, zero_stage=0, dp_size=1)
+    return dict(zip(STATE, fixed),
+                activations=TP * model_memory(model, trace,
+                                              BATCH).activations)
+
+
+def resident_state(model, opt) -> dict:
+    """Bytes of this rank's parameters, their gradients and its optimizer
+    state."""
+    params = list({id(p): p for p in model.parameters()}.values())
+    return {
+        "params": sum(p.data.nbytes for p in params),
+        "grads": sum(p.grad.data.nbytes for p in params
+                     if p.grad is not None),
+        "optimizer": sum(value.nbytes for state in opt.state.values()
+                         for value in state.values()
+                         if isinstance(value, np.ndarray)),
+    }
 
 
 def train_step(model, opt, batch, vocab: int) -> dict:
@@ -150,8 +176,19 @@ def profile(size: str, steps: int):
                for _ in range(2 * steps + 1)]
 
     def rank(ctx):
+        group = ctx.world_group()
+        group.barrier()
+        if ctx.rank == 0:
+            tracemalloc.start()
+        group.barrier()
         model, opt = build_rank(ctx, config)
         train_step(model, opt, batches[0], vocab)  # warm-up
+        group.barrier()
+        state = dict(resident_state(model, opt),
+                     live=tracemalloc.get_traced_memory()[0])
+        group.barrier()
+        if ctx.rank == 0:
+            tracemalloc.stop()
         memory = traced_step(ctx, model, opt, batches[0], vocab)
         phases = [train_step(model, opt, batch, vocab)
                   for batch in batches[1:steps + 1]]
@@ -160,11 +197,11 @@ def profile(size: str, steps: int):
         for batch in batches[steps + 1:]:
             train_step(model, opt, batch, vocab)
         profiler.disable()
-        return memory, phases, pstats.Stats(profiler)
+        return state, memory, phases, pstats.Stats(profiler)
 
-    memory, phases, stats = zip(*LocalCluster(TP).run(rank))
-    return dict(memory[0], predicted=predicted_activations(config)), \
-        phases, stats
+    state, memory, phases, stats = zip(*LocalCluster(TP).run(rank))
+    return state, dict(memory[0], predicted=predicted(config)), phases, \
+        stats
 
 
 def _where(func) -> str:
@@ -179,14 +216,27 @@ def _where(func) -> str:
     return f"{path}:{line}({name})"
 
 
-def report(memory, phases, stats, steps: int, top: int) -> str:
-    lines = ["traced memory of one step, both ranks (MB, from the step's "
-             "start):"]
-    for key, label in (("backward_start", "live when backward starts"),
-                       ("predicted", "simulator's activations"),
-                       ("peak", "step peak"),
-                       ("after_backward", "live after backward")):
-        lines.append(f"  {label:<26}{memory[key] / 1e6:>8.1f}")
+def report(state, memory, phases, stats, steps: int, top: int) -> str:
+    sim = memory["predicted"]
+    lines = ["what each rank keeps after build + warm-up (MB):",
+             f"{'':<12}" + "".join(f"{key:>11}" for key in STATE + ("total",))]
+    for label, row in [(f"rank{r}", s) for r, s in enumerate(state)] + [
+            ("simulator", sim)]:
+        values = [row[key] for key in STATE]
+        lines.append(f"  {label:<10}" + "".join(
+            f"{v / 1e6:>11.2f}" for v in values + [sum(values)]))
+    lines += [f"  {'live after build + warm-up, both ranks':<40}"
+              f"{state[0]['live'] / 1e6:>8.2f}",
+              f"  {'simulator, both ranks':<40}"
+              f"{TP * sum(sim[key] for key in STATE) / 1e6:>8.2f}",
+              "", "traced memory of one step, both ranks (MB, from the "
+              "step's start):"]
+    for label, value in (("live when backward starts",
+                          memory["backward_start"]),
+                         ("simulator's activations", sim["activations"]),
+                         ("step peak", memory["peak"]),
+                         ("live after backward", memory["after_backward"])):
+        lines.append(f"  {label:<26}{value / 1e6:>8.1f}")
     lines += ["", f"{'phase':<10}" + "".join(f"{f'rank{r} ms/step':>16}"
                                          for r in range(len(phases)))]
     for phase in PHASES + ("step",):
@@ -216,10 +266,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.steps < 1 or args.top < 1:
         parser.error("--steps and --top must be positive")
-    memory, phases, stats = profile(args.size, args.steps)
+    state, memory, phases, stats = profile(args.size, args.steps)
     print(f"GPT tp={TP} training step, size={args.size}, batch {BATCH}, "
           f"{args.steps} timed + {args.steps} profiled steps per rank\n")
-    print(report(memory, phases, stats, args.steps, args.top))
+    print(report(state, memory, phases, stats, args.steps, args.top))
     return 0
 
 

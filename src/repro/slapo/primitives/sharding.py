@@ -29,6 +29,20 @@ class ShardSpec:
     full_shape: tuple[int, ...]
 
 
+@dataclass(frozen=True, eq=False)
+class Origin:
+    """Where a shard came from, without keeping the source alive.
+
+    ``key`` is the source parameter's ``id()``, ``parent`` the source's
+    own record (``None`` unless it was a shard too) and ``row_perm`` the
+    row permutation it carried (``_slapo_row_perm``) when it was sliced.
+    """
+
+    key: int
+    parent: "Origin | None"
+    row_perm: np.ndarray | None
+
+
 def _shard_parameter(param: Parameter, axis: int, num: int, index: int
                      ) -> Parameter:
     full_shape = tuple(param.shape)
@@ -56,9 +70,13 @@ def _shard_parameter(param: Parameter, axis: int, num: int, index: int
         sharded = Parameter(param.data[slicer].copy(), dtype=param.dtype,
                             requires_grad=param.requires_grad)
     sharded.shard_spec = ShardSpec(axis, num, index, full_shape)
-    # Provenance for the verifier: a shard gradient is checked against the
-    # matching slice of the original parameter's gradient.
-    sharded._slapo_origin = param
+    # Provenance for the verifier, which checks a shard's gradient against
+    # the matching slice of the original's.  A record, not the parameter:
+    # holding the full-size original would pin it (and its data) for the
+    # model's lifetime; ``verify()`` pins the originals itself.
+    sharded._slapo_origin = Origin(
+        id(param), getattr(param, "_slapo_origin", None),
+        getattr(param, "_slapo_row_perm", None))
     return sharded
 
 

@@ -223,28 +223,26 @@ def _shard_slice(array: np.ndarray, spec, perm=None) -> np.ndarray:
     return array[slicer]
 
 
-def _resolve_origin(param):
-    """Follow the sharding provenance chain back to the original object."""
-    seen = set()
-    while getattr(param, "_slapo_origin", None) is not None \
-            and id(param) not in seen:
-        seen.add(id(param))
-        param = param._slapo_origin
-    return param
+def _resolve_origin(param) -> int:
+    """``id()`` of the pre-schedule parameter a (possibly sharded)
+    parameter came from, following its provenance records."""
+    origin = getattr(param, "_slapo_origin", None)
+    if origin is None:
+        return id(param)
+    while origin.parent is not None:
+        origin = origin.parent
+    return origin.key
 
 
 def _row_perm(param) -> tuple | None:
     """Row permutation applied before sharding, if any (fused-QKV
     interleaving records one so shard rows can be mapped back to the
     vanilla row order)."""
-    seen: set[int] = set()
-    while param is not None and id(param) not in seen:
-        perm = getattr(param, "_slapo_row_perm", None)
-        if perm is not None:
-            return tuple(int(i) for i in perm)
-        seen.add(id(param))
-        param = getattr(param, "_slapo_origin", None)
-    return None
+    perm = getattr(param, "_slapo_row_perm", None)
+    origin = getattr(param, "_slapo_origin", None)
+    while perm is None and origin is not None:
+        perm, origin = origin.row_perm, origin.parent
+    return None if perm is None else tuple(int(i) for i in perm)
 
 
 def _build_param_map(pre_names: dict, run_model: Module
@@ -261,8 +259,7 @@ def _build_param_map(pre_names: dict, run_model: Module
         if id(param) in seen:
             continue
         seen.add(id(param))
-        origin = _resolve_origin(param)
-        ref_name = pre_names.get(id(origin))
+        ref_name = pre_names.get(_resolve_origin(param))
         if ref_name is None:
             unmatched.append(name)
             continue
