@@ -17,7 +17,8 @@ the step's peak, bytes live after backward, all counted from the step's
 start) next to the simulator's activations for the same step
 (``model_memory`` over rank 0's meta trace of model and loss, times the
 two ranks); the per-rank phase split and rank 0's top ``--top``
-functions by self time, in ms per step.
+functions by self time, in ms per step; and the process's resident set
+size after imports and its peak at exit (``ru_maxrss``).
 
     python scripts/profile_train.py [--size tiny|full] [--steps N] [--top K]
 
@@ -31,6 +32,7 @@ import argparse
 import cProfile
 import os
 import pstats
+import resource
 import statistics
 import sys
 import time
@@ -257,7 +259,14 @@ def report(state, memory, phases, stats, steps: int, top: int) -> str:
     return "\n".join(lines)
 
 
+def peak_rss_mb() -> float:
+    """This process's high-water resident set size so far, in MB (the
+    instrument behind ``perfbench``'s ``peak_rss_mb``)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
 def main(argv=None) -> int:
+    import_rss = peak_rss_mb()
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--size", choices=sorted(GPT_TRAIN_SIZES),
                         default="full")
@@ -270,6 +279,8 @@ def main(argv=None) -> int:
     print(f"GPT tp={TP} training step, size={args.size}, batch {BATCH}, "
           f"{args.steps} timed + {args.steps} profiled steps per rank\n")
     print(report(state, memory, phases, stats, args.steps, args.top))
+    print(f"\nprocess RSS (MB): {import_rss:.1f} after imports, "
+          f"{peak_rss_mb():.1f} peak at exit")
     return 0
 
 

@@ -15,6 +15,8 @@ record communication events under a SimGroup for the performance model.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro import framework as fw
 from repro.distributed.group import BaseGroup, SingleGroup
 from repro.framework import events
@@ -99,10 +101,9 @@ class MegatronParallelAttention(fw.Module):
             scores = scores / (self.head_dim ** 0.5)
             if self.causal:
                 seq = scores.shape[-1]
-                import numpy as np
-
                 mask = fw.tensor(np.triu(np.ones((seq, seq), bool), k=1))
-                scores = scores.masked_fill(mask, -1e9)
+                scores = scores.masked_fill(
+                    mask, float(np.finfo(scores.dtype.np_dtype).min))
             probs = F.softmax(scores, dim=-1)
         probs = self.dropout(probs)
         return self.dense(F.merge_heads(probs @ v))
