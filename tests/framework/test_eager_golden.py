@@ -40,7 +40,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 
 import repro.slapo as slapo
 from repro import framework as fw
@@ -61,14 +60,13 @@ INLINE_BYTES = 1024
 
 def platform_fingerprint() -> dict:
     """What the pinned bits depend on besides the code: the machine, the
-    NumPy/SciPy versions, the BLAS build and the SIMD extensions NumPy
-    found on this CPU."""
+    NumPy version, the BLAS build and the SIMD extensions NumPy found on
+    this CPU."""
     config = np.show_config(mode="dicts")
     blas = config["Build Dependencies"]["blas"]
     return {
         "machine": platform.machine(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "blas": blas.get("openblas configuration")
         or f"{blas.get('name')} {blas.get('version')}",
         "simd": config["SIMD Extensions"]["found"],
