@@ -15,8 +15,6 @@ record communication events under a SimGroup for the performance model.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro import framework as fw
 from repro.distributed.group import BaseGroup, SingleGroup
 from repro.framework import events
@@ -100,10 +98,7 @@ class MegatronParallelAttention(fw.Module):
         with events.fused_region("scaled_masked_softmax", backend="custom"):
             scores = scores / (self.head_dim ** 0.5)
             if self.causal:
-                seq = scores.shape[-1]
-                mask = fw.tensor(np.triu(np.ones((seq, seq), bool), k=1))
-                scores = scores.masked_fill(
-                    mask, float(np.finfo(scores.dtype.np_dtype).min))
+                scores = F.apply_causal_mask(scores)
             probs = F.softmax(scores, dim=-1)
         probs = self.dropout(probs)
         return self.dense(F.merge_heads(probs @ v))

@@ -1542,21 +1542,20 @@ def position_ids(input_ids):
 
 
 @traceable
-def apply_causal_mask(scores, value: float | None = None):
+def apply_causal_mask(scores):
     """Mask out future positions of an attention-score matrix.
 
-    Masked scores become ``value``, by default the most negative finite
-    value of the scores' dtype (HF's ``finfo(dtype).min``): softmax gives
-    them exactly 0 in every float dtype, and fp16 does not overflow.
+    Masked scores become the most negative finite value of the scores'
+    dtype (HF's ``finfo(dtype).min``): softmax gives them exactly 0 in
+    every float dtype, and fp16 does not overflow.
     A single traceable op (the mask depends on runtime sequence length),
     so decoder attention stays symbolically traceable and pattern-matchable.
     """
     scores = astensor(scores)
-    if value is None:
-        value = float(np.finfo(scores.dtype.np_dtype).min)
     s_q, s_k = scores.shape[-2], scores.shape[-1]
     mask = Tensor(np.triu(np.ones((s_q, s_k), dtype=bool), k=1))
-    return masked_fill(scores, mask, value)
+    return masked_fill(scores, mask,
+                       float(np.finfo(scores.dtype.np_dtype).min))
 
 
 
