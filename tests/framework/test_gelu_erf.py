@@ -61,13 +61,8 @@ class TestErfKernel:
             np.array([1e-30, 1e-40, 1e-45, 4.0, 1e30, np.inf], np.float32)])
         assert np.array_equal(_bits(F._erf(-x)), _bits(-F._erf(x)))
 
-    def test_zeros_keep_their_sign(self):
-        got = F._erf(np.array([0.0, -0.0], np.float32))
-        assert np.array_equal(_bits(got),
-                              _bits(np.array([0.0, -0.0], np.float32)))
-
-    @pytest.mark.parametrize("x", [1e-30, 1.1754944e-38, 1e-40, 1e-45])
-    def test_tiny_and_denormal(self, x):
+    @pytest.mark.parametrize("x", [0.0, 1e-30, 1.1754944e-38, 1e-40, 1e-45])
+    def test_zero_tiny_and_denormal_keep_their_sign(self, x):
         for value in (x, -x):
             arg = np.array([value], np.float32)
             got = F._erf(arg)[0]
