@@ -13,9 +13,8 @@ paper's factor.
 import pytest
 
 import repro.slapo as slapo
-from repro.baselines.systems import _example_inputs
 from repro.distributed import DeviceMesh, P3DN_NODE, ParallelConfig
-from repro.models import MODEL_ZOO
+from repro.models import MODEL_ZOO, data
 from repro.schedules import SCHEDULES
 from repro.sim import plan_micro_batch, trace_model
 from repro.sim.kernel_cost import cost_model_for
@@ -31,7 +30,8 @@ def _throughput(parallel, framework, **schedule_kwargs):
         mesh = DeviceMesh(parallel, rank=0, sim=True)
         sch = slapo.create_schedule(model, mesh=mesh)
         SCHEDULES[FAMILY](sch, config, ckpt_ratio=ratio, **schedule_kwargs)
-        trace = trace_model(model, *_example_inputs(FAMILY, config))
+        trace = trace_model(
+            model, *data.example_inputs(FAMILY, config, device="meta"))
         plan = plan_micro_batch(trace, model, P3DN_NODE, parallel,
                                 cost_model=cost_model_for(framework))
         if plan is not None:

@@ -14,7 +14,7 @@ from .megatron import (
 from .pipeline_runtime import PipelineRuntime
 from .systems import (
     EVALUATORS,
-    PIPELINE_LAYER_PATHS,
+    PIPELINE_FAMILIES,
     SystemResult,
     evaluate_deepspeed,
     evaluate_megatron,
@@ -31,5 +31,5 @@ __all__ = [
     "ZeroOptimizer", "PipelineRuntime",
     "SystemResult", "EVALUATORS", "evaluate_megatron", "evaluate_deepspeed",
     "evaluate_slapo_tp", "evaluate_slapo_zero3", "evaluate_slapo_pp",
-    "PIPELINE_LAYER_PATHS",
+    "PIPELINE_FAMILIES",
 ]

@@ -32,7 +32,7 @@ import repro.slapo as slapo
 from repro.distributed import DeviceMesh, ParallelConfig
 from repro.distributed.topology import ClusterSpec
 from repro.models import MODEL_ZOO, data
-from repro.schedules import SCHEDULES
+from repro.schedules import LAYOUTS, SCHEDULES, common
 from repro.sim import Prediction, plan_micro_batch, trace_model
 from repro.sim.compiled import reprice_checkpoint_ratio
 from repro.sim.kernel_cost import cost_model_for
@@ -63,17 +63,6 @@ class SystemResult:
     @property
     def label(self) -> str:
         return "X" if not self.supported else f"{self.throughput:.1f}"
-
-
-def _example_inputs(family, config, device="meta"):
-    if family == "T5":
-        src, tgt, _ = data.seq2seq_batch(config, 1, device=device)
-        return (src, tgt)
-    if family == "WideResNet":
-        images, _ = data.image_batch(config, 1, device=device)
-        return (images,)
-    ids, _ = data.lm_batch(config, 1, device=device)
-    return (ids,)
 
 
 #: (system kind, family, trace-relevant parallelism) -> (model, base trace).
@@ -109,7 +98,8 @@ def _plan_over_ratios(build_fn, family, config, cluster, parallel,
         model, base_trace = _TRACE_CACHE[cache_key]
     else:
         model = build_fn(0.0)
-        base_trace = trace_model(model, *_example_inputs(family, config))
+        base_trace = trace_model(
+            model, *data.example_inputs(family, config, device="meta"))
         if cache_key is not None:
             _TRACE_CACHE[cache_key] = (model, base_trace)
     for ratio in ratios:
@@ -173,18 +163,11 @@ def evaluate_deepspeed(family: str, cluster: ClusterSpec, num_gpus: int,
     cls, config = MODEL_ZOO[family]
 
     def build(ratio):
+        # The bare HF model with vanilla layer checkpointing: no kernels,
+        # no fusion, no TP, only the checkpoint (unit) marks.
         model = cls(config, device="meta")
-        # Vanilla HF layer checkpointing only: no kernels, no fusion, no
-        # TP — with every feature off the schedule reduces to checkpoint
-        # (unit) marking, leaving the trace identical to the bare model.
-        kwargs = {"ckpt_ratio": ratio, "use_tp": False}
-        if family != "WideResNet":
-            kwargs["use_flash"] = False
-        if family in ("BERT", "RoBERTa", "GPT", "OPT", "GPT-10B",
-                      "LLaMA-7B"):
-            kwargs["use_fusion"] = False
-        sch = slapo.create_schedule(model)
-        SCHEDULES[family](sch, config, **kwargs)
+        common.checkpoint_layers(slapo.create_schedule(model),
+                                 LAYOUTS[family].layers(config), ratio)
         return model
 
     result = _plan_over_ratios(build, family, config, cluster, parallel,
@@ -235,20 +218,8 @@ def evaluate_slapo_zero3(family: str, cluster: ClusterSpec, num_gpus: int,
 
 
 #: transformer families with a contiguous decoder/encoder layer stack the
-#: pipeline evaluator can cut: family → layer-unit schedule paths
-PIPELINE_LAYER_PATHS = {
-    "BERT": lambda c: [f"bert.encoder.layer.{i}"
-                       for i in range(c.num_layers)],
-    "RoBERTa": lambda c: [f"roberta.encoder.layer.{i}"
-                          for i in range(c.num_layers)],
-    "GPT": lambda c: [f"transformer.h.{i}" for i in range(c.num_layers)],
-    "GPT-10B": lambda c: [f"transformer.h.{i}"
-                          for i in range(c.num_layers)],
-    "OPT": lambda c: [f"model.decoder.layers.{i}"
-                      for i in range(c.num_layers)],
-    "LLaMA-7B": lambda c: [f"model.layers.{i}"
-                           for i in range(c.num_layers)],
-}
+#: pipeline evaluator can cut at its layout's layer paths
+PIPELINE_FAMILIES = ("BERT", "RoBERTa", "GPT", "GPT-10B", "OPT", "LLaMA-7B")
 
 
 def evaluate_slapo_pp(family: str, cluster: ClusterSpec, num_gpus: int,
@@ -268,7 +239,7 @@ def evaluate_slapo_pp(family: str, cluster: ClusterSpec, num_gpus: int,
     and ``slapo.build()`` must produce exactly ``pp`` stage modules — the
     end-to-end §3.3.2 path.
     """
-    if family not in PIPELINE_LAYER_PATHS:
+    if family not in PIPELINE_FAMILIES:
         return SystemResult(system="slapo-pp", family=family,
                             num_gpus=num_gpus, supported=False)
     parallel = parallel or ParallelConfig(tp=max(num_gpus // 2, 1), pp=2)
@@ -276,7 +247,7 @@ def evaluate_slapo_pp(family: str, cluster: ClusterSpec, num_gpus: int,
         return SystemResult(system="slapo-pp", family=family,
                             num_gpus=num_gpus, supported=False)
     _, config = MODEL_ZOO[family]
-    layer_paths = PIPELINE_LAYER_PATHS[family](config)
+    layer_paths = LAYOUTS[family].layers(config)
     if len(layer_paths) < parallel.pp:
         return SystemResult(system="slapo-pp", family=family,
                             num_gpus=num_gpus, supported=False)
@@ -296,7 +267,7 @@ def evaluate_slapo_pp(family: str, cluster: ClusterSpec, num_gpus: int,
             raise SchedulingError(
                 f"planned cut {max(result.pipeline_cuts)} exceeds the "
                 f"{len(layer_paths)} schedulable layer units of {family} "
-                f"(trace layer marks and PIPELINE_LAYER_PATHS disagree)"
+                f"(trace layer marks and the layout's layer paths disagree)"
             )
         cls, _ = MODEL_ZOO[family]
         model = cls(config, device="meta")

@@ -460,14 +460,22 @@ def _erf_chunk(x: np.ndarray, sq: np.ndarray, acc: np.ndarray) -> None:
     np.clip(x, -1.0, 1.0, out=x)  # the rational overshoots 1 by 4e-7
 
 
-def _erf(v: np.ndarray) -> np.ndarray:
-    """``erf(v)`` evaluated in float32, returned in ``v``'s dtype."""
-    out = np.array(v, dtype=np.float32, order="C")
+def _erf_inplace(out: np.ndarray) -> np.ndarray:
+    """Overwrite the C-contiguous float32 array ``out`` with ``erf(out)``
+    and return it; two chunks of scratch are its only temporaries."""
+    if out.dtype != np.float32 or not out.flags.c_contiguous:
+        raise ValueError("_erf_inplace needs a C-contiguous float32 array")
     flat = out.reshape(-1)
     sq, acc = np.empty((2, min(flat.size, _ERF_CHUNK)), np.float32)
     for chunk in _chunks(flat.size):
         x = flat[chunk]
         _erf_chunk(x, sq[:x.size], acc[:x.size])
+    return out
+
+
+def _erf(v: np.ndarray) -> np.ndarray:
+    """``erf(v)`` evaluated in float32, returned in ``v``'s dtype."""
+    out = _erf_inplace(np.array(v, dtype=np.float32, order="C"))
     return out.astype(v.dtype, copy=False)
 
 
@@ -517,19 +525,23 @@ def gelu(x):
         saved = None
 
     def backward(grad):
-        v32 = v.astype(np.float32, copy=False)
+        # ``dtype=`` runs each product on ``v`` rounded to float32, so a
+        # non-fp32 ``v`` needs no float32 copy.
+        f32 = np.float32
         if saved is None:
-            cdf = _erf(v32 * _INV_SQRT2)
+            cdf = _erf_inplace(np.multiply(v, _INV_SQRT2, dtype=f32,
+                                           order="C"))
             cdf += 1.0
             cdf *= 0.5
         else:
             cdf = 0.5 * saved
-        pdf = -0.5 * v32
-        pdf *= v32
+        pdf = np.multiply(v, -0.5, dtype=f32)
+        np.multiply(pdf, v, out=pdf, dtype=f32)
         np.exp(pdf, out=pdf)
         pdf /= math.sqrt(2 * math.pi)
-        pdf *= v32
+        np.multiply(pdf, v, out=pdf, dtype=f32)
         pdf += cdf
+        del cdf
         if np.result_type(grad, pdf) != pdf.dtype:
             return ((grad * pdf).astype(v.dtype, copy=False),)
         pdf *= grad
@@ -598,10 +610,18 @@ def where(cond, a, b):
     return _finalize("where", data, (cond, a, b), backward, dtype=out_dtype)
 
 
-def _fill_value(value, dtype: np.dtype) -> np.ndarray:
-    """``value`` as a 0-d array of ``dtype``.  A finite value that
-    overflows it raises ``OverflowError``, as torch's ``masked_fill``
-    does, instead of silently becoming ``±inf``."""
+def _fill_value(value, dtype: np.dtype) -> np.ndarray | None:
+    """``value`` (a number or a 0-d tensor) as a 0-d array of ``dtype``,
+    or None for a meta tensor.  A finite value that overflows ``dtype``
+    raises ``OverflowError``, as torch's ``masked_fill`` does, instead of
+    silently becoming ``±inf``."""
+    if isinstance(value, Tensor):
+        if value.ndim:
+            raise ValueError("masked_fill takes a 0-d value tensor, got "
+                             f"{value.ndim} dimensions")
+        if value.is_meta:
+            return None
+        value = value.data
     with np.errstate(over="ignore"):
         fill = np.asarray(value, dtype)
     if fill.dtype.kind == "f" and np.isinf(fill) and np.isfinite(value):
@@ -614,19 +634,28 @@ def _fill_value(value, dtype: np.dtype) -> np.ndarray:
 
 @traceable
 def masked_fill(x, mask, value):
+    """``x`` with ``value`` where ``mask`` is set.  ``value`` is a number
+    or, as in torch, a 0-d tensor, whose gradient is the sum of the
+    output gradient over the filled positions."""
     x, mask = astensor(x), astensor(mask)
     fill = _fill_value(value, x.dtype.np_dtype)
-    if _any_meta(x, mask):
+    inputs = (x, mask, value) if isinstance(value, Tensor) else (x, mask)
+    if _any_meta(*inputs):
         shape = np.broadcast_shapes(tuple(x.shape), tuple(mask.shape))
-        return _meta_result("masked_fill", shape, x.dtype, (x, mask),
+        return _meta_result("masked_fill", shape, x.dtype, inputs,
                             saved=(mask.numel(),))
     mask_b = np.broadcast_to(mask.data.astype(bool), x.data.shape)
     data = np.where(mask_b, fill, x.data)
+    value_dtype = value.data.dtype if isinstance(value, Tensor) else None
 
     def backward(grad):
-        return (np.where(mask_b, 0, grad), None)
+        grads = (np.where(mask_b, 0, grad), None)
+        if value_dtype is None:
+            return grads
+        return grads + (np.asarray(np.where(mask_b, grad, 0).sum(),
+                                   value_dtype),)
 
-    return _finalize("masked_fill", data, (x, mask), backward, dtype=x.dtype)
+    return _finalize("masked_fill", data, inputs, backward, dtype=x.dtype)
 
 
 # ---------------------------------------------------------------------- #

@@ -55,3 +55,21 @@ def image_batch(config: ResNetConfig, batch_size: int, device: str = "cpu"
                 Tensor.meta((batch_size,), fw.int64))
     return (fw.randn(*shape, dtype=config.dtype),
             fw.randint(0, config.num_classes, (batch_size,)))
+
+
+def example_inputs(family: str, config, batch_size: int = 1,
+                   seq_len: int | None = None, device: str = "cpu"
+                   ) -> tuple[Tensor, ...]:
+    """A MODEL_ZOO family's forward inputs for one synthetic batch:
+    ``(input_ids, decoder_input_ids)`` for T5 (both ``seq_len`` long when
+    it is given), ``(images,)`` for WideResNet, ``(input_ids,)`` for the
+    language models."""
+    if family == "T5":
+        src, tgt, _ = seq2seq_batch(config, batch_size, seq_len, seq_len,
+                                    device=device)
+        return (src, tgt)
+    if family == "WideResNet":
+        images, _ = image_batch(config, batch_size, device=device)
+        return (images,)
+    ids, _ = lm_batch(config, batch_size, seq_len, device=device)
+    return (ids,)

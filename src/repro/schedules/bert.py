@@ -1,4 +1,4 @@
-"""BERT schedule (paper appendix A / Table 4: 21 LoC).
+"""BERT layout (paper appendix A / Table 4: 21 LoC).
 
 Vocab-parallel embedding, Megatron-style TP on attention + FFN, flash
 attention via subgraph replacement, Bias-GeLU and dropout-residual-LN
@@ -7,7 +7,54 @@ fusion via the stand-in compilers, and selective activation checkpointing.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from . import common
+
+
+# <schedule>
+def vocab(sch, prefix):
+    head = "cls.decoder" if prefix == "bert" else "lm_head.decoder"
+    common.shard_vocab(sch, f"{prefix}.embeddings.word_embeddings", head,
+                       head_params=("weight", "bias"))
+
+
+def attention(layer, config, tp):
+    attn = layer["attention"]
+    for proj in ("self.query", "self.key", "self.value"):
+        attn[proj].shard(["weight", "bias"], axis=0)
+    attn["self"].sync(mode="bwd_post")
+    common.set_local_heads(attn["self"], config, tp,
+                           attr="num_attention_heads")
+    attn["output.dense"].shard("weight", axis=1)
+    attn["output.dense"].sync(mode="fwd_post")
+
+
+def mlp(layer, config, tp):
+    common.shard_pair(layer, "intermediate.dense", "output.dense")
+
+
+def flash(layer, config, tp):
+    common.replace_attention_core(layer["attention.self"])
+
+
+def fusion(layer, config, tp):
+    layer["intermediate.dense"].decompose()
+    layer.trace(flatten=True)
+    # Under tensor parallelism the sharded linear carries a backward-sync
+    # hook and stays opaque to the trace, so the Bias-GeLU pattern
+    # (correctly) finds no match — fuse what matched rather than assuming
+    # both patterns always appear.
+    common.fuse_matches(layer, common.bias_gelu, "BiasGeLU")
+    common.fuse_matches(layer, common.dropout_residual_ln, "LNResidual")
+# </schedule>
+
+
+LAYOUT = common.Layout(
+    prefix="bert",
+    layer_paths=lambda config, prefix: [f"{prefix}.encoder.layer.{i}"
+                                        for i in range(config.num_layers)],
+    vocab=vocab, attention=attention, mlp=mlp, flash=flash, fusion=fusion)
 
 
 def schedule_bert(sch, config, ckpt_ratio: float = 0.0,
@@ -15,40 +62,10 @@ def schedule_bert(sch, config, ckpt_ratio: float = 0.0,
                   use_tp: bool = True, shard_embedding: bool = True,
                   prefix: str = "bert"):
     """Apply the BERT training schedule (also used verbatim for RoBERTa)."""
-    tp = sch.mesh.tp_group.size if use_tp else 1
-    layers = [f"{prefix}.encoder.layer.{i}" for i in range(config.num_layers)]
-    # <schedule>
-    if shard_embedding and tp > 1:
-        head = "cls.decoder" if prefix == "bert" else "lm_head.decoder"
-        common.shard_vocab(sch, f"{prefix}.embeddings.word_embeddings", head,
-                           head_params=("weight", "bias"))
-    for path in layers:
-        layer = sch[path]
-        if tp > 1:
-            attn = layer["attention"]
-            for proj in ("self.query", "self.key", "self.value"):
-                attn[proj].shard(["weight", "bias"], axis=0)
-            attn["self"].sync(mode="bwd_post")
-            common.set_local_heads(attn["self"], config, tp,
-                                   attr="num_attention_heads")
-            attn["output.dense"].shard("weight", axis=1)
-            attn["output.dense"].sync(mode="fwd_post")
-            common.shard_pair(layer, "intermediate.dense", "output.dense")
-        if use_flash:
-            common.replace_attention_core(layer["attention.self"])
-        if use_fusion:
-            layer["intermediate.dense"].decompose()
-            layer.trace(flatten=True)
-            # Under tensor parallelism the sharded linear carries a
-            # backward-sync hook and stays opaque to the trace, so the
-            # Bias-GeLU pattern (correctly) finds no match — fuse what
-            # matched rather than assuming both patterns always appear.
-            common.fuse_matches(layer, common.bias_gelu, "BiasGeLU")
-            common.fuse_matches(layer, common.dropout_residual_ln,
-                                "LNResidual")
-    common.checkpoint_layers(sch, layers, ckpt_ratio)
-    # </schedule>
-    return sch
+    return common.apply_layout(sch, replace(LAYOUT, prefix=prefix), config,
+                               ckpt_ratio, use_flash=use_flash,
+                               use_fusion=use_fusion, use_tp=use_tp,
+                               shard_embedding=shard_embedding)
 
 
 def schedule_roberta(sch, config, **kwargs):

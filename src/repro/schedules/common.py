@@ -2,10 +2,14 @@
 
 "Certain schedules can be shared among models with similar architectures" —
 these helpers are that shared layer: attention-core replacement, fused-QKV
-row interleaving for tensor parallelism, and checkpoint-ratio selection.
+row interleaving for tensor parallelism, checkpoint-ratio selection, and
+the :class:`Layout` driver every family recipe runs through.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -189,3 +193,64 @@ def checkpoint_layers(sch, layer_paths: list[str], ratio: float) -> int:
         if i < count:
             layer.checkpoint()
     return count
+
+
+@dataclass(frozen=True)
+class Layout:
+    """One model family's parallel layout, written once.
+
+    The family's recipe (:func:`apply_layout`), the fuzzer's macros
+    (:data:`repro.slapo.verify.spec.MACROS`) and the baselines all read
+    it.  A step the family does not have is ``None``.  Layer steps take
+    ``(layer, config, tp)``; ``vocab`` takes ``(sch, prefix)``.
+    """
+
+    #: module path the layer paths and the embedding hang off
+    prefix: str
+    #: ``(config, prefix)`` → the layer schedule paths, in forward order
+    layer_paths: Callable
+    #: vocab-parallel embedding and output head, on the root schedule
+    vocab: Callable | None = None
+    attention: Callable | None = None
+    mlp: Callable | None = None
+    #: WideResNet's channel-parallel bottleneck convolutions
+    conv_pair: Callable | None = None
+    #: flash-attention core replacement
+    flash: Callable | None = None
+    #: MoE experts partitioned over the mesh's ep axis
+    experts: Callable | None = None
+    #: epilogue fusion through the stand-in compilers
+    fusion: Callable | None = None
+
+    def layers(self, config) -> list[str]:
+        return self.layer_paths(config, self.prefix)
+
+
+#: the per-layer steps in the order :func:`apply_layout` applies them
+LAYER_STEPS = ("attention", "mlp", "conv_pair", "flash", "experts", "fusion")
+
+
+def apply_layout(sch, layout: Layout, config, ckpt_ratio: float = 0.0, *,
+                 use_flash: bool = True, use_fusion: bool = True,
+                 use_tp: bool = True, shard_embedding: bool = True):
+    """Apply a family's layout: the vocab shards, then each layer's
+    steps in :data:`LAYER_STEPS` order, then checkpointing.
+
+    Tensor-parallel steps run when ``use_tp`` and the mesh's tp > 1;
+    ``experts`` when the mesh's ep > 1.
+    """
+    tp = sch.mesh.tp_group.size if use_tp else 1
+    enabled = {"attention": tp > 1, "mlp": tp > 1, "conv_pair": tp > 1,
+               "flash": use_flash, "experts": sch.mesh.ep_group.size > 1,
+               "fusion": use_fusion}
+    if layout.vocab and shard_embedding and tp > 1:
+        layout.vocab(sch, layout.prefix)
+    layers = layout.layers(config)
+    for path in layers:
+        layer = sch[path]
+        for name in LAYER_STEPS:
+            step = getattr(layout, name)
+            if step and enabled[name]:
+                step(layer, config, tp)
+    checkpoint_layers(sch, layers, ckpt_ratio)
+    return sch

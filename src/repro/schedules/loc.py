@@ -1,8 +1,13 @@
 """Schedule lines-of-code accounting (paper Table 4).
 
 Counts non-blank, non-comment source lines between the ``# <schedule>`` /
-``# </schedule>`` markers of each model's schedule function — the code a
-performance engineer actually writes.
+``# </schedule>`` markers of each family module — the code a performance
+engineer actually writes: every family-specific step of the family's
+:class:`~repro.schedules.common.Layout` (its vocab, attention, MLP, conv
+pair, flash-attention and fusion steps and their helpers), ``def`` lines
+included.  The layer-path list, the ``Layout`` wiring and the shared
+driver :func:`~repro.schedules.common.apply_layout` are not counted, as
+the other helpers of :mod:`~repro.schedules.common` are not.
 """
 
 from __future__ import annotations
@@ -12,13 +17,13 @@ import inspect
 from . import bert, gpt, llama, opt, t5, wideresnet
 
 SCHEDULE_SOURCES = {
-    "BERT": bert.schedule_bert,
-    "RoBERTa": bert.schedule_bert,  # shared with BERT (paper §5.3)
-    "GPT": gpt.schedule_gpt,
-    "OPT": opt.schedule_opt,
-    "T5": t5.schedule_t5,
-    "WideResNet": wideresnet.schedule_wideresnet,
-    "LLaMA": llama.schedule_llama,
+    "BERT": bert,
+    "RoBERTa": bert,  # shared with BERT (paper §5.3)
+    "GPT": gpt,
+    "OPT": opt,
+    "T5": t5,
+    "WideResNet": wideresnet,
+    "LLaMA": llama,
 }
 
 #: the paper's Table 4
@@ -28,9 +33,9 @@ PAPER_LOC = {
 }
 
 
-def schedule_loc(fn) -> int:
-    """Schedule-body LoC of a schedule function."""
-    lines = inspect.getsource(fn).splitlines()
+def schedule_loc(source) -> int:
+    """Schedule LoC of a family module (or any object with source)."""
+    lines = inspect.getsource(source).splitlines()
     inside = False
     count = 0
     for line in lines:

@@ -1,40 +1,37 @@
-"""MoE-GPT schedule: dense-GPT sharding plus the expert-parallel axis.
+"""MoE-GPT layout: dense-GPT sharding plus the expert-parallel axis.
 
-The attention/vocab parts are the GPT-2 recipe verbatim (the trunk is the
-same model); each block's feed-forward is a mixture-of-experts layer that
-``shard_experts`` partitions across the mesh's ``ep`` axis, with the
-experts' own FFN pairs optionally tensor-parallelised column→row inside
-each expert.
+The vocab, attention and flash steps are the GPT-2 layout's (the trunk is
+the same model); each block's feed-forward is a mixture-of-experts layer
+whose experts' FFN pairs are tensor-parallelised column→row inside each
+expert, and which ``shard_experts`` partitions across the mesh's ``ep``
+axis.
 """
 
 from __future__ import annotations
 
-from . import common
+from dataclasses import replace
+
+from . import common, gpt
+
+
+# <schedule>
+def mlp(block, config, tp):
+    for index in range(len(block["moe"].mod.experts)):
+        common.shard_pair(block["moe"], f"experts.{index}.fc1",
+                          f"experts.{index}.fc2")
+
+
+def experts(block, config, tp):
+    block["moe"].shard_experts()
+# </schedule>
+
+
+LAYOUT = replace(gpt.LAYOUT, mlp=mlp, experts=experts, fusion=None)
 
 
 def schedule_moe_gpt(sch, config, ckpt_ratio: float = 0.0,
                      use_flash: bool = True, use_tp: bool = True,
-                     use_ep: bool = True, prefix: str = "transformer"):
-    tp = sch.mesh.tp_group.size if use_tp else 1
-    ep = sch.mesh.ep_group.size if use_ep else 1
-    layers = [f"{prefix}.h.{i}" for i in range(config.num_layers)]
-    # <schedule>
-    if tp > 1:
-        common.shard_vocab(sch, f"{prefix}.wte", "lm_head")
-    for path in layers:
-        block = sch[path]
-        if tp > 1:
-            common.interleave_qkv_rows(block["attn.c_attn"].mod, tp)
-            common.shard_pair(block, "attn.c_attn", "attn.c_proj")
-            common.set_local_heads(block["attn"], config, tp)
-            block["attn"].mod.hidden_size = config.hidden_size // tp
-            for index in range(len(block["moe"].mod.experts)):
-                common.shard_pair(block["moe"], f"experts.{index}.fc1",
-                                  f"experts.{index}.fc2")
-        if use_flash:
-            common.replace_attention_core(block["attn"], is_causal=True)
-        if ep > 1:
-            block["moe"].shard_experts()
-    common.checkpoint_layers(sch, layers, ckpt_ratio)
-    # </schedule>
-    return sch
+                     prefix: str = "transformer"):
+    return common.apply_layout(sch, replace(LAYOUT, prefix=prefix), config,
+                               ckpt_ratio, use_flash=use_flash,
+                               use_tp=use_tp)

@@ -1,11 +1,16 @@
-"""T5 schedule (paper Table 4: 11 LoC): encoder + decoder + cross attention."""
+"""T5 layout (paper Table 4: 11 LoC): encoder + decoder + cross attention."""
 
 from __future__ import annotations
 
 from . import common
 
 
-def _shard_attention(attn, config, tp: int) -> None:
+# <schedule>
+def _is_decoder(block) -> bool:
+    return block.path.startswith("decoder.")
+
+
+def _shard_attention(attn, config, tp):
     for proj in ("q", "k", "v"):
         attn[proj].shard("weight", axis=0)
     attn.sync(mode="bwd_post")
@@ -14,35 +19,41 @@ def _shard_attention(attn, config, tp: int) -> None:
     common.set_local_heads(attn, config, tp)
 
 
+def vocab(sch, prefix):
+    common.shard_vocab(sch, "shared", "lm_head")
+
+
+def attention(block, config, tp):
+    _shard_attention(block["layer.0.SelfAttention"], config, tp)
+    if _is_decoder(block):
+        _shard_attention(block["layer.1.EncDecAttention"], config, tp)
+
+
+def mlp(block, config, tp):
+    ff = block[f"layer.{2 if _is_decoder(block) else 1}.DenseReluDense"]
+    common.shard_pair(ff, "wi", "wo", column_params=("weight",))
+
+
+def flash(block, config, tp):
+    decoder = _is_decoder(block)
+    common.replace_attention_core(block["layer.0.SelfAttention"],
+                                  is_causal=decoder)
+    if decoder:
+        cross = block["layer.1.EncDecAttention"]
+        cross.trace(flatten=True, include_defaults=("key_value_states",))
+        common.replace_attention_core(cross)
+# </schedule>
+
+
+LAYOUT = common.Layout(
+    prefix="",
+    layer_paths=lambda config, prefix: (
+        [f"encoder.block.{i}" for i in range(config.num_layers)]
+        + [f"decoder.block.{i}" for i in range(config.num_decoder_layers)]),
+    vocab=vocab, attention=attention, mlp=mlp, flash=flash)
+
+
 def schedule_t5(sch, config, ckpt_ratio: float = 0.0,
                 use_flash: bool = True, use_tp: bool = True):
-    tp = sch.mesh.tp_group.size if use_tp else 1
-    enc = [f"encoder.block.{i}" for i in range(config.num_layers)]
-    dec = [f"decoder.block.{i}" for i in range(config.num_decoder_layers)]
-    # <schedule>
-    if tp > 1:
-        common.shard_vocab(sch, "shared", "lm_head")
-    for path in enc:
-        block = sch[path]
-        if tp > 1:
-            _shard_attention(block["layer.0.SelfAttention"], config, tp)
-            common.shard_pair(block["layer.1.DenseReluDense"], "wi", "wo",
-                              column_params=("weight",))
-        if use_flash:
-            common.replace_attention_core(block["layer.0.SelfAttention"])
-    for path in dec:
-        block = sch[path]
-        if tp > 1:
-            _shard_attention(block["layer.0.SelfAttention"], config, tp)
-            _shard_attention(block["layer.1.EncDecAttention"], config, tp)
-            common.shard_pair(block["layer.2.DenseReluDense"], "wi", "wo",
-                              column_params=("weight",))
-        if use_flash:
-            common.replace_attention_core(block["layer.0.SelfAttention"],
-                                          is_causal=True)
-            block["layer.1.EncDecAttention"].trace(
-                flatten=True, include_defaults=("key_value_states",))
-            common.replace_attention_core(block["layer.1.EncDecAttention"])
-    common.checkpoint_layers(sch, enc + dec, ckpt_ratio)
-    # </schedule>
-    return sch
+    return common.apply_layout(sch, LAYOUT, config, ckpt_ratio,
+                               use_flash=use_flash, use_tp=use_tp)

@@ -1,4 +1,4 @@
-"""WideResNet schedule (paper Table 4: 12 LoC).
+"""WideResNet layout (paper Table 4: 12 LoC).
 
 Channel-parallel bottlenecks: the expensive 3×3 conv is sharded on output
 channels (its BatchNorm statistics shard with it — channels are
@@ -11,24 +11,26 @@ from __future__ import annotations
 from . import common
 
 
-def schedule_wideresnet(sch, config, ckpt_ratio: float = 0.0,
-                        use_tp: bool = True):
-    tp = sch.mesh.tp_group.size if use_tp else 1
-    blocks = [
+# <schedule>
+def conv_pair(block, config, tp):
+    block["conv2"].shard("weight", axis=0)
+    block["conv2"].sync(mode="bwd_post")
+    block["bn2"].shard(
+        ["weight", "bias", "running_mean", "running_var"], axis=0)
+    block["conv3"].shard("weight", axis=1)
+    block["conv3"].sync(mode="fwd_post")
+# </schedule>
+
+
+LAYOUT = common.Layout(
+    prefix="",
+    layer_paths=lambda config, prefix: [
         f"layer{stage + 1}.{i}"
         for stage, count in enumerate(config.layers)
-        for i in range(count)
-    ]
-    # <schedule>
-    for path in blocks:
-        block = sch[path]
-        if use_tp and tp > 1:
-            block["conv2"].shard("weight", axis=0)
-            block["conv2"].sync(mode="bwd_post")
-            block["bn2"].shard(
-                ["weight", "bias", "running_mean", "running_var"], axis=0)
-            block["conv3"].shard("weight", axis=1)
-            block["conv3"].sync(mode="fwd_post")
-    common.checkpoint_layers(sch, blocks, ckpt_ratio)
-    # </schedule>
-    return sch
+        for i in range(count)],
+    conv_pair=conv_pair)
+
+
+def schedule_wideresnet(sch, config, ckpt_ratio: float = 0.0,
+                        use_tp: bool = True):
+    return common.apply_layout(sch, LAYOUT, config, ckpt_ratio, use_tp=use_tp)

@@ -37,12 +37,14 @@ from repro.distributed.cluster import ClusterError
 from repro.framework import manual_seed
 from repro.pipeline import DEFAULT_SCHEDULE, SCHEDULE_NAMES, make_program, \
     schedule_info
+from repro.schedules import LAYOUTS
 
 from ..registry import SchedulingError, fuzzable_primitives
 from ..schedule import create_schedule
 from ..tuner.space import parallelism_symbols, sample_space
 from .core import VerificationError, VerifyReport
-from .spec import FAMILY_INFO, ScheduleSpec, apply_step, replay, shrink
+from .spec import FAMILY_INFO, MACROS, ScheduleSpec, apply_step, replay, \
+    shrink
 
 #: families the seeded corpus samples by default (≥ 6, per the paper's
 #: Table 3 breadth claim); WideResNet joins with a conv-only menu and
@@ -159,40 +161,39 @@ def sample_spec(family: str, world_size: int, seed: int,
 
     config = info.tiny_config()
     dry = _DryRun(info, config, family, spec.parallel, seed)
-    tp = spec.tp
-    layers = info.layers(config)
+    layout = LAYOUTS[family]
+    layers = layout.layers(config)
+
+    def has(macro: str) -> bool:
+        """Whether the family's layout has the step ``macro`` applies."""
+        return getattr(layout, MACROS[macro]) is not None
 
     # Phase 1: tensor parallelism (closed column→row regions per module).
-    if tp > 1:
-        if family != "WideResNet" and rng.random() < 0.5:
+    if spec.tp > 1:
+        if has("tp_vocab") and rng.random() < 0.5:
             dry.try_step("tp_vocab", "")
         for path in layers:
-            if family == "WideResNet":
-                if rng.random() < 0.7:
-                    dry.try_step("tp_conv_pair", path)
-                continue
-            if rng.random() < 0.7:
-                dry.try_step("tp_attention", path)
-            if rng.random() < 0.7:
-                dry.try_step("tp_mlp", path)
+            for macro in ("tp_attention", "tp_mlp", "tp_conv_pair"):
+                if has(macro) and rng.random() < 0.7:
+                    dry.try_step(macro, path)
 
     # Phase 1b: expert parallelism (MoE families).  ``shard_experts`` is
     # a no-op on an ep=1 mesh, so the primitive surface is exercised on
     # every mesh while real partitioning (dispatch/combine all-to-alls)
     # happens whenever the sampled factorization has ep > 1.
-    if family == "MoE-GPT":
+    if has("moe_ep"):
         for path in layers:
             if rng.random() < 0.7:
                 dry.try_step("moe_ep", path)
 
     # Phase 2: kernel replacement (flash attention cores).
-    if family != "WideResNet":
+    if has("flash_attention"):
         for path in layers:
             if rng.random() < 0.4:
                 dry.try_step("flash_attention", path)
 
     # Phase 3: operator fusion (decompose + trace + pattern fuse).
-    if family not in ("WideResNet", "T5", "MoE-GPT"):
+    if has("fusion"):
         for path in layers:
             if rng.random() < 0.35:
                 dry.try_step("fusion", path)
@@ -288,16 +289,8 @@ def check_sim_invariants(spec: ScheduleSpec) -> None:
     config = info.tiny_config()
     cls, _ = MODEL_ZOO[spec.family]
     model = cls(config, device="meta")
-    if spec.family == "T5":
-        src, tgt, _ = data.seq2seq_batch(config, 1, info.seq_len,
-                                         info.seq_len, device="meta")
-        trace = trace_model(model, src, tgt)
-    elif spec.family == "WideResNet":
-        images, _ = data.image_batch(config, 1, device="meta")
-        trace = trace_model(model, images)
-    else:
-        ids, _ = data.lm_batch(config, 1, info.seq_len, device="meta")
-        trace = trace_model(model, ids)
+    trace = trace_model(model, *data.example_inputs(
+        spec.family, config, 1, info.seq_len, device="meta"))
 
     cluster = P3DN_NODE if spec.world_size <= 8 \
         else p3dn_cluster((spec.world_size + 7) // 8)

@@ -5,9 +5,10 @@ verification: the model family (instantiated at a fuzz-sized config), the
 mesh factorization, the ZeRO stage, the seed, and the *steps* — a JSON
 list of primitive applications.  A step is either a raw registered
 primitive (``{"op": "checkpoint", "path": "bert.encoder.layer.0"}``) or a
-named macro (``tp_attention``, ``tp_mlp``, ``tp_vocab``, ``flash_attention``,
-``fusion``, ``tp_conv_pair``) expanding to the few-primitive idioms of
-:mod:`repro.schedules.common`.
+named macro (``tp_vocab``, ``tp_attention``, ``tp_mlp``, ``tp_conv_pair``,
+``moe_ep``, ``flash_attention``, ``fusion``) that applies one step of the
+family's :data:`repro.schedules.LAYOUTS` entry — the code the family's
+shipped schedule runs.
 
 When a fuzzed schedule fails verification the spec is written to
 ``scripts/repros/``; ``python scripts/fuzz_schedules.py --replay <file>``
@@ -25,7 +26,7 @@ from typing import Callable
 from repro.distributed import ParallelConfig
 from repro.framework import manual_seed
 from repro.models import MODEL_ZOO, data
-from repro.schedules import common
+from repro.schedules import LAYOUTS
 
 from ..schedule import Schedule
 from .core import VerificationError, VerifyReport, verify
@@ -34,17 +35,16 @@ FORMAT = "slapo-fuzz-repro/v1"
 
 
 # --------------------------------------------------------------------- #
-# Family metadata: how to build, feed, and schedule each zoo family
+# Family metadata: the fuzz-only facts of each zoo family
 # --------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class FamilyInfo:
-    """Fuzz-facing description of one MODEL_ZOO family."""
+    """Fuzz-facing description of one MODEL_ZOO family.  Its layer paths
+    and steps are the family's :data:`repro.schedules.LAYOUTS` entry."""
 
     family: str
     #: extra ``config.tiny()`` overrides for a fuzz-friendly shape
     tiny_overrides: dict = field(default_factory=dict)
-    #: layer (block) schedule paths, the unit the fuzzer samples over
-    layers: Callable = None
     #: sequence length of synthetic batches (transformers only)
     seq_len: int = 6
     #: whether pipeline_split cuts are known-good for this family
@@ -62,26 +62,6 @@ class FamilyInfo:
         cls, _ = MODEL_ZOO[self.family]
         return lambda: cls(config)
 
-    def inputs_factory(self, config, batch: int):
-        if self.family == "T5":
-            def make():
-                manual_seed(1234)
-                src, tgt, _ = data.seq2seq_batch(config, batch,
-                                                 self.seq_len,
-                                                 self.seq_len)
-                return (src, tgt)
-        elif self.family == "WideResNet":
-            def make():
-                manual_seed(1234)
-                images, _ = data.image_batch(config, batch)
-                return (images,)
-        else:
-            def make():
-                manual_seed(1234)
-                ids, _ = data.lm_batch(config, batch, self.seq_len)
-                return (ids,)
-        return make
-
 
 def _transformer_tiny(**extra):
     base = {"num_heads": 4, "hidden_size": 32, "intermediate_size": 64}
@@ -90,219 +70,30 @@ def _transformer_tiny(**extra):
 
 
 FAMILY_INFO: dict[str, FamilyInfo] = {
-    "BERT": FamilyInfo(
-        "BERT", _transformer_tiny(),
-        layers=lambda c: [f"bert.encoder.layer.{i}"
-                          for i in range(c.num_layers)]),
-    "RoBERTa": FamilyInfo(
-        "RoBERTa", _transformer_tiny(),
-        layers=lambda c: [f"roberta.encoder.layer.{i}"
-                          for i in range(c.num_layers)]),
-    "GPT": FamilyInfo(
-        "GPT", _transformer_tiny(),
-        layers=lambda c: [f"transformer.h.{i}"
-                          for i in range(c.num_layers)]),
-    "MoE-GPT": FamilyInfo(
-        "MoE-GPT", _transformer_tiny(),
-        layers=lambda c: [f"transformer.h.{i}"
-                          for i in range(c.num_layers)],
-        max_ep=4),
-    "OPT": FamilyInfo(
-        "OPT", _transformer_tiny(),
-        layers=lambda c: [f"model.decoder.layers.{i}"
-                          for i in range(c.num_layers)]),
-    "LLaMA-7B": FamilyInfo(
-        "LLaMA-7B", _transformer_tiny(),
-        layers=lambda c: [f"model.layers.{i}"
-                          for i in range(c.num_layers)]),
-    "T5": FamilyInfo(
-        "T5", _transformer_tiny(kv_dim=None),
-        layers=lambda c: (
-            [f"encoder.block.{i}" for i in range(c.num_layers)]
-            + [f"decoder.block.{i}"
-               for i in range(c.num_decoder_layers)]),
-        pp_ok=False),
-    "WideResNet": FamilyInfo(
-        "WideResNet", {},
-        layers=lambda c: [
-            f"layer{stage + 1}.{i}"
-            for stage, count in enumerate(c.layers)
-            for i in range(count)
-        ],
-        pp_ok=False, max_tp=4),
+    "BERT": FamilyInfo("BERT", _transformer_tiny()),
+    "RoBERTa": FamilyInfo("RoBERTa", _transformer_tiny()),
+    "GPT": FamilyInfo("GPT", _transformer_tiny()),
+    "MoE-GPT": FamilyInfo("MoE-GPT", _transformer_tiny(), max_ep=4),
+    "OPT": FamilyInfo("OPT", _transformer_tiny()),
+    "LLaMA-7B": FamilyInfo("LLaMA-7B", _transformer_tiny()),
+    "T5": FamilyInfo("T5", _transformer_tiny(kv_dim=None), pp_ok=False),
+    "WideResNet": FamilyInfo("WideResNet", {}, pp_ok=False, max_tp=4),
 }
 
 
 # --------------------------------------------------------------------- #
-# Macros: few-primitive idioms from repro.schedules.common
+# Macros: the family layouts' steps, by name
 # --------------------------------------------------------------------- #
-def _macro_tp_attention(layer, config, tp) -> None:
-    """Megatron attention sharding, per family layout."""
-    family = layer.context.metadata["fuzz_family"]
-    if family in ("BERT", "RoBERTa"):
-        attn = layer["attention"]
-        for proj in ("self.query", "self.key", "self.value"):
-            attn[proj].shard(["weight", "bias"], axis=0)
-        attn["self"].sync(mode="bwd_post")
-        common.set_local_heads(attn["self"], config, tp,
-                               attr="num_attention_heads")
-        attn["output.dense"].shard("weight", axis=1)
-        attn["output.dense"].sync(mode="fwd_post")
-    elif family in ("GPT", "MoE-GPT"):
-        common.interleave_qkv_rows(layer["attn.c_attn"].mod, tp)
-        common.shard_pair(layer, "attn.c_attn", "attn.c_proj")
-        common.set_local_heads(layer["attn"], config, tp)
-        layer["attn"].mod.hidden_size = config.hidden_size // tp
-    elif family == "OPT":
-        for proj in ("q_proj", "k_proj", "v_proj"):
-            layer[f"self_attn.{proj}"].shard(["weight", "bias"], axis=0)
-        layer["self_attn"].sync(mode="bwd_post")
-        layer["self_attn.out_proj"].shard("weight", axis=1)
-        layer["self_attn.out_proj"].sync(mode="fwd_post")
-        common.set_local_heads(layer["self_attn"], config, tp)
-    elif family == "LLaMA-7B":
-        for proj in ("q_proj", "k_proj", "v_proj"):
-            layer[f"self_attn.{proj}"].shard("weight", axis=0)
-        layer["self_attn"].sync(mode="bwd_post")
-        layer["self_attn.o_proj"].shard("weight", axis=1)
-        layer["self_attn.o_proj"].sync(mode="fwd_post")
-        common.set_local_heads(layer["self_attn"], config, tp)
-    elif family == "T5":
-        sites = ["layer.0.SelfAttention"]
-        if _t5_is_decoder(layer.path):
-            sites.append("layer.1.EncDecAttention")
-        for site in sites:
-            attn = layer[site]
-            for proj in ("q", "k", "v"):
-                attn[proj].shard("weight", axis=0)
-            attn.sync(mode="bwd_post")
-            attn["o"].shard("weight", axis=1)
-            attn["o"].sync(mode="fwd_post")
-            common.set_local_heads(attn, config, tp)
-    else:
-        raise ValueError(f"tp_attention has no layout for {family!r}")
-
-
-def _t5_is_decoder(path: str) -> bool:
-    return path.startswith("decoder.")
-
-
-def _macro_tp_mlp(layer, config, tp) -> None:
-    """Column→row parallel MLP pair, per family layout."""
-    family = layer.context.metadata["fuzz_family"]
-    if family in ("BERT", "RoBERTa"):
-        common.shard_pair(layer, "intermediate.dense", "output.dense")
-    elif family == "GPT":
-        common.shard_pair(layer, "mlp.c_fc", "mlp.c_proj")
-    elif family == "MoE-GPT":
-        # Tensor parallelism *inside* each expert: every expert's FFN
-        # becomes a Megatron column→row pair (composes with ep slicing
-        # in either order — parameters keep their identity).
-        for index in range(len(layer["moe"].mod.experts)):
-            common.shard_pair(layer["moe"], f"experts.{index}.fc1",
-                              f"experts.{index}.fc2")
-    elif family == "OPT":
-        common.shard_pair(layer, "fc1", "fc2")
-    elif family == "LLaMA-7B":
-        layer["mlp.gate_proj"].shard("weight", axis=0)
-        layer["mlp.up_proj"].shard("weight", axis=0)
-        layer["mlp"].sync(mode="bwd_post")
-        layer["mlp.down_proj"].shard("weight", axis=1)
-        layer["mlp.down_proj"].sync(mode="fwd_post")
-    elif family == "T5":
-        rel = "layer.2.DenseReluDense" if _t5_is_decoder(layer.path) \
-            else "layer.1.DenseReluDense"
-        common.shard_pair(layer[rel], "wi", "wo",
-                          column_params=("weight",))
-    else:
-        raise ValueError(f"tp_mlp has no layout for {family!r}")
-
-
-def _macro_tp_vocab(sch, config, tp) -> None:
-    """Vocab-parallel embedding + output head (root-level macro)."""
-    family = sch.context.metadata["fuzz_family"]
-    if family == "BERT":
-        common.shard_vocab(sch, "bert.embeddings.word_embeddings",
-                           "cls.decoder", head_params=("weight", "bias"))
-    elif family == "RoBERTa":
-        common.shard_vocab(sch, "roberta.embeddings.word_embeddings",
-                           "lm_head.decoder",
-                           head_params=("weight", "bias"))
-    elif family in ("GPT", "MoE-GPT"):
-        common.shard_vocab(sch, "transformer.wte", "lm_head")
-    elif family == "OPT":
-        common.shard_vocab(sch, "model.decoder.embed_tokens", "lm_head")
-    elif family == "LLaMA-7B":
-        common.shard_vocab(sch, "model.embed_tokens", "lm_head")
-    elif family == "T5":
-        common.shard_vocab(sch, "shared", "lm_head")
-    else:
-        raise ValueError(f"tp_vocab has no layout for {family!r}")
-
-
-def _macro_flash_attention(layer, config, tp) -> None:
-    family = layer.context.metadata["fuzz_family"]
-    if family in ("BERT", "RoBERTa"):
-        common.replace_attention_core(layer["attention.self"])
-    elif family in ("GPT", "MoE-GPT"):
-        common.replace_attention_core(layer["attn"], is_causal=True)
-    elif family in ("OPT", "LLaMA-7B"):
-        common.replace_attention_core(layer["self_attn"], is_causal=True)
-    elif family == "T5":
-        common.replace_attention_core(
-            layer["layer.0.SelfAttention"],
-            is_causal=_t5_is_decoder(layer.path))
-    else:
-        raise ValueError(f"flash_attention has no layout for {family!r}")
-
-
-def _macro_fusion(layer, config, tp) -> None:
-    family = layer.context.metadata["fuzz_family"]
-    if family in ("BERT", "RoBERTa"):
-        layer["intermediate.dense"].decompose()
-        layer.trace(flatten=True)
-        common.fuse_matches(layer, common.bias_gelu, "BiasGeLU")
-        common.fuse_matches(layer, common.dropout_residual_ln, "LNResidual")
-    elif family == "GPT":
-        layer["mlp.c_fc"].decompose()
-        layer.trace(flatten=True)
-        common.fuse_matches(layer, common.bias_gelu, "BiasGeLU")
-        common.fuse_matches(layer, common.dropout_add, "DropoutAdd")
-    elif family == "OPT":
-        layer["fc1"].decompose()
-        layer.trace(flatten=True)
-        common.fuse_matches(layer, common.bias_relu, "BiasReLU")
-        common.fuse_matches(layer, common.dropout_add, "DropoutAdd")
-    elif family == "LLaMA-7B":
-        layer["mlp"].trace(flatten=True)
-        common.fuse_matches(layer["mlp"], common.swiglu, "SwiGLU")
-    else:
-        raise ValueError(f"fusion has no layout for {family!r}")
-
-
-def _macro_moe_ep(layer, config, tp) -> None:
-    """Partition the block's MoE experts over the mesh's ep axis."""
-    layer["moe"].shard_experts()
-
-
-def _macro_tp_conv_pair(block, config, tp) -> None:
-    """WideResNet channel-parallel bottleneck (conv2 out / conv3 in)."""
-    block["conv2"].shard("weight", axis=0)
-    block["conv2"].sync(mode="bwd_post")
-    block["bn2"].shard(["weight", "bias", "running_mean", "running_var"],
-                       axis=0)
-    block["conv3"].shard("weight", axis=1)
-    block["conv3"].sync(mode="fwd_post")
-
-
-MACROS: dict[str, Callable] = {
-    "tp_attention": _macro_tp_attention,
-    "tp_mlp": _macro_tp_mlp,
-    "tp_vocab": _macro_tp_vocab,
-    "flash_attention": _macro_flash_attention,
-    "fusion": _macro_fusion,
-    "tp_conv_pair": _macro_tp_conv_pair,
-    "moe_ep": _macro_moe_ep,
+#: macro name → the :class:`repro.schedules.common.Layout` step it applies
+#: (``tp_vocab`` on the root schedule, the others on one layer)
+MACROS: dict[str, str] = {
+    "tp_vocab": "vocab",
+    "tp_attention": "attention",
+    "tp_mlp": "mlp",
+    "tp_conv_pair": "conv_pair",
+    "moe_ep": "experts",
+    "flash_attention": "flash",
+    "fusion": "fusion",
 }
 
 
@@ -371,12 +162,19 @@ def apply_step(sch: Schedule, config, tp: int, step: dict) -> None:
     op = step["op"]
     path = step.get("path", "")
     target = sch[path] if path else sch
-    macro = MACROS.get(op)
-    if macro is not None:
-        macro(target, config, tp)
-    else:
+    if op not in MACROS:
         getattr(target, op)(*step.get("args", ()),
                             **step.get("kwargs", {}))
+        return
+    family = sch.context.metadata["fuzz_family"]
+    layout = LAYOUTS[family]
+    layout_step = getattr(layout, MACROS[op])
+    if layout_step is None:
+        raise ValueError(f"{op} has no layout step for {family!r}")
+    if op == "tp_vocab":
+        layout_step(target, layout.prefix)
+    else:
+        layout_step(target, config, tp)
 
 
 def apply_steps(sch: Schedule, spec: ScheduleSpec) -> Schedule:
@@ -405,10 +203,16 @@ def replay(spec: ScheduleSpec | str | Path, **overrides) -> VerifyReport:
         spec = ScheduleSpec.load(spec)
     info = FAMILY_INFO[spec.family]
     config = info.tiny_config()
+
+    def inputs():
+        manual_seed(1234)
+        return data.example_inputs(spec.family, config, spec.batch,
+                                   info.seq_len)
+
     return verify(
         model_factory=info.model_factory(config),
         schedule_fn=lambda sch: apply_steps(sch, spec),
-        inputs_factory=info.inputs_factory(config, spec.batch),
+        inputs_factory=inputs,
         world_size=spec.world_size,
         parallel=spec.parallel,
         seed=spec.seed,

@@ -14,6 +14,7 @@ from repro.distributed import LocalCluster
 from repro.framework import functional as F
 from repro.models.configs import BERT_1B
 from repro.pipeline import make_program, simulate_program
+from repro.schedules import SCHEDULES
 
 
 class TestMegatronBaseline:
@@ -139,6 +140,34 @@ class TestSlapoPPEvaluator:
 
         for family in ("T5", "WideResNet"):
             assert not evaluate_slapo_pp(family, P3DN_NODE, 8).supported
+
+
+class TestDeepSpeedBaseline:
+    @pytest.mark.parametrize("family", sorted(SCHEDULES))
+    def test_build_applies_no_slapo_primitive(self, family, monkeypatch):
+        """DeepSpeed trains the unmodified HF model: its build may mark
+        layers for checkpointing and must apply nothing else."""
+        import repro.slapo as slapo
+        from repro.baselines import systems
+        from repro.distributed import P3DN_NODE
+
+        schedules = []
+        create_schedule = slapo.create_schedule
+
+        def recording(*args, **kwargs):
+            schedules.append(create_schedule(*args, **kwargs))
+            return schedules[-1]
+
+        def build_only(build_fn, family, *args, **kwargs):
+            build_fn(1.0)
+            return systems.SystemResult("deepspeed", family, 8, True)
+
+        monkeypatch.setattr(slapo, "create_schedule", recording)
+        monkeypatch.setattr(systems, "_plan_over_ratios", build_only)
+        systems.evaluate_deepspeed(family, P3DN_NODE, 8)
+        applied = {record.name for sch in schedules
+                   for record in sch.context.history}
+        assert applied == {"checkpoint"}
 
 
 class TestPipelineRuntime:

@@ -154,6 +154,24 @@ class TestGeluNumerics:
             tracemalloc.stop()
         assert peak <= 2 * out.data.nbytes + 0.5e6
 
+    def test_fp16_backward_transient_memory(self):
+        """The fp16 backward's float32 work is two buffers, the erf
+        argument (overwritten in place) and the derivative, plus chunk
+        scratch; the fp16 gradient it returns fits beside the latter."""
+        v = np.random.default_rng(1).standard_normal((4, 128, 1024)).astype(
+            np.float16)
+        grad = fw.Tensor(np.ones_like(v))
+        for _ in range(2):  # the first pass warms up
+            x = fw.Tensor(v, requires_grad=True)
+            out = F.gelu(x)
+            tracemalloc.start()
+            try:
+                out.backward(grad)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak <= 4 * out.data.nbytes + 0.5e6
+
 
 def test_engine_loads_no_scipy():
     """Importing the package and running an eager gelu forward and

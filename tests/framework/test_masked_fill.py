@@ -72,6 +72,37 @@ def test_masked_fill_keeps_representable_fills():
     assert wide.data[0] == np.float32(-1e9)
 
 
+def test_masked_fill_takes_a_zero_d_tensor_fill():
+    """A 0-d tensor fills like the number it holds, and its gradient is
+    the output gradient summed over the filled positions, as in torch."""
+    x = fw.Tensor(np.arange(4, dtype=np.float32).reshape(2, 2),
+                  requires_grad=True)
+    mask = fw.tensor(np.array([[True, False], [False, True]]))
+    value = fw.tensor(3.0, requires_grad=True)
+    out = F.masked_fill(x, mask, value)
+    assert np.array_equal(out.data, F.masked_fill(x, mask, 3.0).data)
+    out.backward(np.array([[1.0, 2.0], [4.0, 8.0]], np.float32))
+    assert value.grad.data == np.float32(9.0)
+    assert np.array_equal(x.grad.data, [[0.0, 2.0], [4.0, 0.0]])
+    assert np.array_equal(x.masked_fill(mask, fw.tensor(-1.0)).data,
+                          [[-1.0, 1.0], [2.0, -1.0]])
+
+
+@pytest.mark.parametrize("device", ["cpu", "meta"])
+def test_masked_fill_tensor_fill_on_both_paths(device):
+    x = fw.Tensor.meta((2, 2), dtypes.float16) if device == "meta" \
+        else fw.Tensor(np.zeros((2, 2), np.float16))
+    mask = fw.tensor(np.array([[True, False], [False, True]]))
+    for value in (fw.tensor(3.0), fw.Tensor.meta((), dtypes.float32)):
+        out = F.masked_fill(x, mask, value)
+        assert tuple(out.shape) == (2, 2) and out.dtype == dtypes.float16
+        assert out.is_meta == (device == "meta" or value.is_meta)
+    with pytest.raises(OverflowError, match="overflows float16"):
+        F.masked_fill(x, mask, fw.tensor(-1e9))
+    with pytest.raises(ValueError, match="0-d value tensor"):
+        F.masked_fill(x, mask, fw.tensor([3.0]))
+
+
 def test_fp16_gpt_step_runs_clean():
     """The fp16 GPT of the golden fixture's ``gpt_fp16_adamw`` run: one
     forward and backward raise no warning."""

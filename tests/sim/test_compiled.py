@@ -6,7 +6,6 @@ import pytest
 from repro import framework as fw
 from repro.baselines.systems import (
     _TRACE_CACHE,
-    _example_inputs,
     _slapo_scheduled_model,
     evaluate_megatron,
     evaluate_slapo_zero3,
@@ -24,6 +23,10 @@ from repro.sim import (
 )
 
 
+def _meta_inputs(family, config):
+    return data.example_inputs(family, config, device="meta")
+
+
 @pytest.fixture(scope="module")
 def bert_traced():
     model = BertLMHeadModel(BERT_1B, device="meta")
@@ -37,7 +40,7 @@ def bert_tp2_base():
     _, config = MODEL_ZOO["BERT"]
     parallel = ParallelConfig(tp=2)
     model = _slapo_scheduled_model("BERT", config, parallel, 0.0, use_tp=True)
-    return model, trace_model(model, *_example_inputs("BERT", config)), \
+    return model, trace_model(model, *_meta_inputs("BERT", config)), \
         parallel, config
 
 
@@ -270,10 +273,10 @@ def test_reprice_equivalence_per_family(family):
     ratio = 0.5
     base_model = _slapo_scheduled_model(family, config, parallel, 0.0,
                                         use_tp=True)
-    base = trace_model(base_model, *_example_inputs(family, config))
+    base = trace_model(base_model, *_meta_inputs(family, config))
     fresh_model = _slapo_scheduled_model(family, config, parallel, ratio,
                                          use_tp=True)
-    fresh = trace_model(fresh_model, *_example_inputs(family, config))
+    fresh = trace_model(fresh_model, *_meta_inputs(family, config))
     derived = reprice_checkpoint_ratio(base, ratio)
     assert derived.ops == fresh.ops
     assert derived.comms == fresh.comms
@@ -293,11 +296,11 @@ def test_reprice_equivalence_all_selective_ratios():
     parallel = ParallelConfig(tp=2)
     base_model = _slapo_scheduled_model("BERT", config, parallel, 0.0,
                                         use_tp=True)
-    base = trace_model(base_model, *_example_inputs("BERT", config))
+    base = trace_model(base_model, *_meta_inputs("BERT", config))
     for ratio in SELECTIVE_RATIOS:
         fresh_model = _slapo_scheduled_model("BERT", config, parallel, ratio,
                                              use_tp=True)
-        fresh = trace_model(fresh_model, *_example_inputs("BERT", config))
+        fresh = trace_model(fresh_model, *_meta_inputs("BERT", config))
         derived = reprice_checkpoint_ratio(base, ratio)
         assert derived.ops == fresh.ops
         assert derived.comms == fresh.comms
@@ -317,8 +320,8 @@ def test_reprice_equivalence_megatron_full_checkpoint():
         return model
 
     base_model = build(False)
-    base = trace_model(base_model, *_example_inputs("BERT", config))
-    fresh = trace_model(build(True), *_example_inputs("BERT", config))
+    base = trace_model(base_model, *_meta_inputs("BERT", config))
+    fresh = trace_model(build(True), *_meta_inputs("BERT", config))
     derived = reprice_checkpoint_ratio(base, 1.0)
     assert derived.ops == fresh.ops
     assert derived.comms == fresh.comms

@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 
 import repro.slapo as slapo
+from repro.framework.module import Module
+from repro.fx.matcher import Match
 from repro.slapo import ScheduleSpec
 from repro.slapo.registry import fuzzable_primitives
 from repro.slapo.tuner.space import SpaceError, sample_space
@@ -260,6 +262,68 @@ class TestFuzzDriver:
                          check_sim=False)
         assert first.families == second.families
         assert first.steps_verified == second.steps_verified
+
+
+def _history(sch) -> list:
+    """The schedule's primitive records, with module arguments and
+    pattern matches as comparable descriptions."""
+    def plain(value):
+        if isinstance(value, (list, tuple)):
+            return [plain(item) for item in value]
+        if isinstance(value, dict):
+            return {key: plain(item) for key, item in value.items()}
+        if isinstance(value, Match):
+            return [node.name for node in value.internal_nodes]
+        if isinstance(value, Module):
+            return type(value).__name__, {
+                key: item for key, item in vars(value).items()
+                if isinstance(item, (bool, int, float, str))}
+        return value
+
+    return [(record.name, record.path, plain(record.args),
+             plain(record.kwargs)) for record in sch.context.history]
+
+
+MESHES = [(family, tp, ep) for family in sorted(FAMILY_INFO)
+          for tp in (1, 2)
+          for ep in ((1, 2) if FAMILY_INFO[family].max_ep > 1 else (1,))]
+
+
+@pytest.mark.parametrize("family,tp,ep", MESHES)
+def test_macros_in_driver_order_reproduce_the_recipe(family, tp, ep):
+    """The fuzz macros apply the shipped schedules' own steps: replayed in
+    the driver's order, they record the recipe's primitive history."""
+    from repro.distributed import DeviceMesh, ParallelConfig
+    from repro.framework import manual_seed
+    from repro.schedules import LAYOUTS, SCHEDULES
+    from repro.schedules.common import LAYER_STEPS
+    from repro.slapo.verify.spec import MACROS, apply_steps
+
+    info = FAMILY_INFO[family]
+    config = info.tiny_config()
+    layout = LAYOUTS[family]
+
+    def fresh():
+        manual_seed(0)
+        mesh = DeviceMesh(ParallelConfig(tp=tp, ep=ep), rank=0, sim=True)
+        return slapo.create_schedule(info.model_factory(config)(),
+                                     mesh=mesh)
+
+    recipe = fresh()
+    SCHEDULES[family](recipe, config)
+
+    macro_of = {step: macro for macro, step in MACROS.items()}
+    enabled = {"attention": tp > 1, "mlp": tp > 1, "conv_pair": tp > 1,
+               "flash": True, "experts": ep > 1, "fusion": True}
+    steps = [{"op": "tp_vocab", "path": ""}] if tp > 1 and layout.vocab \
+        else []
+    for path in layout.layers(config):
+        steps += [{"op": macro_of[name], "path": path}
+                  for name in LAYER_STEPS
+                  if getattr(layout, name) and enabled[name]]
+    macros = fresh()
+    apply_steps(macros, ScheduleSpec(family, tp=tp, ep=ep, steps=steps))
+    assert _history(macros) == _history(recipe)
 
 
 class TestSimInvariants:
