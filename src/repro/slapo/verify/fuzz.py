@@ -37,7 +37,8 @@ from repro.distributed.cluster import ClusterError
 from repro.framework import manual_seed
 from repro.pipeline import DEFAULT_SCHEDULE, SCHEDULE_NAMES, make_program, \
     schedule_info
-from repro.schedules import LAYOUTS
+# A module import: repro.schedules itself imports repro.slapo.
+import repro.schedules as recipes
 
 from ..registry import SchedulingError, fuzzable_primitives
 from ..schedule import create_schedule
@@ -161,7 +162,7 @@ def sample_spec(family: str, world_size: int, seed: int,
 
     config = info.tiny_config()
     dry = _DryRun(info, config, family, spec.parallel, seed)
-    layout = LAYOUTS[family]
+    layout = recipes.LAYOUTS[family]
     layers = layout.layers(config)
 
     def has(macro: str) -> bool:

@@ -26,7 +26,8 @@ from typing import Callable
 from repro.distributed import ParallelConfig
 from repro.framework import manual_seed
 from repro.models import MODEL_ZOO, data
-from repro.schedules import LAYOUTS
+# A module import: repro.schedules itself imports repro.slapo.
+import repro.schedules as recipes
 
 from ..schedule import Schedule
 from .core import VerificationError, VerifyReport, verify
@@ -167,7 +168,7 @@ def apply_step(sch: Schedule, config, tp: int, step: dict) -> None:
                             **step.get("kwargs", {}))
         return
     family = sch.context.metadata["fuzz_family"]
-    layout = LAYOUTS[family]
+    layout = recipes.LAYOUTS[family]
     layout_step = getattr(layout, MACROS[op])
     if layout_step is None:
         raise ValueError(f"{op} has no layout step for {family!r}")
