@@ -10,12 +10,13 @@ from both ends:
 1. **Static** — every function in ``repro.fx.functionalize`` listed in
    ``GUARDED_PASSES`` actually calls ``assert_functional`` (by source
    inspection), so a refactor cannot silently drop the guard.
-2. **Runtime smoke** — tracing a hooked module lifts its hooks into
-   ``sync_*`` nodes and leaves none on the GraphModule; a GraphModule
-   with hooks registered *after* tracing and a graph with an unmarked
-   mutating call both make ``assert_functional`` raise
-   ``FunctionalizationError``, while the functionalized form passes and
-   the passes run on it.
+2. **Runtime smoke** — tracing a hooked module, or a module with a
+   hooked leaf, lifts the hooks into ``sync_*`` nodes and leaves none on
+   the GraphModule; hooks registered *after* tracing (on the GraphModule
+   or on one of its leaves) and a graph with an unmarked mutating call
+   make ``assert_functional`` raise ``FunctionalizationError`` (and
+   ``functionalize`` refuses the unmarked mutation), while the
+   functionalized form passes and the passes run on it.
 
 Wired into ``make test``; run directly with ``python
 scripts/check_functional.py``.
@@ -84,18 +85,32 @@ def check_runtime() -> list[str]:
             problems.append(f"tracing a hooked module emitted no "
                             f"{marker.__name__} node")
 
-    # Hooks registered on a GraphModule after tracing sit outside its
-    # graph: every guard must reject that module.
+    # A hooked leaf's hooks become sync nodes at its call site too, and
+    # its call_module runs without them.
+    leaf_hooked = Net()
+    leaf_hooked.fc.register_forward_hook(lambda m, i, o: o)
+    traced = fx.symbolic_trace(leaf_hooked)
+    if not traced.graph.find_nodes(op="call_function",
+                                   target=fx.sync_forward):
+        problems.append("tracing a hooked leaf emitted no sync_forward node")
+
+    # Hooks registered after tracing — on the GraphModule or on one of
+    # its leaves — sit outside its graph: every guard must reject that
+    # module.
     model = Net()
     gm = fx.symbolic_trace(model)
     gm.register_forward_hook(lambda m, i, o: o)
+    late_leaf = fx.symbolic_trace(Net())
+    late_leaf.fc.register_forward_hook(lambda m, i, o: o)
     for name in GUARDED_PASSES:
-        try:
-            getattr(fx, name)(gm)
-        except FunctionalizationError:
-            pass
-        else:
-            problems.append(f"{name} accepted a hook-carrying graph")
+        for case, module in (("", gm), (" (a leaf's)", late_leaf)):
+            try:
+                getattr(fx, name)(module)
+            except FunctionalizationError:
+                pass
+            else:
+                problems.append(
+                    f"{name} accepted a hook-carrying graph{case}")
 
     # Train-mode batch_norm inlined into a graph must arrive with its
     # mutation already marked (the tracer wraps mutating calls), never
@@ -131,7 +146,7 @@ def check_runtime() -> list[str]:
     with dirty.graph.inserting_before(output):
         node = dirty.graph.call_function(scribble, (output.args[0],))
     output.args = (node,)
-    for name in GUARDED_PASSES:
+    for name in GUARDED_PASSES + ("functionalize",):
         try:
             getattr(fx, name)(dirty)
         except FunctionalizationError:
@@ -152,6 +167,12 @@ def check_runtime() -> list[str]:
     fbn = fx.functionalize(bn_gm)
     fbn.train()
     fx.eliminate_common_subexpressions(fbn)
+
+    flate = fx.functionalize(late_leaf)
+    fx.eliminate_common_subexpressions(flate)
+    if not flate.graph.find_nodes(op="call_function",
+                                  target=fx.sync_forward):
+        problems.append("functionalize did not lift a leaf's late hook")
     return problems
 
 

@@ -254,29 +254,44 @@ class Module:
         )
 
     def __call__(self, *args, **kwargs):
+        return self.call_lifted((), args, kwargs)
+
+    def call_lifted(self, lifted: tuple, args: tuple, kwargs: dict):
+        """``__call__`` without the hooks in ``lifted``: a graph runs those
+        as ``sync_*`` nodes around this call site."""
         from .functional import _find_proxy  # late import, avoids cycle
 
         proxy = _find_proxy(args, kwargs)
         if proxy is not None:
-            return proxy.tracer.call_module_proxy(self, args, kwargs)
-        for hook in self._forward_pre_hooks:
+            return proxy.tracer.call_module_proxy(self, args, kwargs, lifted)
+        pre, bwd, fwd = self.hooks_except(lifted)
+        for hook in pre:
             result = hook(self, args)
             if result is not None:
                 args = result if isinstance(result, tuple) else (result,)
-        if self._backward_hooks:
-            args = tuple(attach_backward_hooks(a, self, self._backward_hooks)
-                         for a in args)
+        if bwd:
+            args = tuple(attach_backward_hooks(a, self, bwd) for a in args)
         if self._slapo_meta.get("ckpt_unit") \
                 and fw_events.get_recorder() is not None:
             with fw_events.layer_region(self, args):
                 output = self._run_forward(args, kwargs)
         else:
             output = self._run_forward(args, kwargs)
-        for hook in self._forward_hooks:
+        for hook in fwd:
             result = hook(self, args, output)
             if result is not None:
                 output = result
         return output
+
+    def hooks_except(self, lifted: tuple = ()) -> tuple:
+        """The forward-pre, backward and forward hooks not in ``lifted``,
+        in ``__call__`` order."""
+        groups = (self._forward_pre_hooks, self._backward_hooks,
+                  self._forward_hooks)
+        if not lifted:
+            return groups
+        return tuple([h for h in group if h not in lifted]
+                     for group in groups)
 
     def _run_forward(self, args, kwargs):
         if self._slapo_meta.get("checkpoint"):

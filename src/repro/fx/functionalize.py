@@ -1,43 +1,44 @@
-"""Functionalization: lift hidden effects into explicit graph nodes.
+"""Functionalization: every effect is an explicit graph node.
 
-A :class:`GraphModule` can hide two kinds of effects from ordinary graph
-passes:
+Two kinds of effects could hide from ordinary graph passes:
 
 * **module hooks** — ``.sync()`` installs tensor-parallel collectives as
-  forward-pre / forward / backward hooks.  Tracing lifts the traced
-  root's hooks into the graph (:func:`lift_hooks`), so a traced graph is
-  built with none of its own; only hooks registered on a GraphModule
-  *after* tracing fire around the interpreted graph, invisibly to any
-  pass that reads only ``gm.graph``;
+  forward-pre / forward / backward hooks.  Tracing lifts every hook at
+  its call site into ``sync_*`` nodes (:func:`lift_inputs`,
+  :func:`lift_output`): a hooked submodule inlines like any other, or —
+  a leaf — becomes a ``call_module`` that runs without the hooks its
+  ``meta["lifted_hooks"]`` names.  The traced root's own hooks lift the
+  same way (:func:`lift_hooks`), so a traced graph hides none.  Only
+  hooks registered *after* tracing, on the GraphModule or on one of its
+  leaves, fire outside the graph;
 * **in-place mutation** — train-mode ``batch_norm`` updates its running
-  statistics through its buffer arguments, so erasing or deduplicating
-  the node silently changes module state.
+  statistics through its buffer arguments.  Tracing emits such a call as
+  a :func:`mutate` marker naming the written arguments.
 
-:func:`functionalize` rewrites both into explicit ``call_function`` nodes
-— :func:`sync_forward_pre`, :func:`sync_forward`, :func:`sync_backward`
-and :func:`mutate` — each annotated with an :class:`Effect` (a declared
-read/write set) in ``node.meta["effect"]``.  The result carries **no**
-hooks of its own: extracting a fragment of a functionalized graph can no
-longer duplicate or drop a collective, because the collective is a node
-like any other.  Leaf ``call_module`` nodes whose submodule has hooks
-keep them internal (the hook belongs to the leaf's own boundary) but are
-annotated as effect **barriers** so passes refuse to reorder or erase
-them.
+:func:`functionalize` lifts the late hooks as tracing would and checks
+that no mutating call lacks its marker, so the result carries **no**
+hooks and hides no effect.  Each marker — :func:`sync_forward_pre`,
+:func:`sync_forward`, :func:`sync_backward` and :func:`mutate` — carries
+an :class:`Effect` (a declared read/write set) in ``node.meta["effect"]``:
+extracting a fragment of a graph can no longer duplicate or drop a
+collective, because the collective is a node like any other.
 
 On top of the functionalized form this module ships the passes the paper's
 progressive optimization needs to be safe by construction:
 
 * :func:`eliminate_common_subexpressions` — value-numbering CSE that skips
   impure nodes and versions buffer reads across ``mutate`` writes;
-* :func:`fuse_elementwise` — effect-barrier-aware cross-layer fusion of
-  elementwise chains into :class:`~repro.kernels.compilers.FusedKernel`
-  regions the kernel cost model prices as one launch.
+* :func:`fuse_elementwise` — cross-layer fusion of elementwise chains
+  that never span an effect node, into
+  :class:`~repro.kernels.compilers.FusedKernel` regions the kernel cost
+  model prices as one launch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.framework import functional as F
 from repro.framework.module import Module
 
 from .graph import Graph
@@ -58,11 +59,10 @@ class Effect:
     """Declared effect of one node: what it reads and writes out-of-band.
 
     ``reads``/``writes`` name ``get_attr`` targets (dotted parameter or
-    buffer paths) when they are statically known; an empty ``writes`` on a
-    barrier-kind effect means "opaque, do not reorder across".
+    buffer paths) when they are statically known.
     """
 
-    kind: str                     # sync_pre | sync | sync_bwd | mutate | barrier
+    kind: str                     # sync_pre | sync | sync_bwd | mutate
     reads: tuple = ()
     writes: tuple = ()
     detail: str = ""
@@ -74,8 +74,10 @@ _IMPURE_OP_NAMES = frozenset({"dropout"})
 
 
 # ---------------------------------------------------------------------- #
-# Marker targets (executable call_function nodes)
+# Marker targets (executable call_function nodes; traceable, so a graph
+# traced through re-records them)
 # ---------------------------------------------------------------------- #
+@F.traceable
 def sync_forward_pre(values: tuple, *, hooks: tuple, module):
     """Run forward-pre hooks over the packed input tuple; returns it
     (possibly rewritten), mirroring ``Module.__call__`` semantics."""
@@ -87,13 +89,15 @@ def sync_forward_pre(values: tuple, *, hooks: tuple, module):
     return values
 
 
+@F.traceable
 def project(values, index: int):
     """Split one element back out of a :func:`sync_forward_pre` tuple."""
     return values[index]
 
 
+@F.traceable
 def sync_forward(output, values: tuple, *, hooks: tuple, module):
-    """Run forward hooks on the graph's output value."""
+    """Run forward hooks on the call's output value."""
     values = tuple(values)
     for hook in hooks:
         result = hook(module, values, output)
@@ -102,6 +106,7 @@ def sync_forward(output, values: tuple, *, hooks: tuple, module):
     return output
 
 
+@F.traceable
 def sync_backward(value, *, hooks: tuple, module):
     """Identity in forward; runs backward hooks on the gradient.
 
@@ -146,9 +151,9 @@ def is_impure(node: Node) -> bool:
     if node_effect(node) is not None:
         return True
     if node.op == "call_module":
-        # An opaque leaf may carry hooks or internal state (a train-mode
-        # BatchNorm updates its running statistics) the graph cannot see;
-        # erasing it is unsound without proof of purity.
+        # An opaque leaf may hold internal state the graph cannot see (a
+        # train-mode BatchNorm updates its running statistics); erasing
+        # it is unsound without proof of purity.
         return True
     if node.op == "call_function":
         name = getattr(node.target, "__name__", "")
@@ -202,6 +207,17 @@ def hidden_mutation_nodes(graph: Graph) -> list[Node]:
     return found
 
 
+def unlifted_hooks(gm: GraphModule, node: Node) -> tuple:
+    """The hooks of a ``call_module`` node's submodule that its call site
+    does not run as graph nodes: ``(pre, backward, forward)`` tuples."""
+    try:
+        sub = gm.get_submodule(node.target)
+    except AttributeError:
+        return (), (), ()
+    return tuple(tuple(group) for group in
+                 sub.hooks_except(node.meta.get("lifted_hooks", ())))
+
+
 def assert_functional(gm: GraphModule, pass_name: str) -> None:
     """Refuse to run an effect-unsafe pass on a graph with hidden effects.
 
@@ -211,8 +227,13 @@ def assert_functional(gm: GraphModule, pass_name: str) -> None:
     if gm._slapo_meta.get("functionalized"):
         return
     problems = []
-    if gm._forward_pre_hooks or gm._forward_hooks or gm._backward_hooks:
+    if any(gm.hooks_except()):
         problems.append("module carries hooks outside the graph")
+    hooked = [n.name for n in gm.graph.find_nodes(op="call_module")
+              if any(unlifted_hooks(gm, n))]
+    if hooked:
+        problems.append("leaves carry hooks registered after tracing: "
+                        + ", ".join(hooked))
     hidden = hidden_mutation_nodes(gm.graph)
     if hidden:
         problems.append(
@@ -226,54 +247,119 @@ def assert_functional(gm: GraphModule, pass_name: str) -> None:
 
 
 # ---------------------------------------------------------------------- #
-# The functionalize pass
+# Hook lifting and the functionalize pass
 # ---------------------------------------------------------------------- #
+def lift_inputs(graph: Graph, values, pre: tuple, bwd: tuple,
+                module) -> list:
+    """Emit a call site's forward-pre and backward hooks over its
+    positional ``values``, at the graph's insertion point.
+
+    Forward-pre hooks become one :func:`sync_forward_pre` node over the
+    packed values, split back out by :func:`project` nodes; backward
+    hooks one :func:`sync_backward` node per value.  Constants pass
+    through.  Returns the values the call runs on.
+    """
+    values = list(values)
+    if pre:
+        packed = _marker(graph, sync_forward_pre, (tuple(values),), pre,
+                         module)
+        values = [graph.call_function(project, (packed, index))
+                  if isinstance(value, Node) else value
+                  for index, value in enumerate(values)]
+    if bwd:
+        values = [_marker(graph, sync_backward, (value,), bwd, module)
+                  if isinstance(value, Node) else value for value in values]
+    return values
+
+
+def lift_output(graph: Graph, output, values, fwd: tuple, module):
+    """Emit a call site's forward hooks as one :func:`sync_forward` node
+    over its ``output`` (and the hooked ``values``); returns the node."""
+    return _marker(graph, sync_forward, (output, tuple(values)), fwd, module)
+
+
+def _marker(graph: Graph, target, args: tuple, hooks: tuple, module) -> Node:
+    node = graph.call_function(target, args,
+                               {"hooks": hooks, "module": module})
+    node.meta["effect"] = _effect_of_marker(node)
+    return node
+
+
+def lift_hooks(gm: GraphModule, source: Module) -> None:
+    """Lift ``source``'s module hooks into ``gm.graph`` as ``sync_*`` nodes.
+
+    The graph's placeholders are the call's inputs and its output value
+    the call's output.  The hooks are called with ``gm`` as their module
+    — its ``_slapo_meta`` is a copy of ``source``'s, which hooks such as
+    ``.sync()``'s ``aggregate`` read.  ``gm`` registers no hook of its own.
+    """
+    graph = gm.graph
+    pre, bwd, fwd = (tuple(group) for group in source.hooks_except())
+    hooked = graph.placeholders()
+    if hooked and (pre or bwd):
+        users = [list(ph.users) for ph in hooked]
+        with graph.inserting_after(hooked[-1]):
+            lifted = lift_inputs(graph, hooked, pre, bwd, gm)
+        for ph, new, old_users in zip(hooked, lifted, users):
+            for user in old_users:
+                user.replace_input_with(ph, new)
+        hooked = lifted
+    if fwd:
+        output = graph.output_node
+        with graph.inserting_before(output):
+            output.args = (lift_output(graph, output.args[0], hooked, fwd,
+                                       gm),)
+
+
+def _lift_call_site(gm: GraphModule, node: Node) -> None:
+    """Lift the hooks registered on a leaf after tracing, as tracing
+    would have at this ``call_module`` site."""
+    pre, bwd, fwd = unlifted_hooks(gm, node)
+    if not (pre or bwd or fwd):
+        return
+    sub = gm.get_submodule(node.target)
+    graph = gm.graph
+    with graph.inserting_before(node):
+        node.args = tuple(lift_inputs(graph, node.args, pre, bwd, sub))
+    if fwd:
+        users = list(node.users)
+        with graph.inserting_after(node):
+            output = lift_output(graph, node, node.args, fwd, sub)
+        for user in users:
+            user.replace_input_with(node, output)
+    node.meta["lifted_hooks"] = \
+        node.meta.get("lifted_hooks", ()) + pre + bwd + fwd
+
+
 def functionalize(gm: GraphModule, class_name: str | None = None
                   ) -> GraphModule:
     """Rewrite ``gm`` into an explicit-effect GraphModule.
 
-    A traced graph already holds its root's hooks as ``sync_*`` nodes;
-    hooks registered on ``gm`` after tracing are lifted here the same way
-    (:func:`lift_hooks`), so the returned module carries **no hooks**.
-    Mutating calls are wrapped in ``mutate`` markers.  Parameter and
-    submodule identity is shared with ``gm`` as with any GraphModule.
+    Tracing already lifted every hook it met and marked every mutating
+    call; hooks registered on ``gm`` or on its leaves after tracing are
+    lifted here the same way, so the returned module carries **no hooks**
+    and hides none.  A mutating call without its :func:`mutate` marker
+    (spliced in by hand rather than traced) raises
+    :class:`FunctionalizationError`.  Parameter and submodule identity is
+    shared with ``gm`` as with any GraphModule.
     """
+    hidden = hidden_mutation_nodes(gm.graph)
+    if hidden:
+        raise FunctionalizationError(
+            "mutating calls without a mutate marker: "
+            + ", ".join(n.name for n in hidden))
     new_graph = _copy_graph(gm.graph)
     fgm = GraphModule(gm, new_graph,
                       class_name=class_name or f"Functional{gm._class_name}")
     lift_hooks(fgm, gm)
-    _wrap_mutating_calls(new_graph)
-    _annotate_barriers(new_graph, gm)
+    for node in new_graph.find_nodes(op="call_module"):
+        _lift_call_site(fgm, node)
     # A GraphModule mounts only graph-referenced paths, but ``gm`` may
     # carry more (a replaced region's old submodules stay mounted so
     # schedule paths and state_dict keys remain stable).  Preserve them.
     _merge_missing_attrs(fgm, gm)
     fgm._slapo_meta["functionalized"] = True
     return fgm
-
-
-def lift_hooks(gm: GraphModule, source: Module) -> None:
-    """Lift ``source``'s module hooks into ``gm.graph`` as ``sync_*`` nodes.
-
-    In ``Module.__call__`` order: forward-pre hooks become one
-    :func:`sync_forward_pre` node over the placeholders (split back out by
-    :func:`project` nodes), backward hooks one :func:`sync_backward` node
-    per input, and forward hooks one :func:`sync_forward` node before the
-    output; each carries its :class:`Effect`.  The hooks are called with
-    ``gm`` as their module — its ``_slapo_meta`` is a copy of
-    ``source``'s, which hooks such as ``.sync()``'s ``aggregate`` read.
-    ``gm`` registers no hook of its own.
-    """
-    graph = gm.graph
-    hooked_args = graph.placeholders()
-    if source._forward_pre_hooks and hooked_args:
-        hooked_args = _lift_forward_pre(graph, hooked_args,
-                                        tuple(source._forward_pre_hooks), gm)
-    if source._backward_hooks and hooked_args:
-        hooked_args = _lift_backward(graph, hooked_args,
-                                     tuple(source._backward_hooks), gm)
-    if source._forward_hooks:
-        _lift_forward(graph, hooked_args, tuple(source._forward_hooks), gm)
 
 
 def _merge_missing_attrs(dst, src) -> None:
@@ -306,88 +392,6 @@ def _copy_graph(old: Graph) -> Graph:
         copied.meta.update(node.meta)
         env[id(node)] = copied
     return new
-
-
-def _replace_uses_except(value: Node, new: Node, keep: set[int]) -> None:
-    for user in list(value.users):
-        if id(user) not in keep:
-            user.replace_input_with(value, new)
-
-
-def _lift_forward_pre(graph: Graph, placeholders: list[Node], hooks: tuple,
-                      module) -> list[Node]:
-    last_ph = placeholders[-1]
-    with graph.inserting_after(last_ph):
-        packed = graph.call_function(
-            sync_forward_pre, (tuple(placeholders),),
-            {"hooks": hooks, "module": module})
-        packed.meta["effect"] = Effect(
-            "sync_pre", detail=_describe_hooks(hooks))
-        projected = []
-        for index, ph in enumerate(placeholders):
-            proj = graph.call_function(project, (packed, index))
-            projected.append(proj)
-    for ph, proj in zip(placeholders, projected):
-        _replace_uses_except(ph, proj, {id(packed)})
-    return projected
-
-
-def _lift_backward(graph: Graph, values: list[Node], hooks: tuple,
-                   module) -> list[Node]:
-    wrapped = []
-    for value in values:
-        with graph.inserting_after(value):
-            node = graph.call_function(
-                sync_backward, (value,), {"hooks": hooks, "module": module})
-            node.meta["effect"] = Effect(
-                "sync_bwd", detail=_describe_hooks(hooks))
-        _replace_uses_except(value, node, {id(node)})
-        wrapped.append(node)
-    return wrapped
-
-
-def _lift_forward(graph: Graph, hooked_args: list[Node], hooks: tuple,
-                  module) -> None:
-    output = graph.output_node
-    with graph.inserting_before(output):
-        node = graph.call_function(
-            sync_forward, (output.args[0], tuple(hooked_args)),
-            {"hooks": hooks, "module": module})
-        node.meta["effect"] = Effect("sync", detail=_describe_hooks(hooks))
-    output.args = (node,)
-
-
-def _wrap_mutating_calls(graph: Graph) -> None:
-    for node in hidden_mutation_nodes(graph):
-        writes = getattr(node.target, "__mutates__", ())
-        with graph.inserting_before(node):
-            wrapped = graph.call_function(
-                mutate, (node.target, *node.args),
-                {**node.kwargs, "_writes": tuple(writes)})
-        wrapped.meta.update(node.meta)
-        wrapped.meta["effect"] = _effect_of_marker(wrapped)
-        node.replace_all_uses_with(wrapped)
-        graph.erase_node(node)
-
-
-def _annotate_barriers(graph: Graph, gm: GraphModule) -> None:
-    """Leaf submodules with hooks stay opaque but become effect barriers."""
-    for node in graph:
-        if node.op != "call_module" or "effect" in node.meta:
-            continue
-        try:
-            sub = gm.get_submodule(node.target)
-        except AttributeError:
-            continue
-        hooks = (tuple(sub._forward_pre_hooks) + tuple(sub._forward_hooks)
-                 + tuple(sub._backward_hooks))
-        if hooks:
-            node.meta["effect"] = Effect(
-                "barrier", detail=_describe_hooks(hooks))
-    # Annotate mutate markers that arrived pre-wrapped from tracing.
-    for node in graph.find_nodes(op="call_function", target=mutate):
-        if "effect" not in node.meta:
-            node.meta["effect"] = _effect_of_marker(node)
 
 
 def functionalize_model(module, cse: bool = False):
@@ -482,7 +486,7 @@ def _value_key(value, versions: dict[str, int]):
 
 
 # ---------------------------------------------------------------------- #
-# Effect-barrier-aware elementwise fusion
+# Effect-aware elementwise fusion
 # ---------------------------------------------------------------------- #
 #: ops cheap enough that fusing them into one kernel launch always pays
 _ELEMENTWISE_OPS = frozenset({
@@ -503,11 +507,11 @@ def fuse_elementwise(gm: GraphModule, compiler: str = "TorchInductor",
                      name: str = "ew", min_nodes: int = 2) -> int:
     """Fuse chains of elementwise ops into :class:`FusedKernel` regions.
 
-    Chains grow through single-use edges across layer boundaries and stop
-    at effect barriers: a chain never spans a node with an
-    :class:`Effect` (sync collectives, mutation markers, hooked leaf
-    modules), so reordering the chain's execution point to the splice
-    site cannot move a read across a write.  Returns the region count.
+    Chains grow through single-use edges across layer boundaries and
+    never span a node with an :class:`Effect` (sync collectives,
+    mutation markers), so reordering the chain's execution point to the
+    splice site cannot move a read across a write.  Returns the region
+    count.
     """
     from repro.kernels.compilers import compile_subgraph
     from .rewriter import order_matches_for_rewrite, \
@@ -519,7 +523,7 @@ def fuse_elementwise(gm: GraphModule, compiler: str = "TorchInductor",
     effect_positions = sorted(
         position[id(n)] for n in graph if node_effect(n) is not None)
 
-    def barrier_between(a: Node, b: Node) -> bool:
+    def effect_between(a: Node, b: Node) -> bool:
         lo, hi = position[id(a)], position[id(b)]
         return any(lo < p < hi for p in effect_positions)
 
@@ -536,7 +540,7 @@ def fuse_elementwise(gm: GraphModule, compiler: str = "TorchInductor",
                 break
             nxt = users[0]
             if id(nxt) in claimed or not _is_fusable(nxt) \
-                    or barrier_between(current, nxt):
+                    or effect_between(current, nxt):
                 break
             chain.append(nxt)
             current = nxt

@@ -161,13 +161,12 @@ class Graph:
                         f"{node.name} has a user {user.name} outside the graph"
                     )
 
-    def eliminate_dead_code(self, extra_impure=None) -> int:
+    def eliminate_dead_code(self) -> int:
         """Erase unused side-effect-free nodes; returns how many died.
 
-        Effectful nodes (sync collectives, mutation markers, random ops —
-        see :func:`repro.fx.functionalize.is_impure`) survive even when
-        their value is unused.  ``extra_impure`` adds a caller predicate,
-        e.g. the GraphModule's hooked-leaf check.
+        Effectful nodes (sync collectives, mutation markers, random ops,
+        opaque leaves — see :func:`repro.fx.functionalize.is_impure`)
+        survive even when their value is unused.
         """
         from .functionalize import is_impure  # late import, avoids cycle
 
@@ -179,8 +178,6 @@ class Graph:
                 if node.op in ("output", "placeholder"):
                     continue
                 if node.users or is_impure(node):
-                    continue
-                if extra_impure is not None and extra_impure(node):
                     continue
                 self.erase_node(node)
                 erased += 1

@@ -5,9 +5,11 @@ traced from — scheduling primitives mutate the graph (fuse, replace,
 pipeline-split) while parameter identity is preserved, which is what lets
 Slapo keep optimizer state and sharding metadata intact across transforms.
 
-A GraphModule never copies ``root``'s hooks: tracing lifts them into the
-graph as ``sync_*`` nodes (:func:`repro.fx.functionalize.lift_hooks`), so
-a fragment cut out of it holds exactly the collectives it contains.
+A GraphModule never copies ``root``'s hooks: tracing lifts them, and
+every hooked submodule's, into the graph as ``sync_*`` nodes at their call
+sites (:mod:`repro.fx.functionalize`), and a leaf's ``call_module`` runs
+without the hooks its ``meta["lifted_hooks"]`` names.  A fragment cut out
+of the graph therefore holds exactly the collectives it contains.
 """
 
 from __future__ import annotations
@@ -109,8 +111,10 @@ class GraphModule(Module):
                 obj, *rest = call_args
                 value = getattr(obj, node.target)(*rest, **call_kwargs)
             elif node.op == "call_module":
-                value = self.get_submodule(node.target)(*call_args,
-                                                        **call_kwargs)
+                # The call site's hooks run as the sync_* nodes around it.
+                value = self.get_submodule(node.target).call_lifted(
+                    node.meta.get("lifted_hooks", ()), call_args,
+                    call_kwargs)
             elif node.op == "output":
                 result = call_args[0]
                 break
@@ -184,20 +188,6 @@ class GraphModule(Module):
             for node, leaf in zip(nodes, leaves):
                 env[node] = leaf
         return env
-
-    def eliminate_dead_code(self) -> int:
-        """Module-aware DCE: hooked leaf submodules are never erased."""
-        def hooked_leaf(node) -> bool:
-            if node.op != "call_module":
-                return False
-            try:
-                sub = self.get_submodule(node.target)
-            except AttributeError:
-                return True  # unresolvable target: do not touch
-            return bool(sub._forward_pre_hooks or sub._forward_hooks
-                        or sub._backward_hooks)
-
-        return self.graph.eliminate_dead_code(extra_impure=hooked_leaf)
 
     def _resolve_attr(self, target: str):
         module_path, _, name = target.rpartition(".")

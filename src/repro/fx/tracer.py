@@ -8,6 +8,10 @@ in ``leaves`` (or that are framework built-ins, the default) become opaque
 ``call_module`` nodes, while other submodules are inlined (flattened) into
 the parent graph.  Untraceable code inside a leaf never runs, so partial
 tracing succeeds where whole-model tracing would fail.
+
+Hooks never decide leafness: a hooked submodule's hooks become ``sync_*``
+nodes at its call site, each firing once, whether the module inlines or
+stays a leaf.
 """
 
 from __future__ import annotations
@@ -18,7 +22,10 @@ import threading
 from repro.framework import layers as fw_layers
 from repro.framework.module import Module
 
+from .functionalize import _MARKER_TARGETS, _effect_of_marker, lift_hooks, \
+    lift_inputs, lift_output
 from .graph import Graph
+from .graph_module import GraphModule
 from .node import Node
 from .proxy import Proxy, TraceError
 from .pytree import tree_flatten, tree_unflatten
@@ -74,18 +81,9 @@ class Tracer:
         if path in self.leaf_names:
             return True
         # GraphModules are opaque by default (they were already scheduled).
-        from .graph_module import GraphModule
-
         if isinstance(module, GraphModule):
             return True
         if isinstance(module, self.leaf_types):
-            return True
-        if module._forward_pre_hooks or module._forward_hooks \
-                or module._backward_hooks:
-            # Inlining runs ``module.forward`` directly, which would
-            # silently skip the module's hooks — and ``.sync()`` installs
-            # tensor-parallel collectives exactly there.  A hooked module
-            # must stay opaque.
             return True
         return bool(module._slapo_meta.get("is_leaf", False))
 
@@ -170,20 +168,45 @@ class Tracer:
         node = self.graph.create_node(
             op, target, self._unwrap(tuple(args)), self._unwrap(dict(kwargs))
         )
+        if op == "call_function" and target in _MARKER_TARGETS:
+            node.meta["effect"] = _effect_of_marker(node)
         return Proxy(node, self)
 
-    def call_module_proxy(self, module: Module, args, kwargs) -> Proxy:
-        """Invoked by ``Module.__call__`` when an argument is a Proxy."""
+    def call_module_proxy(self, module: Module, args, kwargs,
+                          lifted: tuple = ()) -> Proxy:
+        """Invoked by ``Module.__call__`` when an argument is a Proxy.
+
+        The module's hooks, less the ``lifted`` ones a graph being traced
+        through already runs as nodes, become ``sync_*`` nodes at this
+        call site (:func:`~repro.fx.functionalize.lift_inputs` /
+        :func:`~repro.fx.functionalize.lift_output`).  The module then
+        inlines, or — a leaf — becomes a ``call_module`` whose
+        ``meta["lifted_hooks"]`` it runs without.
+        """
         path = self._module_paths.get(id(module))
         if path is None:
             raise TraceError(
                 f"module {type(module).__name__} called during tracing is "
                 f"not a submodule of the traced root"
             )
+        pre, bwd, fwd = (tuple(g) for g in module.hooks_except(lifted))
+        if pre or bwd:
+            values = lift_inputs(self.graph, self._unwrap(tuple(args)),
+                                 pre, bwd, module)
+            args = tuple(Proxy(v, self) if isinstance(v, Node) else v
+                         for v in values)
         if self.is_leaf_module(module, path):
-            return self.create_proxy("call_module", path, args, kwargs)
-        # Inline (flatten) the submodule's forward into this graph.
-        return module.forward(*args, **kwargs)
+            output = self.create_proxy("call_module", path, args, kwargs)
+            if lifted or pre or bwd or fwd:
+                output.node.meta["lifted_hooks"] = lifted + pre + bwd + fwd
+        else:
+            # Inline (flatten) the submodule's forward into this graph.
+            output = module.forward(*args, **kwargs)
+        if fwd:
+            output = Proxy(lift_output(self.graph, self._unwrap(output),
+                                       self._unwrap(args), fwd, module),
+                           self)
+        return output
 
 
 def symbolic_trace(module: Module, leaves: tuple = (),
@@ -196,9 +219,6 @@ def symbolic_trace(module: Module, leaves: tuple = (),
     ``module``'s own hooks become ``sync_*`` graph nodes (``lift_hooks``);
     the returned module carries none.
     """
-    from .functionalize import lift_hooks
-    from .graph_module import GraphModule
-
     tracer = Tracer(leaves=leaves, leaf_types=leaf_types)
     graph = tracer.trace(module, concrete_args=concrete_args,
                          include_defaults=include_defaults,

@@ -7,7 +7,9 @@ module.  The actual partitioning runs at ``slapo.build()`` time:
     opaque unless a cut lies strictly inside it.  This performs the paper's
     annotation-propagation: every ancestor between a cut and the root is
     inlined, while siblings (embeddings, pooler) and cut modules themselves
-    are untouched, reproducing Fig. 5(b).
+    are untouched, reproducing Fig. 5(b).  Every hook along the way, an
+    inlined ancestor's included, becomes a ``sync_*`` node at its call
+    site, as in any trace.
 2.  The flattened-ancestor graph is split after each cut node with full
     liveness analysis (values needed later are threaded through stages).
 """
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 from repro.framework.module import Module
 from repro.fx import GraphModule
-from repro.fx.functionalize import lift_hooks
+from repro.fx.functionalize import lift_hooks, sync_forward
 from repro.fx.rewriter import split_graph_module
 from repro.fx.tracer import Tracer
 
@@ -140,7 +142,12 @@ def partition_pipeline(root: Module, cuts: list[str]) -> list[GraphModule]:
                 f"the traced graph; a stage boundary needs a module that "
                 f"runs exactly once per forward"
             )
-        boundary_nodes.append(candidates[0])
+        # A hooked cut's forward hooks run as the sync_forward node over
+        # its output; the stage ends after them.
+        boundary_nodes.append(next(
+            (user for user in candidates[0].users
+             if user.target is sync_forward
+             and user.args[0] is candidates[0]), candidates[0]))
     # Cuts may be annotated in any order; stages must follow *execution*
     # order, so sort the boundaries by graph position before splitting.
     position = {id(n): idx for idx, n in enumerate(gm.graph)}

@@ -67,13 +67,15 @@ class TestSchedulesApplyOnMeta:
 
 
 class TestTracedGraphsOwnTheirHooks:
-    """After build, a traced GraphModule holds its ``.sync()`` hooks as
-    ``sync_*`` nodes and carries no hook of its own."""
+    """After build, every ``.sync()`` hook a traced GraphModule reaches is
+    a ``sync_*`` node at its call site, and fires once: no GraphModule
+    carries a hook, and no ``call_module`` runs a hook of its own."""
 
-    @pytest.mark.parametrize("family,lifted", [
-        ("BERT", True), ("OPT", True), ("LLaMA-7B", True), ("T5", True),
-        ("GPT", False)])
-    def test_no_traced_graph_module_carries_a_hook(self, family, lifted):
+    @pytest.mark.parametrize("family", ["BERT", "OPT", "LLaMA-7B", "T5",
+                                        "GPT"])
+    def test_no_traced_graph_module_carries_a_hook(self, family):
+        from repro.fx.functionalize import unlifted_hooks
+
         cls, config = MODEL_ZOO[family]
         model = cls(config, device="meta")
         mesh = DeviceMesh(ParallelConfig(tp=8), rank=0, sim=True)
@@ -84,13 +86,21 @@ class TestTracedGraphsOwnTheirHooks:
                          if isinstance(m, fx.GraphModule)]
         assert graph_modules
         for gm in graph_modules:
-            assert not (gm._forward_pre_hooks or gm._forward_hooks
-                        or gm._backward_hooks)
+            assert not any(gm.hooks_except())
+            for node in gm.graph.find_nodes(op="call_module"):
+                assert not any(unlifted_hooks(gm, node)), node.name
         markers = (fx.sync_forward_pre, fx.sync_backward, fx.sync_forward)
         syncs = [n for gm in graph_modules for n in gm.graph
                  if n.op == "call_function" and n.target in markers]
-        assert bool(syncs) == lifted
+        assert syncs
         assert all("effect" in n.meta for n in syncs)
+        # One sync_forward_pre / sync_forward per hooked call site: each
+        # forward hook runs in exactly one node.  (sync_backward is one
+        # node per hooked input.)
+        for marker in (fx.sync_forward_pre, fx.sync_forward):
+            hooks = [id(h) for n in syncs if n.target is marker
+                     for h in n.kwargs["hooks"]]
+            assert len(hooks) == len(set(hooks))
 
 
 class TestScheduleNumerics:
