@@ -640,16 +640,17 @@ def masked_fill(x, mask, value):
     x, mask = astensor(x), astensor(mask)
     fill = _fill_value(value, x.dtype.np_dtype)
     inputs = (x, mask, value) if isinstance(value, Tensor) else (x, mask)
+    shape = np.broadcast_shapes(tuple(x.shape), tuple(mask.shape))
     if _any_meta(*inputs):
-        shape = np.broadcast_shapes(tuple(x.shape), tuple(mask.shape))
         return _meta_result("masked_fill", shape, x.dtype, inputs,
                             saved=(mask.numel(),))
-    mask_b = np.broadcast_to(mask.data.astype(bool), x.data.shape)
+    mask_b = np.broadcast_to(mask.data.astype(bool), shape)
     data = np.where(mask_b, fill, x.data)
+    x_shape = tuple(x.shape)
     value_dtype = value.data.dtype if isinstance(value, Tensor) else None
 
     def backward(grad):
-        grads = (np.where(mask_b, 0, grad), None)
+        grads = (unbroadcast(np.where(mask_b, 0, grad), x_shape), None)
         if value_dtype is None:
             return grads
         return grads + (np.asarray(np.where(mask_b, grad, 0).sum(),
@@ -976,8 +977,7 @@ def max(x, dim=None, keepdim: bool = False):
         shape = _reduce_shape(tuple(x.shape), dim, keepdim)
         return _meta_result("max", shape, x.dtype, (x,), flops=x.numel(),
                             saved=(x,), saves_out=dim is not None)
-    data = x.data.max(axis=dim, keepdims=keepdim) if dim is not None \
-        else x.data.max()
+    data = x.data.max(axis=dim, keepdims=keepdim)
     src = x.data
 
     def backward(grad):
@@ -1014,14 +1014,19 @@ def argmax(x, dim=None):
 # Linear algebra
 # ---------------------------------------------------------------------- #
 def _matmul_shape(a_shape, b_shape):
+    """Output shape and contraction size of ``a @ b``; as in NumPy, a 1-d
+    operand is promoted to a matrix and its added dimension dropped."""
     if len(a_shape) < 1 or len(b_shape) < 1:
         raise ValueError("matmul requires at least 1-d operands")
-    a_shape = (1,) + tuple(a_shape) if len(a_shape) == 1 else tuple(a_shape)
-    b_shape = tuple(b_shape) + (1,) if len(b_shape) == 1 else tuple(b_shape)
+    a_vec, b_vec = len(a_shape) == 1, len(b_shape) == 1
+    a_shape = (1,) + tuple(a_shape) if a_vec else tuple(a_shape)
+    b_shape = tuple(b_shape) + (1,) if b_vec else tuple(b_shape)
     if a_shape[-1] != b_shape[-2]:
         raise ValueError(f"matmul shape mismatch: {a_shape} @ {b_shape}")
     batch = np.broadcast_shapes(a_shape[:-2], b_shape[:-2])
-    return batch + (a_shape[-2], b_shape[-1]), a_shape[-1]
+    rows = () if a_vec else (a_shape[-2],)
+    cols = () if b_vec else (b_shape[-1],)
+    return batch + rows + cols, a_shape[-1]
 
 
 @traceable
@@ -1038,11 +1043,18 @@ def matmul(a, b):
     data = x @ y
 
     def backward(grad):
-        b_t = np.swapaxes(y, -1, -2) if y.ndim >= 2 else y
-        a_t = np.swapaxes(x, -1, -2) if x.ndim >= 2 else x
-        ga = grad @ b_t if y.ndim >= 2 else np.outer(grad, y)
-        gb = a_t @ grad if x.ndim >= 2 else np.outer(x, grad)
-        return (unbroadcast(ga, x.shape), unbroadcast(gb, y.shape))
+        # In matrix form: a 1-d operand as a row / column, the output
+        # gradient with the dimension the forward dropped restored.
+        xm = x[None, :] if x.ndim == 1 else x
+        ym = y[:, None] if y.ndim == 1 else y
+        g = np.asarray(grad)
+        if y.ndim == 1:
+            g = g[..., None]
+        if x.ndim == 1:
+            g = np.expand_dims(g, -2)
+        ga = unbroadcast(g @ np.swapaxes(ym, -1, -2), xm.shape)
+        gb = unbroadcast(np.swapaxes(xm, -1, -2) @ g, ym.shape)
+        return (ga.reshape(x.shape), gb.reshape(y.shape))
 
     return _finalize("matmul", data, (a, b), backward, dtype=out_dtype,
                      flops=flops, meta={"kernel": "gemm"})
