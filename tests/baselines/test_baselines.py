@@ -134,6 +134,19 @@ class TestSlapoPPEvaluator:
         assert result.pipeline_cuts  # stage-accurate pricing was used
         assert result.num_micro_batches >= 2  # pipeline is filled
 
+    @pytest.mark.parametrize("family", ["OPT-350M", "MoE-GPT"])
+    def test_layout_stacks_are_pipelined(self, family):
+        """Every family whose layout is one layer stack is supported,
+        the two that share OPT's and GPT's layer paths included."""
+        from repro.baselines import PIPELINE_FAMILIES, evaluate_slapo_pp
+        from repro.distributed import P3DN_NODE
+
+        assert family in PIPELINE_FAMILIES
+        result = evaluate_slapo_pp(family, P3DN_NODE, 8,
+                                   validate_partition=True)
+        assert result.supported and result.throughput > 0
+        assert result.pipeline_cuts
+
     def test_unsupported_families(self):
         from repro.baselines import evaluate_slapo_pp
         from repro.distributed import P3DN_NODE
