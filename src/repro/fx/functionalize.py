@@ -1,27 +1,19 @@
 """Functionalization: every effect is an explicit graph node.
 
-Two kinds of effects could hide from ordinary graph passes:
-
 * **module hooks** — ``.sync()`` installs tensor-parallel collectives as
-  forward-pre / forward / backward hooks.  Tracing lifts every hook at
-  its call site into ``sync_*`` nodes (:func:`lift_inputs`,
-  :func:`lift_output`): a hooked submodule inlines like any other, or —
-  a leaf — becomes a ``call_module`` that runs without the hooks its
-  ``meta["lifted_hooks"]`` names.  The traced root's own hooks lift the
-  same way (:func:`lift_hooks`), so a traced graph hides none.  Only
-  hooks registered *after* tracing, on the GraphModule or on one of its
-  leaves, fire outside the graph;
-* **in-place mutation** — train-mode ``batch_norm`` updates its running
-  statistics through its buffer arguments.  Tracing emits such a call as
-  a :func:`mutate` marker naming the written arguments.
+  hooks.  Tracing lifts every hook it meets into ``sync_*`` nodes at the
+  call site (:func:`lift_inputs`, :func:`lift_output`; the root's via
+  :func:`lift_hooks`); a hooked leaf's ``call_module`` runs without the
+  hooks its ``meta["lifted_hooks"]`` names.  Only hooks registered
+  *after* tracing fire outside the graph;
+* **in-place mutation** — tracing emits train-mode ``batch_norm``, which
+  writes its running-stat buffers, as a :func:`mutate` marker.
 
 :func:`functionalize` lifts the late hooks as tracing would and checks
-that no mutating call lacks its marker, so the result carries **no**
-hooks and hides no effect.  Each marker — :func:`sync_forward_pre`,
-:func:`sync_forward`, :func:`sync_backward` and :func:`mutate` — carries
-an :class:`Effect` (a declared read/write set) in ``node.meta["effect"]``:
-extracting a fragment of a graph can no longer duplicate or drop a
-collective, because the collective is a node like any other.
+that no mutating call lacks its marker.  Each marker carries an
+:class:`Effect` (a declared read/write set) in ``node.meta["effect"]``,
+so extracting a fragment of a graph cannot duplicate or drop a
+collective: the collective is a node like any other.
 
 On top of the functionalized form this module ships the passes the paper's
 progressive optimization needs to be safe by construction:
@@ -74,8 +66,7 @@ _IMPURE_OP_NAMES = frozenset({"dropout"})
 
 
 # ---------------------------------------------------------------------- #
-# Marker targets (executable call_function nodes; traceable, so a graph
-# traced through re-records them)
+# Marker targets (traceable: tracing through a graph re-records them)
 # ---------------------------------------------------------------------- #
 @F.traceable
 def sync_forward_pre(values: tuple, *, hooks: tuple, module):
@@ -145,21 +136,14 @@ def node_effect(node: Node) -> Effect | None:
 
 
 def is_impure(node: Node) -> bool:
-    """Nodes DCE must keep and CSE must not deduplicate."""
-    if node.op in ("placeholder", "output"):
+    """Nodes DCE must keep and CSE must not deduplicate.  Every
+    ``call_module`` counts: an opaque leaf may hold state the graph cannot
+    see (a train-mode BatchNorm updates its running statistics)."""
+    if node.op in ("placeholder", "output", "call_module") \
+            or node_effect(node) is not None:
         return True
-    if node_effect(node) is not None:
-        return True
-    if node.op == "call_module":
-        # An opaque leaf may hold internal state the graph cannot see (a
-        # train-mode BatchNorm updates its running statistics); erasing
-        # it is unsound without proof of purity.
-        return True
-    if node.op == "call_function":
-        name = getattr(node.target, "__name__", "")
-        if name in _IMPURE_OP_NAMES:
-            return True
-    return False
+    return node.op == "call_function" \
+        and getattr(node.target, "__name__", "") in _IMPURE_OP_NAMES
 
 
 def _target_mutates(node: Node) -> bool:
@@ -199,12 +183,8 @@ def _describe_hooks(hooks) -> str:
 
 def hidden_mutation_nodes(graph: Graph) -> list[Node]:
     """call_function nodes that mutate state without a ``mutate`` marker."""
-    found = []
-    for node in graph:
-        if node.op == "call_function" and node.target not in _MARKER_TARGETS \
-                and _target_mutates(node):
-            found.append(node)
-    return found
+    return [node for node in graph if node.op == "call_function"
+            and node.target not in _MARKER_TARGETS and _target_mutates(node)]
 
 
 def unlifted_hooks(gm: GraphModule, node: Node) -> tuple:
@@ -227,13 +207,11 @@ def assert_functional(gm: GraphModule, pass_name: str) -> None:
     if gm._slapo_meta.get("functionalized"):
         return
     problems = []
-    if any(gm.hooks_except()):
-        problems.append("module carries hooks outside the graph")
     hooked = [n.name for n in gm.graph.find_nodes(op="call_module")
               if any(unlifted_hooks(gm, n))]
-    if hooked:
-        problems.append("leaves carry hooks registered after tracing: "
-                        + ", ".join(hooked))
+    if any(gm.hooks_except()) or hooked:
+        problems.append("hooks registered after tracing sit outside the "
+                        "graph" + "".join(f", on {n}" for n in hooked))
     hidden = hidden_mutation_nodes(gm.graph)
     if hidden:
         problems.append(
@@ -274,11 +252,11 @@ def lift_inputs(graph: Graph, values, pre: tuple, bwd: tuple,
 
 def lift_output(graph: Graph, output, values, fwd: tuple, module):
     """Emit a call site's forward hooks as one :func:`sync_forward` node
-    over its ``output`` (and the hooked ``values``); returns the node."""
+    over its ``output`` and hooked ``values``."""
     return _marker(graph, sync_forward, (output, tuple(values)), fwd, module)
 
 
-def _marker(graph: Graph, target, args: tuple, hooks: tuple, module) -> Node:
+def _marker(graph: Graph, target, args: tuple, hooks: tuple, module):
     node = graph.call_function(target, args,
                                {"hooks": hooks, "module": module})
     node.meta["effect"] = _effect_of_marker(node)
@@ -286,13 +264,9 @@ def _marker(graph: Graph, target, args: tuple, hooks: tuple, module) -> Node:
 
 
 def lift_hooks(gm: GraphModule, source: Module) -> None:
-    """Lift ``source``'s module hooks into ``gm.graph`` as ``sync_*`` nodes.
-
-    The graph's placeholders are the call's inputs and its output value
-    the call's output.  The hooks are called with ``gm`` as their module
-    — its ``_slapo_meta`` is a copy of ``source``'s, which hooks such as
-    ``.sync()``'s ``aggregate`` read.  ``gm`` registers no hook of its own.
-    """
+    """Lift ``source``'s hooks into ``gm.graph`` around its placeholders
+    and output, called with ``gm`` as their module (its ``_slapo_meta``
+    copies ``source``'s, which ``.sync()``'s ``aggregate`` reads)."""
     graph = gm.graph
     pre, bwd, fwd = (tuple(group) for group in source.hooks_except())
     hooked = graph.placeholders()
@@ -335,13 +309,11 @@ def functionalize(gm: GraphModule, class_name: str | None = None
                   ) -> GraphModule:
     """Rewrite ``gm`` into an explicit-effect GraphModule.
 
-    Tracing already lifted every hook it met and marked every mutating
-    call; hooks registered on ``gm`` or on its leaves after tracing are
-    lifted here the same way, so the returned module carries **no hooks**
-    and hides none.  A mutating call without its :func:`mutate` marker
-    (spliced in by hand rather than traced) raises
-    :class:`FunctionalizationError`.  Parameter and submodule identity is
-    shared with ``gm`` as with any GraphModule.
+    Hooks registered on ``gm`` or on its leaves after tracing are lifted
+    as tracing lifts hooks, so the result carries and hides none.  A
+    mutating call without its :func:`mutate` marker (spliced in by hand;
+    tracing marks every one) raises :class:`FunctionalizationError`.
+    Parameter and submodule identity is shared with ``gm``.
     """
     hidden = hidden_mutation_nodes(gm.graph)
     if hidden:

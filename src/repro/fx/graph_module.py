@@ -57,9 +57,7 @@ class GraphModule(Module):
         source = root.get_submodule(target)
         parts = target.split(".")
         parent: Module = self
-        root_cursor: Module = root
         for atom in parts[:-1]:
-            root_cursor = root_cursor.get_submodule(atom)
             if atom not in parent._modules:
                 shell = Module()
                 parent.add_module(atom, shell)

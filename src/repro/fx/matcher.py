@@ -6,8 +6,8 @@ anchored, backward subgraph isomorphism over dataflow edges, as in
 ``torch.fx``'s SubgraphMatcher: node compatibility requires the same opcode
 and the same target (function identity / method name / module-target regex),
 and every interior node of a match may only be used inside the match.
-``add`` and ``mul`` match their two operands in either order, so
-``dropout(x) + residual`` finds ``residual + dropout(x)``.
+``add`` and ``mul`` match their operands in either order; a match still
+covers the target's own nodes, so a fused body computes what they did.
 """
 
 from __future__ import annotations
@@ -97,7 +97,10 @@ class SubgraphMatcher:
         if not self._targets_compatible(pnode, tvalue):
             return False
         snapshot = dict(nodes_map)
-        for targs in _operand_orders(tvalue):
+        orders = [tvalue.args]
+        if tvalue.target in (F.add, F.mul) and len(tvalue.args) == 2:
+            orders.append(tvalue.args[::-1])  # commutative operands
+        for targs in orders:
             nodes_map[pnode] = tvalue
             if self._match_args(pnode.args, targs, nodes_map) and \
                     self._match_kwargs(pnode.kwargs, tvalue.kwargs,
@@ -182,20 +185,6 @@ class SubgraphMatcher:
                 if id(user) not in internal_ids:
                     return False
         return True
-
-
-#: ops whose two operands may match a pattern in either order
-_COMMUTATIVE = (F.add, F.mul)
-
-
-def _operand_orders(node: Node):
-    """The target's args as written, then — for a commutative op — with
-    its two operands swapped.  The match still covers the target's own
-    nodes, so a fused body computes exactly what the graph did."""
-    yield node.args
-    if node.op == "call_function" and node.target in _COMMUTATIVE \
-            and len(node.args) == 2:
-        yield node.args[::-1]
 
 
 def trace_pattern(pattern_fn) -> Graph:

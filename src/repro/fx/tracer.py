@@ -176,12 +176,9 @@ class Tracer:
                           lifted: tuple = ()) -> Proxy:
         """Invoked by ``Module.__call__`` when an argument is a Proxy.
 
-        The module's hooks, less the ``lifted`` ones a graph being traced
-        through already runs as nodes, become ``sync_*`` nodes at this
-        call site (:func:`~repro.fx.functionalize.lift_inputs` /
-        :func:`~repro.fx.functionalize.lift_output`).  The module then
-        inlines, or — a leaf — becomes a ``call_module`` whose
-        ``meta["lifted_hooks"]`` it runs without.
+        The module's hooks (less ``lifted``, which a graph traced through
+        already runs as nodes) become ``sync_*`` nodes at this call site;
+        the module then inlines, or is a ``call_module`` run without them.
         """
         path = self._module_paths.get(id(module))
         if path is None:
