@@ -18,6 +18,13 @@ class Graph:
         #: pytree specs of structured placeholders (arg name -> TreeSpec)
         self.in_specs: dict = {}
 
+    def __del__(self):
+        # A node's users and its args point at each other.  Unlink them,
+        # so a dropped graph — with the modules and hooks its sync nodes
+        # hold — is freed at once rather than at a full cyclic collection.
+        for node in getattr(self, "_nodes", ()):
+            node.users.clear()
+
     # ------------------------------------------------------------------ #
     # Node management
     # ------------------------------------------------------------------ #
@@ -57,7 +64,7 @@ class Graph:
                 name = str(target)
             else:
                 name = getattr(target, "__name__", str(target))
-        node = Node(self, self._unique_name(name), op, args=tuple(args),
+        node = Node(self._unique_name(name), op, args=tuple(args),
                     kwargs=dict(kwargs), target=target)
         if self._insert_index is None:
             self._nodes.append(node)

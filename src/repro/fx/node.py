@@ -63,11 +63,10 @@ def iter_nodes(arg) -> Iterable["Node"]:
 class Node:
     """One operation in a :class:`repro.fx.graph.Graph`."""
 
-    def __init__(self, graph, name: str, op: str, target, args: tuple,
+    def __init__(self, name: str, op: str, target, args: tuple,
                  kwargs: dict):
         if op not in BASE_OPCODES:
             raise ValueError(f"invalid opcode: {op}")
-        self.graph = graph
         self.name = name
         self.op = op
         self.target = target

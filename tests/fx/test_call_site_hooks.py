@@ -246,3 +246,20 @@ class TestPipelineCallSites:
                 assert not any(unlifted_hooks(stage, node)), node.name
         assert _run(PipelineModule(stages)) == want
         assert piped_log == eager_log
+
+
+def test_a_dropped_traced_module_frees_its_hooked_leaves_at_once():
+    """Sync nodes hold their hooked module; the graph's node links are
+    cycles.  Dropping the GraphModule must still free the module by
+    reference counting, not at the next full cyclic collection."""
+    import gc
+    import weakref
+
+    gm = fx.symbolic_trace(_model([]))
+    head = weakref.ref(gm.get_submodule("head"))
+    gc.disable()
+    try:
+        del gm
+        assert head() is None
+    finally:
+        gc.enable()
