@@ -66,11 +66,11 @@ class TracePrimitive(Primitive):
 class FunctionalizePrimitive(Primitive):
     """``.functionalize(cse=True, fuse=False, compiler="TorchInductor")``.
 
-    Rewrites a traced module into explicit-effect form (hooks become
-    ``sync_*`` graph nodes, mutation becomes ``mutate`` markers — see
-    :mod:`repro.fx.functionalize`), then optionally runs common-
-    subexpression elimination and effect-barrier-aware elementwise fusion
-    on the now-safe graph.  Semantics-preserving, so the schedule fuzzer
+    Rewrites a traced module into explicit-effect form (hooks registered
+    after tracing become ``sync_*`` graph nodes, as tracing makes every
+    other hook — see :mod:`repro.fx.functionalize`), then optionally runs
+    common-subexpression elimination and elementwise fusion that never
+    spans an effect node.  Semantics-preserving, so the schedule fuzzer
     samples it like any other primitive.
     """
 
