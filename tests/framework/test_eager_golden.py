@@ -225,14 +225,10 @@ def op_edges() -> dict:
         out[f"flash/{name}"] = _run_op(
             lambda q, k, v, causal=causal, block=block: flash_attention(
                 q, k, v, is_causal=causal, block_size=block), arrays, rng)
-    for name, dtype in {"fp32": np.float32, "fp16": np.float16}.items():
-        for causal in (False, True):
-            arrays = {n: _randn(rng, (2, 2, 6, 4), dtype) for n in "qkv"}
-            out[f"sdpa/{name}_causal{int(causal)}"] = _run_op(
-                lambda q, k, v, causal=causal:
-                    F.scaled_dot_product_attention(q, k, v,
-                                                   is_causal=causal),
-                arrays, rng)
+    # The draws of four edges since removed (q, k, v and the output
+    # gradient of each), kept so every later edge keeps its inputs.
+    for _ in range(4 * 4):
+        rng.standard_normal((2, 2, 6, 4))
 
     for name, dtype in {"fp32": np.float32, "fp16": np.float16}.items():
         x = _randn(rng, (3, 4, 8), dtype)
