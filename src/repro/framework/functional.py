@@ -5,10 +5,16 @@ Every op in this module follows the same protocol:
 1. **Proxy dispatch** — if any argument is an ``repro.fx`` Proxy, the op
    records a ``call_function`` node instead of computing (this is how the
    symbolic tracer sees through model code without patching).
-2. **Meta path** — if any tensor argument is on the meta device, only shape
-   inference runs and a kernel event is reported to the simulator.
-3. **Eager path** — numpy compute, simulator event, and a tape node for
-   reverse-mode autodiff.
+2. **Declaration** — the op states, once, its output's shape and dtype,
+   its event's flops, bytes moved and kernel, and what its backward keeps
+   (:func:`_op`).  The shape and dtype rules run before anything is
+   computed and raise the same error on either device.  On meta inputs
+   the declaration returns the storage-less output and records the event.
+3. **Eager fill and check** — on real inputs the op computes its numpy
+   result and backward closure and hands both to the declaration, which
+   raises :class:`OpDeclarationError` if the data's shape or dtype differ
+   from the declared ones, records the *same* event the meta path records
+   and builds the tape node.
 
 Ops accept plain Python scalars and numpy arrays wherever a tensor is
 expected, coercing via :func:`repro.framework.tensor.astensor`.
@@ -27,10 +33,10 @@ from . import dtype as dtypes, events, random as frandom
 from .autograd import (GradNode, check_finite, is_anomaly_enabled,
                        is_grad_enabled, unbroadcast)
 from .dtype import DType, promote
+from .parameter import Parameter
 from .tensor import Tensor, astensor
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
-_SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 
 # ---------------------------------------------------------------------- #
@@ -108,15 +114,15 @@ def _batch_norm_mutates(x, running_mean=None, running_var=None, weight=None,
     return bool(training)
 
 
-def _any_meta(*tensors) -> bool:
-    return any(t.is_meta for t in tensors if isinstance(t, Tensor))
+# ---------------------------------------------------------------------- #
+# The declaration
+# ---------------------------------------------------------------------- #
+class OpDeclarationError(RuntimeError):
+    """An op's eager result has another shape or dtype than it declares."""
 
-
-def _nbytes(shape, dtype: DType) -> int:
-    n = 1
-    for s in shape:
-        n *= s
-    return n * dtype.itemsize
+    def __init__(self, op: str, message: str):
+        super().__init__(f"op {op!r}: {message}")
+        self.op = op
 
 
 def _numel(shape) -> int:
@@ -126,52 +132,64 @@ def _numel(shape) -> int:
     return n
 
 
-def _finalize(name, data, inputs, backward_fn, dtype=None, flops=0,
-              bytes_moved=None, meta=None):
-    """Wrap raw output data into a tensor with event + tape bookkeeping.
+def _nbytes(shape, dtype: DType) -> int:
+    return _numel(shape) * dtype.itemsize
 
-    The event payload is only built when a recorder is installed, and the
-    finiteness check only runs under :func:`~.autograd.detect_anomaly`.
+
+def _op(name, inputs, shape, dtype, eager, flops=0, bytes_moved=None,
+        kernel=None, saved=(), saves_out=False, view_of=None,
+        strided=False):
+    """Run one op from its declaration and return its output.
+
+    ``inputs`` are the op's tensor operands in the order its backward
+    returns their gradients (None for an absent one).  The declaration:
+    the output ``shape`` and ``dtype``; the event's ``flops``,
+    ``bytes_moved`` (default: the output's and the inputs' bytes) and
+    ``kernel``; ``saved``, what the eager backward closure keeps —
+    tensors (or numpy arrays) whose storage it holds, and ints for the
+    bytes of buffers the op allocates for it — and ``saves_out``, which
+    adds the output; ``view_of``, the input whose storage the output
+    views (``strided`` when it is no longer C-contiguous).
+
+    On meta inputs the output has no storage.  Otherwise ``eager()``
+    returns ``(data, backward)``: the result, checked against the declared
+    shape and dtype, and the tape node's backward function (None for an
+    op without gradients).  Both paths record the same event.
     """
-    out = Tensor(data, dtype=dtype)
-    if is_anomaly_enabled():
-        check_finite(out.data, f"op {name!r}")
+    for t in inputs:
+        if t is not None and t.is_meta:
+            out, backward = Tensor.meta(shape, dtype), None
+            break
+    else:
+        data, backward = eager()
+        if data.shape != shape or data.dtype != dtype.np_dtype:
+            raise OpDeclarationError(
+                name, f"computed {data.dtype} {data.shape}, declared "
+                f"{dtype.name} {tuple(shape)}")
+        if type(data) is not np.ndarray:
+            data = np.asarray(data)
+        out = Tensor.wrap(data, dtype)
+        if is_anomaly_enabled():
+            check_finite(data, f"op {name!r}")
+    if view_of is not None:
+        out._base = getattr(view_of, "_base", view_of)
+        out._strided = strided or getattr(view_of, "_strided", False)
     recorder = events.get_recorder()
     if recorder is not None:
         if bytes_moved is None:
-            bytes_moved = out.nbytes + builtins.sum(
-                t.nbytes for t in inputs if isinstance(t, Tensor)
-            )
-        recorder.record_op(name, tuple(out.shape), out.dtype, flops,
-                           bytes_moved, meta)
-    if is_grad_enabled() and any(
-        isinstance(t, Tensor) and (t.requires_grad or t.grad_fn is not None)
-        for t in inputs
-    ):
-        tensor_inputs = tuple(t if isinstance(t, Tensor) else None for t in inputs)
-        out.grad_fn = GradNode(name, tensor_inputs, backward_fn)
-        out.requires_grad = True
-    return out
-
-
-def _meta_result(name, shape, dtype, inputs, flops=0, bytes_moved=None,
-                 meta=None, saved=(), saves_out=False):
-    """Report a meta op and return its storage-less output.
-
-    ``saved`` declares what the eager op's backward closure keeps: tensors
-    (or numpy arrays) whose storage it holds, and ints for the bytes of
-    buffers the op allocates for it; ``saves_out`` adds the output.  The
-    declaration reaches the recorder as ``meta["saved"]``.
-    """
-    if bytes_moved is None:
-        bytes_moved = _nbytes(shape, dtype) + builtins.sum(
-            t.nbytes for t in inputs if isinstance(t, Tensor)
-        )
-    out = Tensor.meta(shape, dtype)
-    if saved or saves_out:
-        meta = {**(meta or {}),
-                "saved": (*saved, out) if saves_out else tuple(saved)}
-    events.record_op(name, tuple(shape), dtype, flops, bytes_moved, meta)
+            bytes_moved = _nbytes(shape, dtype) + builtins.sum(
+                t.nbytes for t in inputs if t is not None)
+        meta = {"kernel": kernel} if kernel else {}
+        if saved or saves_out:
+            meta["saved"] = (*saved, out) if saves_out else tuple(saved)
+        recorder.record_op(name, tuple(shape), dtype, flops, bytes_moved,
+                           meta or None)
+    if backward is not None and is_grad_enabled():
+        for t in inputs:
+            if t is not None and (t.requires_grad or t.grad_fn is not None):
+                out.grad_fn = GradNode(name, inputs, backward)
+                out.requires_grad = True
+                break
     return out
 
 
@@ -181,23 +199,17 @@ def _f32(t):
     return t if t.dtype == dtypes.float32 else 4 * t.numel()
 
 
-def _view(out, x, strided=False):
-    """Mark meta ``out`` as a numpy view of ``x``'s storage, as the eager
-    op returns one; ``strided`` when it is no longer C-contiguous."""
-    out._base = getattr(x, "_base", x)
-    out._strided = strided or getattr(x, "_strided", False)
-    return out
-
-
 def buffer_owner(item):
     """The tensor or array owning the buffer a tensor or array keeps alive.
 
-    A meta view points at its source through ``_base``; a real array is
-    followed to the array owning its memory.
+    A view points at its source through ``_base``; a parameter or a meta
+    tensor owns its buffer; a real array is followed to the array owning
+    its memory.
     """
     if isinstance(item, Tensor):
-        if item.is_meta:
-            return getattr(item, "_base", item)
+        item = getattr(item, "_base", item)
+        if item.is_meta or isinstance(item, Parameter):
+            return item
         item = item.data
     while isinstance(item.base, np.ndarray):
         item = item.base
@@ -205,22 +217,71 @@ def buffer_owner(item):
 
 
 def _reshape_views(x, shape) -> bool:
-    """Whether numpy's reshape of ``x``'s data to ``shape`` is a view: a
-    contiguous source, or only size-1 axes added or dropped."""
+    """Whether numpy's reshape of ``x``'s data to ``shape`` is a view.
+
+    A real array answers for itself; a meta tensor is a view when its
+    source is contiguous, or when only size-1 axes are added or dropped.
+    """
+    if not x.is_meta:
+        try:
+            return x.data.flags.c_contiguous or \
+                x.data.reshape(shape, copy=False) is not None
+        except ValueError:  # numpy would copy
+            return False
     return not getattr(x, "_strided", False) or \
         [s for s in shape if s != 1] == [s for s in x.shape if s != 1]
+
+
+def _refuse(name, t, accepts):
+    """Raise ``TypeError`` unless ``accepts(t.dtype)``."""
+    if not accepts(t.dtype):
+        raise TypeError(f"{name}: not defined on {t.dtype.name} tensors")
+
+
+def _is_float(dtype: DType) -> bool:
+    return dtype.is_floating
+
+
+def _not_bool(dtype: DType) -> bool:
+    return dtype != dtypes.bool_
+
+
+def _dim(name, dim, ndim) -> int:
+    """``dim`` in ``range(ndim)``; ``IndexError`` if out of range."""
+    if not -ndim <= dim < ndim:
+        raise IndexError(f"{name}: dim {dim} out of range for a "
+                         f"{ndim}-d tensor")
+    return dim % ndim
+
+
+def _broadcast(name, *shapes) -> tuple[int, ...]:
+    """NumPy's broadcast of ``shapes``; ``ValueError`` if they clash."""
+    out = list(shapes[0])
+    for shape in shapes[1:]:
+        if len(shape) > len(out):
+            out[:0] = [1] * (len(shape) - len(out))
+        lead = len(out) - len(shape)
+        for i, size in enumerate(shape, lead):
+            if size != out[i] and size != 1:
+                if out[i] != 1:
+                    raise ValueError(
+                        f"{name}: shapes {shapes} do not broadcast")
+                out[i] = size
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------- #
 # Elementwise binary ops
 # ---------------------------------------------------------------------- #
-def _binary(name, a, b, fwd, bwd_a, bwd_b, saves="", flops_per_elem=1):
+def _binary(name, a, b, fwd, bwd_a, bwd_b, saves="", flops_per_elem=1,
+            rule=promote):
     """An elementwise op of two operands.
 
-    ``bwd_a`` and ``bwd_b`` map ``(grad, x, y, out)`` to the gradient of
-    ``a`` and ``b``.  ``saves`` names the arrays they read (``"xy"``,
-    ``"o"``, ...): only those are kept for backward, the others reach the
-    formulas as None.
+    ``rule`` maps the operands' dtypes to the output's; NumPy computes in
+    that dtype.  ``bwd_a`` and ``bwd_b`` map ``(grad, x, y, out)`` to the
+    gradient of ``a`` and ``b``.  ``saves`` names the arrays they read
+    (``"xy"``, ``"o"``, ...): only those are kept for backward, the others
+    reach the formulas as None.
     """
     # Python-number operands adopt the tensor's dtype (torch's scalar
     # promotion): x_fp16 / 8.0 stays fp16.
@@ -229,53 +290,77 @@ def _binary(name, a, b, fwd, bwd_a, bwd_b, saves="", flops_per_elem=1):
     elif isinstance(b, Tensor) and isinstance(a, (bool, int, float)):
         a = astensor(a, dtype=b.dtype if b.dtype.is_floating else None)
     a, b = astensor(a), astensor(b)
-    out_dtype = promote(a.dtype, b.dtype)
-    if _any_meta(a, b):
-        shape = np.broadcast_shapes(tuple(a.shape), tuple(b.shape))
-        return _meta_result(name, shape, out_dtype, (a, b),
-                            flops=_numel(shape) * flops_per_elem,
-                            saved=[t for c, t in (("x", a), ("y", b))
-                                   if c in saves],
-                            saves_out="o" in saves)
-    data = fwd(a.data, b.data)
-    x = a.data if "x" in saves else None
-    y = b.data if "y" in saves else None
-    o = data if "o" in saves else None
+    dtype = rule(a.dtype, b.dtype)
     a_shape, b_shape = tuple(a.shape), tuple(b.shape)
+    shape = a_shape if a_shape == b_shape else \
+        _broadcast(name, a_shape, b_shape)
 
-    def backward(grad):
-        ga = unbroadcast(bwd_a(grad, x, y, o), a_shape) if bwd_a else None
-        gb = unbroadcast(bwd_b(grad, x, y, o), b_shape) if bwd_b else None
-        return (ga, gb)
+    def eager():
+        x, y = a.data, b.data
+        np_dtype = dtype.np_dtype
+        data = fwd(x if x.dtype == np_dtype else x.astype(np_dtype),
+                   y if y.dtype == np_dtype else y.astype(np_dtype))
+        if type(data) is not np.ndarray:  # a 0-d result: keep an array
+            data = np.asarray(data)
+        sx = x if "x" in saves else None
+        sy = y if "y" in saves else None
+        so = data if "o" in saves else None
 
-    return _finalize(name, data, (a, b), backward, dtype=out_dtype,
-                     flops=data.size * flops_per_elem)
+        def backward(grad):
+            ga = unbroadcast(bwd_a(grad, sx, sy, so), a_shape) \
+                if bwd_a else None
+            gb = unbroadcast(bwd_b(grad, sx, sy, so), b_shape) \
+                if bwd_b else None
+            return (ga, gb)
+
+        return data, backward
+
+    return _op(name, (a, b), shape, dtype, eager,
+               flops=_numel(shape) * flops_per_elem,
+               saved=[t for c, t in (("x", a), ("y", b)) if c in saves],
+               saves_out="o" in saves)
+
+
+def _no_bool(a: DType, b: DType) -> DType:
+    """``promote``, refusing two bools (torch has no bool subtraction)."""
+    out = promote(a, b)
+    if out == dtypes.bool_:
+        raise TypeError("sub: not defined on bool tensors")
+    return out
+
+
+def _true_div(a: DType, b: DType) -> DType:
+    """``promote``, with integer and bool division giving float32."""
+    out = promote(a, b)
+    return out if out.is_floating else dtypes.float32
 
 
 @traceable
 def add(a, b):
-    return _binary("add", a, b, lambda x, y: x + y,
+    return _binary("add", a, b, np.add,
                    lambda g, x, y, o: g, lambda g, x, y, o: g)
 
 
 @traceable
 def sub(a, b):
-    return _binary("sub", a, b, lambda x, y: x - y,
-                   lambda g, x, y, o: g, lambda g, x, y, o: -g)
+    return _binary("sub", a, b, np.subtract,
+                   lambda g, x, y, o: g, lambda g, x, y, o: -g,
+                   rule=_no_bool)
 
 
 @traceable
 def mul(a, b):
-    return _binary("mul", a, b, lambda x, y: x * y,
+    return _binary("mul", a, b, np.multiply,
                    lambda g, x, y, o: g * y, lambda g, x, y, o: g * x,
                    saves="xy")
 
 
 @traceable
 def div(a, b):
-    return _binary("div", a, b, lambda x, y: x / y,
+    return _binary("div", a, b, np.true_divide,
                    lambda g, x, y, o: g / y,
-                   lambda g, x, y, o: -g * x / (y * y), saves="xy")
+                   lambda g, x, y, o: -g * x / (y * y), saves="xy",
+                   rule=_true_div)
 
 
 @traceable
@@ -295,14 +380,9 @@ def minimum(a, b):
 # Comparison ops: no gradients, bool outputs.
 def _compare(name, a, b, fwd):
     a, b = astensor(a), astensor(b)
-    if _any_meta(a, b):
-        shape = np.broadcast_shapes(tuple(a.shape), tuple(b.shape))
-        return _meta_result(name, shape, dtypes.bool_, (a, b))
-    data = fwd(a.data, b.data)
-    out = Tensor(data, dtype=dtypes.bool_)
-    events.record_op(name, tuple(out.shape), dtypes.bool_, 0,
-                     out.nbytes + a.nbytes + b.nbytes, None)
-    return out
+    shape = _broadcast(name, tuple(a.shape), tuple(b.shape))
+    return _op(name, (a, b), shape, dtypes.bool_,
+               lambda: (fwd(a.data, b.data), None))
 
 
 @traceable
@@ -328,58 +408,60 @@ def gt(a, b):
 # ---------------------------------------------------------------------- #
 # Elementwise unary ops
 # ---------------------------------------------------------------------- #
-def _unary(name, x, fwd, bwd, saves="", flops_per_elem=1):
-    """An elementwise op of one operand.
+def _unary(name, x, fwd, bwd, saves="", flops_per_elem=1, accepts=None):
+    """An elementwise op of one operand, in its dtype.
 
     ``bwd`` maps ``(grad, v, out)`` to the input gradient; ``saves`` names
     the arrays it reads (``"v"``, ``"o"``, ``"vo"``): only those are kept
-    for backward, the others reach it as None.
+    for backward, the others reach it as None.  ``accepts`` (a dtype
+    predicate) refuses other inputs with ``TypeError``.
     """
     x = astensor(x)
-    if x.is_meta:
-        return _meta_result(name, tuple(x.shape), x.dtype, (x,),
-                            flops=x.numel() * flops_per_elem,
-                            saved=(x,) if "v" in saves else (),
-                            saves_out="o" in saves)
-    data = fwd(x.data)
-    v = x.data if "v" in saves else None
-    o = data if "o" in saves else None
+    if accepts is not None:
+        _refuse(name, x, accepts)
 
-    def backward(grad):
-        return (bwd(grad, v, o),)
+    def eager():
+        data = fwd(x.data)
+        if type(data) is not np.ndarray:  # a 0-d result: keep an array
+            data = np.asarray(data)
+        v = x.data if "v" in saves else None
+        o = data if "o" in saves else None
+        return data, lambda grad: (bwd(grad, v, o),)
 
-    return _finalize(name, data, (x,), backward, dtype=x.dtype,
-                     flops=data.size * flops_per_elem)
+    return _op(name, (x,), tuple(x.shape), x.dtype, eager,
+               flops=x.numel() * flops_per_elem,
+               saved=(x,) if "v" in saves else (), saves_out="o" in saves)
 
 
 @traceable
 def neg(x):
-    return _unary("neg", x, lambda v: -v, lambda g, v, o: -g)
+    return _unary("neg", x, np.negative, lambda g, v, o: -g,
+                  accepts=_not_bool)
 
 
 @traceable
 def exp(x):
     return _unary("exp", x, np.exp, lambda g, v, o: g * o, saves="o",
-                  flops_per_elem=4)
+                  flops_per_elem=4, accepts=_is_float)
 
 
 @traceable
 def log(x):
     return _unary("log", x, np.log, lambda g, v, o: g / v, saves="v",
-                  flops_per_elem=4)
+                  flops_per_elem=4, accepts=_is_float)
 
 
 @traceable
 def sqrt(x):
     return _unary("sqrt", x, np.sqrt, lambda g, v, o: g / (2 * o),
-                  saves="o", flops_per_elem=2)
+                  saves="o", flops_per_elem=2, accepts=_is_float)
 
 
 @traceable
 def rsqrt(x):
     return _unary("rsqrt", x, lambda v: 1.0 / np.sqrt(v),
                   lambda g, v, o: -0.5 * g * o / v, saves="vo",
-                  flops_per_elem=3)
+                  flops_per_elem=3, accepts=_is_float)
 
 
 @traceable
@@ -390,14 +472,14 @@ def pow(x, exponent):
         "pow", x,
         lambda v: v ** exponent,
         lambda g, v, o: g * exponent * v ** (exponent - 1),
-        saves="v", flops_per_elem=4,
+        saves="v", flops_per_elem=4, accepts=_is_float,
     )
 
 
 @traceable
 def tanh(x):
     return _unary("tanh", x, np.tanh, lambda g, v, o: g * (1 - o * o),
-                  saves="o", flops_per_elem=6)
+                  saves="o", flops_per_elem=6, accepts=_is_float)
 
 
 @traceable
@@ -406,14 +488,14 @@ def sigmoid(x):
         "sigmoid", x,
         lambda v: 1.0 / (1.0 + np.exp(-v.astype(np.float32))).astype(v.dtype),
         lambda g, v, o: g * o * (1 - o),
-        saves="o", flops_per_elem=4,
+        saves="o", flops_per_elem=4, accepts=_is_float,
     )
 
 
 @traceable
 def relu(x):
     return _unary("relu", x, lambda v: np.maximum(v, 0),
-                  lambda g, v, o: g * (v > 0), saves="v")
+                  lambda g, v, o: g * (v > 0), saves="v", accepts=_not_bool)
 
 
 #: Float32 ``erf(x) ≈ x·P(x²)/Q(x²)`` on ``x`` clamped to [-4, 4] (the
@@ -511,44 +593,45 @@ def gelu(x):
     ``erf`` is rounded to the input dtype, the backward's is not.
     """
     x = astensor(x)
-    if x.is_meta:
-        return _meta_result("gelu", tuple(x.shape), x.dtype, (x,),
-                            flops=10 * x.numel(),
-                            saved=(x, 4 * x.numel())
-                            if x.dtype == dtypes.float32 else (x,))
-    v = x.data
-    if v.dtype == np.float32:
-        data, saved = _gelu_fp32(v)
-    else:
-        one_plus_erf = 1.0 + _erf(v * _INV_SQRT2)
-        data = (0.5 * v * one_plus_erf).astype(v.dtype, copy=False)
-        saved = None
+    fp32 = x.dtype == dtypes.float32
 
-    def backward(grad):
-        # ``dtype=`` runs each product on ``v`` rounded to float32, so a
-        # non-fp32 ``v`` needs no float32 copy.
-        f32 = np.float32
-        if saved is None:
-            cdf = _erf_inplace(np.multiply(v, _INV_SQRT2, dtype=f32,
-                                           order="C"))
-            cdf += 1.0
-            cdf *= 0.5
+    def eager():
+        v = x.data
+        if fp32:
+            data, saved = _gelu_fp32(v)
         else:
-            cdf = 0.5 * saved
-        pdf = np.multiply(v, -0.5, dtype=f32)
-        np.multiply(pdf, v, out=pdf, dtype=f32)
-        np.exp(pdf, out=pdf)
-        pdf /= math.sqrt(2 * math.pi)
-        np.multiply(pdf, v, out=pdf, dtype=f32)
-        pdf += cdf
-        del cdf
-        if np.result_type(grad, pdf) != pdf.dtype:
-            return ((grad * pdf).astype(v.dtype, copy=False),)
-        pdf *= grad
-        return (pdf.astype(v.dtype, copy=False),)
+            one_plus_erf = 1.0 + _erf(v * _INV_SQRT2)
+            data = (0.5 * v * one_plus_erf).astype(v.dtype, copy=False)
+            saved = None
 
-    return _finalize("gelu", data, (x,), backward, dtype=x.dtype,
-                     flops=10 * x.numel())
+        def backward(grad):
+            # ``dtype=`` runs each product on ``v`` rounded to float32, so
+            # a non-fp32 ``v`` needs no float32 copy.
+            f32 = np.float32
+            if saved is None:
+                cdf = _erf_inplace(np.multiply(v, _INV_SQRT2, dtype=f32,
+                                               order="C"))
+                cdf += 1.0
+                cdf *= 0.5
+            else:
+                cdf = 0.5 * saved
+            pdf = np.multiply(v, -0.5, dtype=f32)
+            np.multiply(pdf, v, out=pdf, dtype=f32)
+            np.exp(pdf, out=pdf)
+            pdf /= math.sqrt(2 * math.pi)
+            np.multiply(pdf, v, out=pdf, dtype=f32)
+            pdf += cdf
+            del cdf
+            if np.result_type(grad, pdf) != pdf.dtype:
+                return ((grad * pdf).astype(v.dtype, copy=False),)
+            pdf *= grad
+            return (pdf.astype(v.dtype, copy=False),)
+
+        return data, backward
+
+    return _op("gelu", (x,), tuple(x.shape), x.dtype, eager,
+               flops=10 * x.numel(),
+               saved=(x, 4 * x.numel()) if fp32 else (x,))
 
 
 @traceable
@@ -570,44 +653,39 @@ def silu(x):
 @traceable
 def cast(x, dtype: DType):
     x = astensor(x)
-    if x.is_meta:
-        return _meta_result("cast", tuple(x.shape), dtype, (x,))
-    data = x.data.astype(dtype.np_dtype)
-    src_dtype = x.dtype
-
-    def backward(grad):
-        return (grad.astype(src_dtype.np_dtype),)
-
-    return _finalize("cast", data, (x,), backward, dtype=dtype)
+    src = x.dtype.np_dtype
+    return _op("cast", (x,), tuple(x.shape), dtype,
+               lambda: (x.data.astype(dtype.np_dtype),
+                        lambda grad: (grad.astype(src),)))
 
 
 @traceable
 def clone(x):
     x = astensor(x)
-    if x.is_meta:
-        return _meta_result("clone", tuple(x.shape), x.dtype, (x,))
-    return _finalize("clone", x.data.copy(), (x,), lambda g: (g,),
-                     dtype=x.dtype)
+    return _op("clone", (x,), tuple(x.shape), x.dtype,
+               lambda: (x.data.copy(), lambda grad: (grad,)))
 
 
 @traceable
 def where(cond, a, b):
     cond, a, b = astensor(cond), astensor(a), astensor(b)
-    out_dtype = promote(a.dtype, b.dtype)
-    if _any_meta(cond, a, b):
-        shape = np.broadcast_shapes(tuple(cond.shape), tuple(a.shape),
-                                    tuple(b.shape))
-        return _meta_result("where", shape, out_dtype, (cond, a, b),
-                            saved=(cond,))
-    data = np.where(cond.data, a.data, b.data)
-    mask, a_shape, b_shape = cond.data, tuple(a.shape), tuple(b.shape)
+    dtype = promote(a.dtype, b.dtype)
+    a_shape, b_shape = tuple(a.shape), tuple(b.shape)
+    shape = _broadcast("where", tuple(cond.shape), a_shape, b_shape)
 
-    def backward(grad):
-        return (None,
-                unbroadcast(grad * mask, a_shape),
-                unbroadcast(grad * ~mask, b_shape))
+    def eager():
+        mask, np_dtype = cond.data, dtype.np_dtype
+        data = np.where(mask, a.data.astype(np_dtype, copy=False),
+                        b.data.astype(np_dtype, copy=False))
 
-    return _finalize("where", data, (cond, a, b), backward, dtype=out_dtype)
+        def backward(grad):
+            return (None,
+                    unbroadcast(grad * mask, a_shape),
+                    unbroadcast(grad * ~mask, b_shape))
+
+        return data, backward
+
+    return _op("where", (cond, a, b), shape, dtype, eager, saved=(cond,))
 
 
 def _fill_value(value, dtype: np.dtype) -> np.ndarray | None:
@@ -640,38 +718,44 @@ def masked_fill(x, mask, value):
     x, mask = astensor(x), astensor(mask)
     fill = _fill_value(value, x.dtype.np_dtype)
     inputs = (x, mask, value) if isinstance(value, Tensor) else (x, mask)
-    shape = np.broadcast_shapes(tuple(x.shape), tuple(mask.shape))
-    if _any_meta(*inputs):
-        return _meta_result("masked_fill", shape, x.dtype, inputs,
-                            saved=(mask.numel(),))
-    mask_b = np.broadcast_to(mask.data.astype(bool), shape)
-    data = np.where(mask_b, fill, x.data)
-    x_shape = tuple(x.shape)
-    value_dtype = value.data.dtype if isinstance(value, Tensor) else None
+    shape = _broadcast("masked_fill", tuple(x.shape), tuple(mask.shape))
 
-    def backward(grad):
-        grads = (unbroadcast(np.where(mask_b, 0, grad), x_shape), None)
-        if value_dtype is None:
-            return grads
-        return grads + (np.asarray(np.where(mask_b, grad, 0).sum(),
-                                   value_dtype),)
+    def eager():
+        mask_b = np.broadcast_to(mask.data.astype(bool), shape)
+        x_shape = tuple(x.shape)
+        value_dtype = value.data.dtype if isinstance(value, Tensor) else None
 
-    return _finalize("masked_fill", data, inputs, backward, dtype=x.dtype)
+        def backward(grad):
+            grads = (unbroadcast(np.where(mask_b, 0, grad), x_shape), None)
+            if value_dtype is None:
+                return grads
+            return grads + (np.asarray(np.where(mask_b, grad, 0).sum(),
+                                       value_dtype),)
+
+        return np.where(mask_b, fill, x.data), backward
+
+    return _op("masked_fill", inputs, shape, x.dtype, eager,
+               saved=(mask.numel(),))
 
 
 # ---------------------------------------------------------------------- #
 # Shape ops
 # ---------------------------------------------------------------------- #
 def _resolve_shape(shape, numel: int) -> tuple[int, ...]:
+    """``shape`` with its one ``-1`` inferred; ``ValueError`` unless it
+    holds ``numel`` elements."""
     shape = tuple(int(s) for s in shape)
     if shape.count(-1) > 1:
         raise ValueError("only one dimension can be inferred")
-    if -1 in shape:
-        known = 1
-        for s in shape:
-            if s != -1:
-                known *= s
+    known = 1
+    for s in shape:
+        if s != -1:
+            known *= s
+    if -1 in shape and known and numel % known == 0:
         shape = tuple(numel // known if s == -1 else s for s in shape)
+    elif known != numel or -1 in shape:
+        raise ValueError(f"reshape: cannot view {numel} elements as "
+                         f"{shape}")
     return shape
 
 
@@ -679,17 +763,12 @@ def _resolve_shape(shape, numel: int) -> tuple[int, ...]:
 def reshape(x, shape):
     x = astensor(x)
     new_shape = _resolve_shape(shape, x.numel())
-    if x.is_meta:
-        out = _meta_result("reshape", new_shape, x.dtype, (x,), bytes_moved=0)
-        return _view(out, x) if _reshape_views(x, new_shape) else out
     old_shape = tuple(x.shape)
-    data = x.data.reshape(new_shape)
-
-    def backward(grad):
-        return (grad.reshape(old_shape),)
-
-    return _finalize("reshape", data, (x,), backward, dtype=x.dtype,
-                     bytes_moved=0)
+    return _op("reshape", (x,), new_shape, x.dtype,
+               lambda: (x.data.reshape(new_shape),
+                        lambda grad: (grad.reshape(old_shape),)),
+               bytes_moved=0,
+               view_of=x if _reshape_views(x, new_shape) else None)
 
 
 @traceable
@@ -718,21 +797,22 @@ def transpose(x, dim0: int, dim1: int):
 @traceable
 def permute(x, dims):
     x = astensor(x)
-    dims = tuple(d % x.ndim for d in dims)
-    if x.is_meta:
-        shape = tuple(x.shape[d] for d in dims)
-        moved = [d for d in dims if x.shape[d] != 1]
-        return _view(_meta_result("permute", shape, x.dtype, (x,),
-                                  bytes_moved=2 * x.nbytes),
-                     x, strided=moved != sorted(moved))
-    inverse = tuple(np.argsort(dims))
-    data = np.transpose(x.data, dims)
+    ndim = x.ndim
+    dims = tuple(_dim("permute", d, ndim) for d in dims)
+    if sorted(dims) != list(range(ndim)):
+        raise ValueError(f"permute: {dims} is not a permutation of the "
+                         f"{ndim} dims")
+    shape = tuple(x.shape[d] for d in dims)
+    moved = [d for d in dims if x.shape[d] != 1]
 
-    def backward(grad):
-        return (np.transpose(grad, inverse),)
+    def eager():
+        inverse = tuple(np.argsort(dims))
+        return (np.transpose(x.data, dims),
+                lambda grad: (np.transpose(grad, inverse),))
 
-    return _finalize("permute", data, (x,), backward, dtype=x.dtype,
-                     bytes_moved=2 * x.nbytes)
+    return _op("permute", (x,), shape, x.dtype, eager,
+               bytes_moved=2 * x.nbytes, view_of=x,
+               strided=moved != sorted(moved))
 
 
 @traceable
@@ -758,19 +838,17 @@ def squeeze(x, dim: int):
 @traceable
 def expand(x, shape):
     x = astensor(x)
-    target = tuple(
-        int(x.shape[i - (len(shape) - x.ndim)]) if s == -1 else int(s)
-        for i, s in enumerate(shape)
-    )
-    if x.is_meta:
-        return _meta_result("expand", target, x.dtype, (x,), bytes_moved=0)
-    data = np.broadcast_to(x.data, target).copy()
-    src_shape = tuple(x.shape)
-
-    def backward(grad):
-        return (unbroadcast(grad, src_shape),)
-
-    return _finalize("expand", data, (x,), backward, dtype=x.dtype)
+    src_shape, lead = tuple(x.shape), len(shape) - x.ndim
+    target = tuple(src_shape[i - lead] if s == -1 and i >= lead else int(s)
+                   for i, s in enumerate(shape))
+    if lead < 0 or -1 in target or \
+            _broadcast("expand", src_shape, target) != target:
+        raise ValueError(f"expand: cannot expand {src_shape} to "
+                         f"{tuple(shape)}")
+    return _op("expand", (x,), target, x.dtype,
+               lambda: (np.broadcast_to(x.data, target).copy(),
+                        lambda grad: (unbroadcast(grad, src_shape),)),
+               bytes_moved=0)
 
 
 _BASIC_INDEX = (int, np.integer, slice, type(None), type(Ellipsis))
@@ -783,28 +861,23 @@ def _is_basic_index(index) -> bool:
                for p in parts)
 
 
-def _unwrap_index(index):
+def _unwrap_index(index, stand_in=False):
     """Replace framework tensors inside ``index`` by numpy arrays.
 
-    A meta integer tensor stands in as zeros of its own shape (only the
-    output shape is needed); a meta boolean mask has no such stand-in.
+    With ``stand_in``, a meta integer tensor stands in as zeros of its
+    own shape (only the output shape is needed); a meta boolean mask or a
+    meta index of a real tensor has no stand-in.
     """
     if isinstance(index, tuple):
-        return tuple(_unwrap_index(part) for part in index)
+        return tuple(_unwrap_index(part, stand_in) for part in index)
     if not isinstance(index, Tensor):
         return index
     if not index.is_meta:
         return index.data
-    if index.dtype == dtypes.bool_:
-        raise TypeError(
-            "getitem: a meta boolean-mask index makes the output shape "
-            "data-dependent")
+    if not stand_in or index.dtype == dtypes.bool_:
+        raise TypeError("getitem: a meta index makes the output shape "
+                        "data-dependent")
     return np.zeros(tuple(index.shape), dtype=np.intp)
-
-
-def _index_is_meta(index) -> bool:
-    parts = index if isinstance(index, tuple) else (index,)
-    return any(isinstance(p, Tensor) and p.is_meta for p in parts)
 
 
 @traceable
@@ -814,56 +887,65 @@ def getitem(x, index):
         # (e.g. an MoE routing dict) that traced code indexes by key.
         return x[index]
     x = astensor(x)
-    if x.is_meta or _index_is_meta(index):
-        # Infer the sliced shape with a zero-stride dummy array.
-        dummy = np.broadcast_to(np.zeros(1, dtype=np.int8), tuple(x.shape))
-        shape = dummy[_unwrap_index(index)].shape
-        parts = index if isinstance(index, tuple) else (index,)
-        return _meta_result("getitem", shape, x.dtype, (x,), bytes_moved=0,
-                            saved=[p for p in parts
-                                   if isinstance(p, (Tensor, np.ndarray))])
-    index = _unwrap_index(index)
-    basic = _is_basic_index(index)
-    data = np.asarray(x.data[index])
-    if np.may_share_memory(data, x.data):
-        data = data.copy()  # a view: the output must not alias the input
-    src_shape = tuple(x.shape)
-    src_np_dtype = x.data.dtype
+    parts = index if isinstance(index, tuple) else (index,)
+    # The sliced shape, from a zero-stride dummy array.
+    dummy = np.broadcast_to(np.zeros(1, dtype=np.int8), tuple(x.shape))
+    shape = dummy[_unwrap_index(index, stand_in=True)].shape
 
-    def backward(grad):
-        full = np.zeros(src_shape, dtype=src_np_dtype)
-        if not basic:
-            # Advanced indices may repeat an element: accumulate unbuffered.
-            np.add.at(full, index, grad)
+    def eager():
+        real = _unwrap_index(index)
+        basic = _is_basic_index(real)
+        data = np.asarray(x.data[real])
+        if np.may_share_memory(data, x.data):
+            data = data.copy()  # a view: the output must not alias the input
+        src_shape = tuple(x.shape)
+        src_np_dtype = x.data.dtype
+
+        def backward(grad):
+            full = np.zeros(src_shape, dtype=src_np_dtype)
+            if not basic:
+                # Advanced indices may repeat an element: accumulate
+                # unbuffered.
+                np.add.at(full, real, grad)
+                return (full,)
+            view = full[real]
+            if isinstance(view, np.ndarray):
+                view += grad
+            else:  # an int on every axis: numpy returns a scalar, not a view
+                full[real] = grad
             return (full,)
-        view = full[index]
-        if isinstance(view, np.ndarray):
-            view += grad
-        else:  # an int on every axis: numpy returns a scalar, not a view
-            full[index] = grad
-        return (full,)
 
-    return _finalize("getitem", data, (x,), backward, dtype=x.dtype,
-                     bytes_moved=_nbytes(data.shape, x.dtype) * 2)
+        return data, backward
+
+    return _op("getitem", (x,), shape, x.dtype, eager, bytes_moved=0,
+               saved=[p for p in parts
+                      if isinstance(p, (Tensor, np.ndarray))])
 
 
 @traceable
 def cat(tensors: Sequence, dim: int = 0):
     tensors = [astensor(t) for t in tensors]
-    dim = dim % tensors[0].ndim
-    if _any_meta(*tensors):
-        shape = list(tensors[0].shape)
-        shape[dim] = builtins.sum(t.shape[dim] for t in tensors)
-        return _meta_result("cat", tuple(shape), tensors[0].dtype, tensors)
-    data = np.concatenate([t.data for t in tensors], axis=dim)
+    first = list(tensors[0].shape)
+    dim = _dim("cat", dim, len(first))
+    shape = list(first)
+    shape[dim] = 0
+    dtype = tensors[0].dtype
+    for t in tensors:
+        each = list(t.shape)
+        shape[dim], each[dim] = shape[dim] + each[dim], 0
+        if each != first[:dim] + [0] + first[dim + 1:]:
+            raise ValueError(f"cat: {tuple(t.shape)} and {tuple(first)} "
+                             f"differ outside dim {dim}")
+        dtype = promote(dtype, t.dtype)
     sizes = [t.shape[dim] for t in tensors]
 
-    def backward(grad):
-        pieces = np.split(grad, np.cumsum(sizes)[:-1], axis=dim)
-        return tuple(pieces)
+    def eager():
+        data = np.concatenate([t.data for t in tensors], axis=dim,
+                              dtype=dtype.np_dtype)
+        return data, lambda grad: tuple(
+            np.split(grad, np.cumsum(sizes)[:-1], axis=dim))
 
-    return _finalize("cat", data, tuple(tensors), backward,
-                     dtype=tensors[0].dtype)
+    return _op("cat", tuple(tensors), tuple(shape), dtype, eager)
 
 
 @traceable
@@ -907,65 +989,75 @@ def chunk(x, chunks: int, dim: int = 0):
 # ---------------------------------------------------------------------- #
 # Reductions
 # ---------------------------------------------------------------------- #
-def _reduce_shape(shape, dim, keepdim):
+def _reduce_dims(name, dim, ndim) -> tuple[int, ...] | None:
+    """``dim`` (None, an int or a sequence of ints) as sorted axes in
+    ``range(ndim)``; ``IndexError`` out of range, ``ValueError`` for a
+    repeated axis."""
     if dim is None:
-        return () if not keepdim else tuple(1 for _ in shape)
+        return None
     dims = (dim,) if isinstance(dim, int) else tuple(dim)
-    dims = tuple(d % len(shape) for d in dims)
+    axes = sorted(_dim(name, d, ndim) for d in dims)
+    if len(set(axes)) != len(axes):
+        raise ValueError(f"{name}: dim {dim} repeats an axis")
+    return tuple(axes)
+
+
+def _reduce_shape(shape, axes, keepdim):
+    if axes is None:
+        return () if not keepdim else tuple(1 for _ in shape)
     if keepdim:
-        return tuple(1 if i in dims else s for i, s in enumerate(shape))
-    return tuple(s for i, s in enumerate(shape) if i not in dims)
+        return tuple(1 if i in axes else s for i, s in enumerate(shape))
+    return tuple(s for i, s in enumerate(shape) if i not in axes)
 
 
 @traceable
 def sum(x, dim=None, keepdim: bool = False):
     x = astensor(x)
-    if x.is_meta:
-        shape = _reduce_shape(tuple(x.shape), dim, keepdim)
-        return _meta_result("sum", shape, x.dtype, (x,), flops=x.numel())
-    axis = dim if dim is None else (dim if isinstance(dim, int) else tuple(dim))
-    data = x.data.sum(axis=axis, keepdims=keepdim)
-    src_shape, src_np_dtype = tuple(x.shape), x.data.dtype
+    axes = _reduce_dims("sum", dim, x.ndim)
+    src_shape = tuple(x.shape)
+    # integers and bools sum as int64, in torch as in numpy
+    dtype = x.dtype if x.dtype.is_floating else dtypes.int64
 
-    def backward(grad):
-        g = np.asarray(grad)
-        if not keepdim and dim is not None:
-            dims = (dim,) if isinstance(dim, int) else tuple(dim)
-            for d in sorted(d % len(src_shape) for d in dims):
-                g = np.expand_dims(g, d)
-        return (np.broadcast_to(g, src_shape).astype(src_np_dtype),)
+    def eager():
+        src_np_dtype = x.data.dtype
 
-    return _finalize("sum", np.asarray(data), (x,), backward, dtype=x.dtype,
-                     flops=x.numel())
+        def backward(grad):
+            g = np.asarray(grad)
+            if not keepdim and axes is not None:
+                for d in axes:
+                    g = np.expand_dims(g, d)
+            return (np.broadcast_to(g, src_shape).astype(src_np_dtype),)
+
+        return x.data.sum(axis=axes, keepdims=keepdim), backward
+
+    return _op("sum", (x,), _reduce_shape(src_shape, axes, keepdim), dtype,
+               eager, flops=x.numel())
+
+
+def _count(x, dim) -> int:
+    """Elements a reduction over ``dim`` folds into each output."""
+    if dim is None:
+        return x.numel()
+    count = 1
+    for d in _reduce_dims("mean", dim, x.ndim):
+        count *= x.shape[d]
+    return count
 
 
 @traceable
 def mean(x, dim=None, keepdim: bool = False):
     x = astensor(x)
-    if dim is None:
-        count = x.numel()
-    else:
-        dims = (dim,) if isinstance(dim, int) else tuple(dim)
-        count = 1
-        for d in dims:
-            count *= x.shape[d % x.ndim]
-    return div(sum(x, dim, keepdim), float(count))
+    return div(sum(x, dim, keepdim), float(_count(x, dim)))
 
 
 @traceable
 def var(x, dim=None, keepdim: bool = False, unbiased: bool = False):
     x = astensor(x)
+    count = _count(x, dim)
     centered = sub(x, mean(x, dim, keepdim=True))
     squared = mul(centered, centered)
     out = mean(squared, dim, keepdim)
     if unbiased:
-        if dim is None:
-            count = x.numel()
-        else:
-            dims = (dim,) if isinstance(dim, int) else tuple(dim)
-            count = 1
-            for d in dims:
-                count *= x.shape[d % x.ndim]
         out = mul(out, count / builtins.max(count - 1, 1))
     return out
 
@@ -973,41 +1065,40 @@ def var(x, dim=None, keepdim: bool = False, unbiased: bool = False):
 @traceable
 def max(x, dim=None, keepdim: bool = False):
     x = astensor(x)
-    if x.is_meta:
-        shape = _reduce_shape(tuple(x.shape), dim, keepdim)
-        return _meta_result("max", shape, x.dtype, (x,), flops=x.numel(),
-                            saved=(x,), saves_out=dim is not None)
-    data = x.data.max(axis=dim, keepdims=keepdim)
-    src = x.data
+    axes = _reduce_dims("max", dim, x.ndim)
 
-    def backward(grad):
-        if dim is None:
-            mask = (src == src.max())
-            return ((mask / mask.sum()) * grad,)
-        expanded = np.asarray(data)
-        g = np.asarray(grad)
-        if not keepdim:
-            expanded = np.expand_dims(expanded, dim)
-            g = np.expand_dims(g, dim)
-        mask = (src == expanded)
-        counts = mask.sum(axis=dim, keepdims=True)
-        return (mask / counts * g,)
+    def eager():
+        src = x.data
+        data = np.asarray(src.max(axis=axes, keepdims=keepdim))
+        if axes is None:
+            def backward(grad):
+                mask = (src == src.max())
+                return ((mask / mask.sum()) * grad,)
+        else:
+            def backward(grad):
+                expanded, g = data, np.asarray(grad)
+                if not keepdim:
+                    expanded = np.expand_dims(expanded, axes)
+                    g = np.expand_dims(g, axes)
+                mask = (src == expanded)
+                counts = mask.sum(axis=axes, keepdims=True)
+                return (mask / counts * g,)
+        return data, backward
 
-    return _finalize("max", np.asarray(data), (x,), backward, dtype=x.dtype,
-                     flops=x.numel())
+    return _op("max", (x,), _reduce_shape(tuple(x.shape), axes, keepdim),
+               x.dtype, eager, flops=x.numel(), saved=(x,),
+               saves_out=axes is not None)
 
 
 @traceable
 def argmax(x, dim=None):
     x = astensor(x)
-    if x.is_meta:
-        shape = _reduce_shape(tuple(x.shape), dim, False)
-        return _meta_result("argmax", shape, dtypes.int64, (x,))
-    data = np.argmax(x.data, axis=dim)
-    out = Tensor(np.asarray(data), dtype=dtypes.int64)
-    events.record_op("argmax", tuple(out.shape), dtypes.int64, x.numel(),
-                     x.nbytes, None)
-    return out
+    if dim is not None and not isinstance(dim, int):
+        raise TypeError(f"argmax: dim must be an int or None, got {dim!r}")
+    axes = _reduce_dims("argmax", dim, x.ndim)
+    return _op("argmax", (x,), _reduce_shape(tuple(x.shape), axes, False),
+               dtypes.int64,
+               lambda: (np.argmax(x.data, axis=dim), None))
 
 
 # ---------------------------------------------------------------------- #
@@ -1023,7 +1114,7 @@ def _matmul_shape(a_shape, b_shape):
     b_shape = tuple(b_shape) + (1,) if b_vec else tuple(b_shape)
     if a_shape[-1] != b_shape[-2]:
         raise ValueError(f"matmul shape mismatch: {a_shape} @ {b_shape}")
-    batch = np.broadcast_shapes(a_shape[:-2], b_shape[:-2])
+    batch = _broadcast("matmul", a_shape[:-2], b_shape[:-2])
     rows = () if a_vec else (a_shape[-2],)
     cols = () if b_vec else (b_shape[-1],)
     return batch + rows + cols, a_shape[-1]
@@ -1032,74 +1123,80 @@ def _matmul_shape(a_shape, b_shape):
 @traceable
 def matmul(a, b):
     a, b = astensor(a), astensor(b)
-    out_dtype = promote(a.dtype, b.dtype)
-    out_shape, k = _matmul_shape(tuple(a.shape), tuple(b.shape))
-    flops = 2 * _numel(out_shape) * k
-    if _any_meta(a, b):
-        return _meta_result("matmul", out_shape, out_dtype, (a, b),
-                            flops=flops, meta={"kernel": "gemm"},
-                            saved=(a, b))
-    x, y = a.data, b.data
-    data = x @ y
+    dtype = promote(a.dtype, b.dtype)
+    shape, k = _matmul_shape(tuple(a.shape), tuple(b.shape))
 
-    def backward(grad):
-        # In matrix form: a 1-d operand as a row / column, the output
-        # gradient with the dimension the forward dropped restored.
-        xm = x[None, :] if x.ndim == 1 else x
-        ym = y[:, None] if y.ndim == 1 else y
-        g = np.asarray(grad)
-        if y.ndim == 1:
-            g = g[..., None]
-        if x.ndim == 1:
-            g = np.expand_dims(g, -2)
-        ga = unbroadcast(g @ np.swapaxes(ym, -1, -2), xm.shape)
-        gb = unbroadcast(np.swapaxes(xm, -1, -2) @ g, ym.shape)
-        return (ga.reshape(x.shape), gb.reshape(y.shape))
+    def eager():
+        x, y = a.data, b.data
+        np_dtype = dtype.np_dtype
+        data = np.matmul(x.astype(np_dtype, copy=False),
+                         y.astype(np_dtype, copy=False))
 
-    return _finalize("matmul", data, (a, b), backward, dtype=out_dtype,
-                     flops=flops, meta={"kernel": "gemm"})
+        def backward(grad):
+            # In matrix form: a 1-d operand as a row / column, the output
+            # gradient with the dimension the forward dropped restored.
+            xm = x[None, :] if x.ndim == 1 else x
+            ym = y[:, None] if y.ndim == 1 else y
+            g = np.asarray(grad)
+            if y.ndim == 1:
+                g = g[..., None]
+            if x.ndim == 1:
+                g = np.expand_dims(g, -2)
+            ga = unbroadcast(g @ np.swapaxes(ym, -1, -2), xm.shape)
+            gb = unbroadcast(np.swapaxes(xm, -1, -2) @ g, ym.shape)
+            return (ga.reshape(x.shape), gb.reshape(y.shape))
+
+        return data, backward
+
+    return _op("matmul", (a, b), shape, dtype, eager,
+               flops=2 * _numel(shape) * k, kernel="gemm", saved=(a, b))
 
 
 @traceable
 def linear(x, weight, bias=None):
     """``x @ weight.T + bias`` with torch's (out_features, in_features) layout."""
     x, weight = astensor(x), astensor(weight)
+    bias = None if bias is None else astensor(bias)
     out_features, in_features = weight.shape
-    if x.shape[-1] != in_features:
+    if x.ndim == 0 or x.shape[-1] != in_features:
         raise ValueError(
-            f"linear: input dim {x.shape[-1]} != weight in_features {in_features}"
-        )
+            f"linear: input shape {tuple(x.shape)} does not end in weight "
+            f"in_features {in_features}")
+    if bias is not None and tuple(bias.shape) != (out_features,):
+        raise ValueError(f"linear: bias shape {tuple(bias.shape)} is not "
+                         f"({out_features},)")
     out_shape = tuple(x.shape[:-1]) + (out_features,)
-    tokens = _numel(x.shape[:-1])
-    flops = 2 * tokens * in_features * out_features
-    if _any_meta(x, weight) or (bias is not None and astensor(bias).is_meta):
-        x2d = x if _reshape_views(x, (tokens, in_features)) else x.nbytes
-        return _meta_result("linear", out_shape, x.dtype,
-                            (x, weight) + ((bias,) if bias is not None else ()),
-                            flops=flops, meta={"kernel": "gemm"},
-                            saved=(x2d, weight))
-    x2d = x.data.reshape(-1, in_features)
-    data = x2d @ weight.data.T
-    if bias is not None:
-        bias = astensor(bias)
-        if bias.data.dtype == data.dtype:
-            data += bias.data  # into the fresh GEMM output
-        else:
-            data = data + bias.data
-    data = data.reshape(out_shape)
-    w, x_shape, has_bias = weight.data, tuple(x.shape), bias is not None
+    tokens = _numel(out_shape[:-1])
 
-    def backward(grad):
-        g2d = grad.reshape(-1, out_features)
-        gx = (g2d @ w).reshape(x_shape)
-        gw = g2d.T @ x2d
-        if has_bias:
-            return (gx, gw, g2d.sum(axis=0))
-        return (gx, gw)
+    def eager():
+        x2d = x.data.reshape(-1, in_features)
+        w = weight.data
+        data = x2d @ w.T
+        if bias is not None:
+            if bias.data.dtype == data.dtype:
+                data += bias.data  # into the fresh GEMM output
+            else:
+                data = data + bias.data
+        # A parameter of another dtype computes in the promoted one; the
+        # output is rounded to the input's.
+        data = data.astype(x.data.dtype, copy=False)
+        x_shape, has_bias = tuple(x.shape), bias is not None
+
+        def backward(grad):
+            g2d = grad.reshape(-1, out_features)
+            gx = (g2d @ w).reshape(x_shape)
+            gw = g2d.T @ x2d
+            if has_bias:
+                return (gx, gw, g2d.sum(axis=0))
+            return (gx, gw)
+
+        return data.reshape(out_shape), backward
 
     inputs = (x, weight) if bias is None else (x, weight, bias)
-    return _finalize("linear", data, inputs, backward, dtype=x.dtype,
-                     flops=flops, meta={"kernel": "gemm"})
+    return _op("linear", inputs, out_shape, x.dtype, eager,
+               flops=2 * tokens * in_features * out_features, kernel="gemm",
+               saved=(x if _reshape_views(x, (tokens, in_features))
+                      else x.nbytes, weight))
 
 
 # ---------------------------------------------------------------------- #
@@ -1108,48 +1205,59 @@ def linear(x, weight, bias=None):
 @traceable
 def softmax(x, dim: int = -1):
     x = astensor(x)
-    if x.is_meta:
-        return _meta_result("softmax", tuple(x.shape), x.dtype, (x,),
-                            flops=5 * x.numel(), saves_out=True)
-    v = x.data.astype(np.float32, copy=False)
-    e = v - v.max(axis=dim, keepdims=True)
-    np.exp(e, out=e)
-    e /= e.sum(axis=dim, keepdims=True)
-    data = e.astype(x.data.dtype, copy=False)
+    _dim("softmax", dim, x.ndim)
 
-    def backward(grad):
-        y = data.astype(np.float32, copy=False)
-        g = grad.astype(np.float32, copy=False)
-        inner = (g * y).sum(axis=dim, keepdims=True)
-        gx = g - inner
-        gx *= y
-        return (gx.astype(data.dtype, copy=False),)
+    def eager():
+        v = x.data.astype(np.float32, copy=False)
+        e = v - v.max(axis=dim, keepdims=True)
+        np.exp(e, out=e)
+        e /= e.sum(axis=dim, keepdims=True)
+        data = e.astype(x.data.dtype, copy=False)
 
-    return _finalize("softmax", data, (x,), backward, dtype=x.dtype,
-                     flops=5 * x.numel())
+        def backward(grad):
+            y = data.astype(np.float32, copy=False)
+            g = grad.astype(np.float32, copy=False)
+            inner = (g * y).sum(axis=dim, keepdims=True)
+            gx = g - inner
+            gx *= y
+            return (gx.astype(data.dtype, copy=False),)
+
+        return data, backward
+
+    return _op("softmax", (x,), tuple(x.shape), x.dtype, eager,
+               flops=5 * x.numel(), saves_out=True)
 
 
 @traceable
 def log_softmax(x, dim: int = -1):
     x = astensor(x)
-    if x.is_meta:
-        return _meta_result("log_softmax", tuple(x.shape), x.dtype, (x,),
-                            flops=5 * x.numel(), saves_out=True)
-    v = x.data.astype(np.float32, copy=False)
-    v = v - v.max(axis=dim, keepdims=True)
-    lse = np.log(np.exp(v).sum(axis=dim, keepdims=True))
-    v -= lse
-    data = v.astype(x.data.dtype, copy=False)
+    _dim("log_softmax", dim, x.ndim)
 
-    def backward(grad):
-        g = grad.astype(np.float32, copy=False)
-        soft = np.exp(data.astype(np.float32, copy=False))
-        soft *= g.sum(axis=dim, keepdims=True)
-        return (np.subtract(g, soft, out=soft)
-                .astype(data.dtype, copy=False),)
+    def eager():
+        v = x.data.astype(np.float32, copy=False)
+        v = v - v.max(axis=dim, keepdims=True)
+        lse = np.log(np.exp(v).sum(axis=dim, keepdims=True))
+        v -= lse
+        data = v.astype(x.data.dtype, copy=False)
 
-    return _finalize("log_softmax", data, (x,), backward, dtype=x.dtype,
-                     flops=5 * x.numel())
+        def backward(grad):
+            g = grad.astype(np.float32, copy=False)
+            soft = np.exp(data.astype(np.float32, copy=False))
+            soft *= g.sum(axis=dim, keepdims=True)
+            return (np.subtract(g, soft, out=soft)
+                    .astype(data.dtype, copy=False),)
+
+        return data, backward
+
+    return _op("log_softmax", (x,), tuple(x.shape), x.dtype, eager,
+               flops=5 * x.numel(), saves_out=True)
+
+
+def _affine_shape(name, t, shape):
+    """Raise ``ValueError`` unless ``t`` (or None) has ``shape``."""
+    if t is not None and tuple(t.shape) != tuple(shape):
+        raise ValueError(f"{name}: expected a {tuple(shape)} parameter, "
+                         f"got {tuple(t.shape)}")
 
 
 @traceable
@@ -1157,95 +1265,105 @@ def layer_norm(x, normalized_shape, weight=None, bias=None, eps: float = 1e-5):
     x = astensor(x)
     if isinstance(normalized_shape, int):
         normalized_shape = (normalized_shape,)
+    normalized_shape = tuple(normalized_shape)
     ndims = len(normalized_shape)
+    if tuple(x.shape[x.ndim - ndims:]) != normalized_shape or ndims > x.ndim:
+        raise ValueError(f"layer_norm: {normalized_shape} is not the end of "
+                         f"{tuple(x.shape)}")
+    weight = None if weight is None else astensor(weight)
+    bias = None if bias is None else astensor(bias)
+    _affine_shape("layer_norm", weight, normalized_shape)
+    _affine_shape("layer_norm", bias, normalized_shape)
     axes = tuple(range(x.ndim - ndims, x.ndim))
-    inputs = [x]
-    if weight is not None:
-        inputs.append(astensor(weight))
-    if bias is not None:
-        inputs.append(astensor(bias))
-    if _any_meta(*inputs):
-        rows = x.numel() // _numel(normalized_shape)
-        # fp32 x_hat and inv_std, and the fp32 weight
-        saved = (4 * x.numel(), 4 * rows) + \
-            ((_f32(inputs[1]),) if weight is not None else ())
-        return _meta_result("layer_norm", tuple(x.shape), x.dtype,
-                            tuple(inputs), flops=8 * x.numel(), saved=saved)
-    v = x.data.astype(np.float32, copy=False)
-    x_hat = v - v.mean(axis=axes, keepdims=True)
-    scratch = x_hat * x_hat
-    inv_std = scratch.mean(axis=axes, keepdims=True)
-    inv_std += eps
-    inv_std = 1.0 / np.sqrt(inv_std)
-    x_hat *= inv_std
-    w = weight.data.astype(np.float32, copy=False) \
-        if weight is not None else None
-    data = scratch  # the variance's square is dead: reuse it for the output
-    if w is not None:
-        np.multiply(x_hat, w, out=data)
-    else:
-        data[...] = x_hat
-    if bias is not None:
-        data += bias.data.astype(np.float32, copy=False)
-    data = data.astype(x.data.dtype, copy=False)
-    reduce_axes = tuple(range(x.ndim - ndims))
-    out_np_dtype = data.dtype
-    w_dtype = None if weight is None else weight.data.dtype
-    b_dtype = None if bias is None else bias.data.dtype
+    inputs = tuple(t for t in (x, weight, bias) if t is not None)
+    rows = x.numel() // _numel(normalized_shape)
 
-    def backward(grad):
-        g = grad.astype(np.float32, copy=False)
-        g_hat = g * w if w is not None else g
-        # gx = inv_std * ((g_hat - mean(g_hat)) - x_hat * mean(g_hat * x_hat))
-        scratch = g_hat * x_hat
-        gx = g_hat - g_hat.mean(axis=axes, keepdims=True)
-        gx -= np.multiply(x_hat, scratch.mean(axis=axes, keepdims=True),
-                          out=scratch)
-        gx *= inv_std
-        grads = [gx.astype(out_np_dtype, copy=False)]
-        if w_dtype is not None:
-            grads.append(np.multiply(g, x_hat, out=scratch)
-                         .sum(axis=reduce_axes)
-                         .astype(w_dtype, copy=False))
-        if b_dtype is not None:
-            grads.append(g.sum(axis=reduce_axes)
-                         .astype(b_dtype, copy=False))
-        return tuple(grads)
+    def eager():
+        v = x.data.astype(np.float32, copy=False)
+        x_hat = v - v.mean(axis=axes, keepdims=True)
+        scratch = x_hat * x_hat
+        inv_std = scratch.mean(axis=axes, keepdims=True)
+        inv_std += eps
+        inv_std = 1.0 / np.sqrt(inv_std)
+        x_hat *= inv_std
+        w = weight.data.astype(np.float32, copy=False) \
+            if weight is not None else None
+        data = scratch  # the variance's square is dead: reuse it
+        if w is not None:
+            np.multiply(x_hat, w, out=data)
+        else:
+            data[...] = x_hat
+        if bias is not None:
+            data += bias.data.astype(np.float32, copy=False)
+        data = data.astype(x.data.dtype, copy=False)
+        reduce_axes = tuple(range(x.ndim - ndims))
+        out_np_dtype = data.dtype
+        w_dtype = None if weight is None else weight.data.dtype
+        b_dtype = None if bias is None else bias.data.dtype
 
-    return _finalize("layer_norm", data, tuple(inputs), backward,
-                     dtype=x.dtype, flops=8 * x.numel())
+        def backward(grad):
+            g = grad.astype(np.float32, copy=False)
+            g_hat = g * w if w is not None else g
+            # gx = inv_std * ((g_hat - mean(g_hat))
+            #                 - x_hat * mean(g_hat * x_hat))
+            scratch = g_hat * x_hat
+            gx = g_hat - g_hat.mean(axis=axes, keepdims=True)
+            gx -= np.multiply(x_hat, scratch.mean(axis=axes, keepdims=True),
+                              out=scratch)
+            gx *= inv_std
+            grads = [gx.astype(out_np_dtype, copy=False)]
+            if w_dtype is not None:
+                grads.append(np.multiply(g, x_hat, out=scratch)
+                             .sum(axis=reduce_axes)
+                             .astype(w_dtype, copy=False))
+            if b_dtype is not None:
+                grads.append(g.sum(axis=reduce_axes)
+                             .astype(b_dtype, copy=False))
+            return tuple(grads)
+
+        return data, backward
+
+    # fp32 x_hat and inv_std, and the fp32 weight
+    return _op("layer_norm", inputs, tuple(x.shape), x.dtype, eager,
+               flops=8 * x.numel(),
+               saved=(4 * x.numel(), 4 * rows)
+               + ((_f32(weight),) if weight is not None else ()))
 
 
 @traceable
 def rms_norm(x, weight, eps: float = 1e-6):
     """RMSNorm (LLaMA): x / rms(x) * weight, no mean subtraction."""
     x, weight = astensor(x), astensor(weight)
-    if _any_meta(x, weight):
-        # fp32 x, inv_rms, x_hat and weight
-        saved = (_f32(x), 4 * (x.numel() // x.shape[-1]), 4 * x.numel(),
-                 _f32(weight))
-        return _meta_result("rms_norm", tuple(x.shape), x.dtype, (x, weight),
-                            flops=6 * x.numel(), saved=saved)
-    v = x.data.astype(np.float32, copy=False)
-    ms = (v * v).mean(axis=-1, keepdims=True)
-    inv_rms = 1.0 / np.sqrt(ms + eps)
-    x_hat = v * inv_rms
-    w = weight.data.astype(np.float32, copy=False)
-    data = (x_hat * w).astype(x.data.dtype, copy=False)
-    reduce_axes = tuple(range(x.ndim - 1))
-    out_np_dtype, w_dtype = data.dtype, weight.data.dtype
+    if x.ndim == 0 or tuple(weight.shape) != (x.shape[-1],):
+        raise ValueError(f"rms_norm: a {tuple(weight.shape)} weight for a "
+                         f"{tuple(x.shape)} input")
 
-    def backward(grad):
-        g = grad.astype(np.float32, copy=False)
-        gw_hat = g * w
-        inner = (gw_hat * v).mean(axis=-1, keepdims=True)
-        gx = (inv_rms * gw_hat - v * inner * inv_rms ** 3)
-        gweight = (g * x_hat).sum(axis=reduce_axes)
-        return (gx.astype(out_np_dtype, copy=False),
-                gweight.astype(w_dtype, copy=False))
+    def eager():
+        v = x.data.astype(np.float32, copy=False)
+        ms = (v * v).mean(axis=-1, keepdims=True)
+        inv_rms = 1.0 / np.sqrt(ms + eps)
+        x_hat = v * inv_rms
+        w = weight.data.astype(np.float32, copy=False)
+        data = (x_hat * w).astype(x.data.dtype, copy=False)
+        reduce_axes = tuple(range(x.ndim - 1))
+        out_np_dtype, w_dtype = data.dtype, weight.data.dtype
 
-    return _finalize("rms_norm", data, (x, weight), backward, dtype=x.dtype,
-                     flops=6 * x.numel())
+        def backward(grad):
+            g = grad.astype(np.float32, copy=False)
+            gw_hat = g * w
+            inner = (gw_hat * v).mean(axis=-1, keepdims=True)
+            gx = (inv_rms * gw_hat - v * inner * inv_rms ** 3)
+            gweight = (g * x_hat).sum(axis=reduce_axes)
+            return (gx.astype(out_np_dtype, copy=False),
+                    gweight.astype(w_dtype, copy=False))
+
+        return data, backward
+
+    # fp32 x, inv_rms, x_hat and weight
+    return _op("rms_norm", (x, weight), tuple(x.shape), x.dtype, eager,
+               flops=6 * x.numel(),
+               saved=(_f32(x), 4 * (x.numel() // x.shape[-1]),
+                      4 * x.numel(), _f32(weight)))
 
 
 @traceable_mutating(writes=(1, 2), is_mutating=_batch_norm_mutates)
@@ -1254,60 +1372,71 @@ def batch_norm(x, running_mean, running_var, weight=None, bias=None,
                eps: float = 1e-5):
     """2d batch norm over (N, C, H, W); updates running stats in training."""
     x = astensor(x)
-    inputs = [x] + [astensor(t) for t in (weight, bias) if t is not None]
-    if _any_meta(*inputs):
-        # fp32 x_hat, inv_std and weight copies
-        channels = 4 * x.shape[1]
-        saved = (4 * x.numel(), channels) + \
-            ((channels,) if weight is not None else ())
-        return _meta_result("batch_norm", tuple(x.shape), x.dtype,
-                            tuple(inputs), flops=8 * x.numel(), saved=saved)
-    axes = (0, 2, 3) if x.ndim == 4 else (0,)
-    v = x.data.astype(np.float32)
-    if training:
-        mu = v.mean(axis=axes)
-        variance = v.var(axis=axes)
-        if running_mean is not None:
-            running_mean.data[...] = ((1 - momentum) * running_mean.data
-                                      + momentum * mu)
-            running_var.data[...] = ((1 - momentum) * running_var.data
-                                     + momentum * variance)
-    else:
-        mu = running_mean.data.astype(np.float32)
-        variance = running_var.data.astype(np.float32)
-    shape = (1, -1, 1, 1) if x.ndim == 4 else (-1,)
-    inv_std = 1.0 / np.sqrt(variance + eps)
-    x_hat = (v - mu.reshape(shape)) * inv_std.reshape(shape)
-    data = x_hat
-    if weight is not None:
-        data = data * weight.data.astype(np.float32).reshape(shape)
-    if bias is not None:
-        data = data + bias.data.astype(np.float32).reshape(shape)
-    data = data.astype(x.data.dtype)
-    w = (weight.data.astype(np.float32).reshape(shape)
-         if weight is not None else 1.0)
-    out_np_dtype = data.dtype
-    w_dtype = None if weight is None else weight.data.dtype
-    b_dtype = None if bias is None else bias.data.dtype
+    if x.ndim not in (2, 4):
+        raise ValueError(f"batch_norm: expected a 2-d or 4-d input, got "
+                         f"{tuple(x.shape)}")
+    if not training and (running_mean is None or running_var is None):
+        raise ValueError("batch_norm: eval mode needs running statistics")
+    weight = None if weight is None else astensor(weight)
+    bias = None if bias is None else astensor(bias)
+    channels = x.shape[1]
+    _affine_shape("batch_norm", weight, (channels,))
+    _affine_shape("batch_norm", bias, (channels,))
+    inputs = tuple(t for t in (x, weight, bias) if t is not None)
 
-    def backward(grad):
-        g = grad.astype(np.float32)
-        g_hat = g * w
+    def eager():
+        axes = (0, 2, 3) if x.ndim == 4 else (0,)
+        v = x.data.astype(np.float32)
         if training:
-            mean_g = g_hat.mean(axis=axes, keepdims=True)
-            mean_gx = (g_hat * x_hat).mean(axis=axes, keepdims=True)
-            gx = inv_std.reshape(shape) * (g_hat - mean_g - x_hat * mean_gx)
+            mu = v.mean(axis=axes)
+            variance = v.var(axis=axes)
+            if running_mean is not None:
+                running_mean.data[...] = ((1 - momentum) * running_mean.data
+                                          + momentum * mu)
+                running_var.data[...] = ((1 - momentum) * running_var.data
+                                         + momentum * variance)
         else:
-            gx = inv_std.reshape(shape) * g_hat
-        grads = [gx.astype(out_np_dtype)]
-        if w_dtype is not None:
-            grads.append((g * x_hat).sum(axis=axes).astype(w_dtype))
-        if b_dtype is not None:
-            grads.append(g.sum(axis=axes).astype(b_dtype))
-        return tuple(grads)
+            mu = running_mean.data.astype(np.float32)
+            variance = running_var.data.astype(np.float32)
+        shape = (1, -1, 1, 1) if x.ndim == 4 else (-1,)
+        inv_std = 1.0 / np.sqrt(variance + eps)
+        x_hat = (v - mu.reshape(shape)) * inv_std.reshape(shape)
+        data = x_hat
+        if weight is not None:
+            data = data * weight.data.astype(np.float32).reshape(shape)
+        if bias is not None:
+            data = data + bias.data.astype(np.float32).reshape(shape)
+        data = data.astype(x.data.dtype)
+        w = (weight.data.astype(np.float32).reshape(shape)
+             if weight is not None else 1.0)
+        out_np_dtype = data.dtype
+        w_dtype = None if weight is None else weight.data.dtype
+        b_dtype = None if bias is None else bias.data.dtype
 
-    return _finalize("batch_norm", data, tuple(inputs), backward,
-                     dtype=x.dtype, flops=8 * x.numel())
+        def backward(grad):
+            g = grad.astype(np.float32)
+            g_hat = g * w
+            if training:
+                mean_g = g_hat.mean(axis=axes, keepdims=True)
+                mean_gx = (g_hat * x_hat).mean(axis=axes, keepdims=True)
+                gx = inv_std.reshape(shape) * (g_hat - mean_g
+                                               - x_hat * mean_gx)
+            else:
+                gx = inv_std.reshape(shape) * g_hat
+            grads = [gx.astype(out_np_dtype)]
+            if w_dtype is not None:
+                grads.append((g * x_hat).sum(axis=axes).astype(w_dtype))
+            if b_dtype is not None:
+                grads.append(g.sum(axis=axes).astype(b_dtype))
+            return tuple(grads)
+
+        return data, backward
+
+    # fp32 x_hat, inv_std and weight copies
+    return _op("batch_norm", inputs, tuple(x.shape), x.dtype, eager,
+               flops=8 * x.numel(),
+               saved=(4 * x.numel(), 4 * channels)
+               + ((4 * channels,) if weight is not None else ()))
 
 
 # ---------------------------------------------------------------------- #
@@ -1317,24 +1446,20 @@ def batch_norm(x, running_mean, running_var, weight=None, bias=None,
 def dropout(x, p: float = 0.5, training: bool = True):
     x = astensor(x)
     active = training and p != 0.0
-    if x.is_meta:
-        return _meta_result("dropout", tuple(x.shape), x.dtype, (x,),
-                            flops=x.numel(),
-                            saved=(x.numel(),) if active else ())  # bool mask
-    if not active:
-        return _finalize("dropout", x.data.copy(), (x,), lambda g: (g,),
-                         dtype=x.dtype)
-    keep = 1.0 - p
-    mask = (frandom.generator().random(x.data.shape) < keep)
-    scale = np.float32(1.0 / keep)
-    out_np_dtype = x.data.dtype
-    data = (x.data * mask * scale).astype(out_np_dtype)
 
-    def backward(grad):
-        return ((grad * mask * scale).astype(out_np_dtype),)
+    def eager():
+        if not active:
+            return x.data.copy(), lambda grad: (grad,)
+        keep = 1.0 - p
+        mask = (frandom.generator().random(x.data.shape) < keep)
+        scale = np.float32(1.0 / keep)
+        out_np_dtype = x.data.dtype
+        return ((x.data * mask * scale).astype(out_np_dtype),
+                lambda grad: ((grad * mask * scale).astype(out_np_dtype),))
 
-    return _finalize("dropout", data, (x,), backward, dtype=x.dtype,
-                     flops=x.numel())
+    return _op("dropout", (x,), tuple(x.shape), x.dtype, eager,
+               flops=x.numel(),
+               saved=(x.numel(),) if active else ())  # the bool mask
 
 
 # ---------------------------------------------------------------------- #
@@ -1345,24 +1470,24 @@ def embedding(indices, weight, padding_idx: int | None = None):
     indices, weight = astensor(indices), astensor(weight)
     vocab, hidden = weight.shape
     out_shape = tuple(indices.shape) + (hidden,)
-    if _any_meta(indices, weight):
-        return _meta_result("embedding", out_shape, weight.dtype,
-                            (indices, weight),
-                            bytes_moved=2 * _nbytes(out_shape, weight.dtype),
-                            saved=(8 * indices.numel(),))  # int64 indices
-    idx = indices.data.astype(np.int64)
-    data = weight.data[idx]
-    out_np_dtype = data.dtype
 
-    def backward(grad):
-        gw = np.zeros((vocab, hidden), dtype=np.float32)
-        np.add.at(gw, idx.reshape(-1), grad.reshape(-1, hidden))
-        if padding_idx is not None:
-            gw[padding_idx] = 0
-        return (None, gw.astype(out_np_dtype))
+    def eager():
+        idx = indices.data.astype(np.int64)
+        data = weight.data[idx]
+        out_np_dtype = data.dtype
 
-    return _finalize("embedding", data, (indices, weight), backward,
-                     dtype=weight.dtype)
+        def backward(grad):
+            gw = np.zeros((vocab, hidden), dtype=np.float32)
+            np.add.at(gw, idx.reshape(-1), grad.reshape(-1, hidden))
+            if padding_idx is not None:
+                gw[padding_idx] = 0
+            return (None, gw.astype(out_np_dtype))
+
+        return data, backward
+
+    return _op("embedding", (indices, weight), out_shape, weight.dtype,
+               eager, bytes_moved=2 * _nbytes(out_shape, weight.dtype),
+               saved=(8 * indices.numel(),))  # int64 indices
 
 
 # ---------------------------------------------------------------------- #
@@ -1375,37 +1500,40 @@ def cross_entropy(logits, targets, ignore_index: int = -100):
     ``logits``: (N, C) float; ``targets``: (N,) int64.
     """
     logits, targets = astensor(logits), astensor(targets)
-    if logits.is_meta or targets.is_meta:
-        n = logits.shape[0]
-        # fp32 log p, int64 target indices, bool validity
-        return _meta_result("cross_entropy", (), dtypes.float32,
-                            (logits, targets), flops=6 * logits.numel(),
-                            saved=(4 * logits.numel(), 8 * n, n))
-    n, c = logits.shape
-    idx = targets.data.astype(np.int64)
-    valid = idx != ignore_index
-    count = int(valid.sum())
-    v = logits.data.astype(np.float32, copy=False)
-    logp = v - v.max(axis=1, keepdims=True)
-    logp -= np.log(np.exp(logp).sum(axis=1, keepdims=True))
-    safe_idx = np.where(valid, idx, 0)
-    picked = logp[np.arange(n), safe_idx]
-    loss = -(picked * valid).sum() / np.maximum(count, 1)
-    logits_np_dtype = logits.data.dtype
+    if logits.ndim != 2 or tuple(targets.shape) != tuple(logits.shape[:1]):
+        raise ValueError(f"cross_entropy: expected (N, C) logits and (N,) "
+                         f"targets, got {tuple(logits.shape)} and "
+                         f"{tuple(targets.shape)}")
+    n = logits.shape[0]
 
-    def backward(grad):
-        g = float(np.asarray(grad))
-        soft = np.exp(logp)
-        soft[np.arange(n), safe_idx] -= 1.0  # soft - one_hot(targets)
-        soft *= valid[:, None]
-        # np.maximum returns an int64 scalar, so this divides in float64
-        gl = soft / np.maximum(count, 1)
-        gl *= g
-        return (gl.astype(logits_np_dtype, copy=False), None)
+    def eager():
+        idx = targets.data.astype(np.int64)
+        valid = idx != ignore_index
+        count = int(valid.sum())
+        v = logits.data.astype(np.float32, copy=False)
+        logp = v - v.max(axis=1, keepdims=True)
+        logp -= np.log(np.exp(logp).sum(axis=1, keepdims=True))
+        safe_idx = np.where(valid, idx, 0)
+        picked = logp[np.arange(n), safe_idx]
+        loss = -(picked * valid).sum() / np.maximum(count, 1)
+        logits_np_dtype = logits.data.dtype
 
-    return _finalize("cross_entropy", np.asarray(loss, np.float32),
-                     (logits, targets), backward, dtype=dtypes.float32,
-                     flops=6 * logits.numel())
+        def backward(grad):
+            g = float(np.asarray(grad))
+            soft = np.exp(logp)
+            soft[np.arange(n), safe_idx] -= 1.0  # soft - one_hot(targets)
+            soft *= valid[:, None]
+            # np.maximum returns an int64 scalar, so this divides in float64
+            gl = soft / np.maximum(count, 1)
+            gl *= g
+            return (gl.astype(logits_np_dtype, copy=False), None)
+
+        return np.asarray(loss, np.float32), backward
+
+    # fp32 log p, int64 target indices, bool validity
+    return _op("cross_entropy", (logits, targets), (), dtypes.float32, eager,
+               flops=6 * logits.numel(),
+               saved=(4 * logits.numel(), 8 * n, n))
 
 
 @traceable
@@ -1418,20 +1546,23 @@ def mse_loss(pred, target):
 # ---------------------------------------------------------------------- #
 # Convolution / pooling (for WideResNet)
 # ---------------------------------------------------------------------- #
-def _conv_out_size(size, kernel, stride, pad):
-    return (size + 2 * pad - kernel) // stride + 1
+def _conv_out_size(name, size, kernel, stride, pad):
+    out = (size + 2 * pad - kernel) // stride + 1
+    if out < 1:
+        raise ValueError(f"{name}: a {kernel}-wide window does not fit a "
+                         f"{size}-wide input padded by {pad}")
+    return out
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
-    n, c, h, w = x.shape
-    ho = _conv_out_size(h, kh, stride, pad)
-    wo = _conv_out_size(w, kw, stride, pad)
+def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int,
+            ho: int, wo: int):
+    n, c = x.shape[:2]
     padded = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     windows = np.lib.stride_tricks.sliding_window_view(
         padded, (kh, kw), axis=(2, 3)
     )[:, :, ::stride, ::stride]  # (n, c, ho, wo, kh, kw)
     cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * ho * wo, c * kh * kw)
-    return np.ascontiguousarray(cols), ho, wo
+    return np.ascontiguousarray(cols)
 
 
 def _col2im(cols: np.ndarray, x_shape, kh, kw, stride, pad, ho, wo):
@@ -1454,83 +1585,84 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0):
     n, c, h, w = x.shape
     if c != in_ch:
         raise ValueError(f"conv2d channel mismatch: {c} vs {in_ch}")
-    ho = _conv_out_size(h, kh, stride, padding)
-    wo = _conv_out_size(w, kw, stride, padding)
-    out_shape = (n, out_ch, ho, wo)
-    flops = 2 * n * ho * wo * out_ch * in_ch * kh * kw
-    inputs = (x, weight) if bias is None else (x, weight, astensor(bias))
-    if _any_meta(*inputs):
-        return _meta_result("conv2d", out_shape, x.dtype, inputs,
-                            flops=flops, meta={"kernel": "gemm"},
-                            saved=(_f32(x), weight))
-    x32, w_data = x.data.astype(np.float32, copy=False), weight.data
-    cols, ho, wo = _im2col(x32, kh, kw, stride, padding)
-    w_mat = w_data.astype(np.float32).reshape(out_ch, -1)
-    out_mat = cols @ w_mat.T
-    if bias is not None:
-        out_mat = out_mat + bias.data.astype(np.float32)
-    data = (out_mat.reshape(n, ho, wo, out_ch).transpose(0, 3, 1, 2)
-            .astype(x.data.dtype))
-    w_shape, w_dtype = tuple(weight.shape), weight.data.dtype
-    out_np_dtype, has_bias = data.dtype, bias is not None
+    ho = _conv_out_size("conv2d", h, kh, stride, padding)
+    wo = _conv_out_size("conv2d", w, kw, stride, padding)
+    bias = None if bias is None else astensor(bias)
 
-    def backward(grad):
-        g_mat = (grad.transpose(0, 2, 3, 1).reshape(-1, out_ch)
-                 .astype(np.float32))
-        # the im2col columns and the fp32 weight are rebuilt, not kept
-        cols = _im2col(x32, kh, kw, stride, padding)[0]
-        gw = (g_mat.T @ cols).reshape(w_shape).astype(w_dtype)
-        g_cols = g_mat @ w_data.astype(np.float32, copy=False) \
-            .reshape(out_ch, -1)
-        gx = _col2im(g_cols, (n, c, h, w), kh, kw, stride, padding, ho, wo) \
-            .astype(out_np_dtype)
-        if has_bias:
-            return (gx, gw, g_mat.sum(axis=0).astype(np.float32))
-        return (gx, gw)
+    def eager():
+        x32, w_data = x.data.astype(np.float32, copy=False), weight.data
+        cols = _im2col(x32, kh, kw, stride, padding, ho, wo)
+        w_mat = w_data.astype(np.float32).reshape(out_ch, -1)
+        out_mat = cols @ w_mat.T
+        if bias is not None:
+            out_mat = out_mat + bias.data.astype(np.float32)
+        data = (out_mat.reshape(n, ho, wo, out_ch).transpose(0, 3, 1, 2)
+                .astype(x.data.dtype))
+        w_shape, w_dtype = tuple(weight.shape), weight.data.dtype
+        out_np_dtype, has_bias = data.dtype, bias is not None
 
-    return _finalize("conv2d", data, inputs, backward, dtype=x.dtype,
-                     flops=flops, meta={"kernel": "gemm"})
+        def backward(grad):
+            g_mat = (grad.transpose(0, 2, 3, 1).reshape(-1, out_ch)
+                     .astype(np.float32))
+            # the im2col columns and the fp32 weight are rebuilt, not kept
+            cols = _im2col(x32, kh, kw, stride, padding, ho, wo)
+            gw = (g_mat.T @ cols).reshape(w_shape).astype(w_dtype)
+            g_cols = g_mat @ w_data.astype(np.float32, copy=False) \
+                .reshape(out_ch, -1)
+            gx = _col2im(g_cols, (n, c, h, w), kh, kw, stride, padding, ho,
+                         wo).astype(out_np_dtype)
+            if has_bias:
+                return (gx, gw, g_mat.sum(axis=0).astype(np.float32))
+            return (gx, gw)
+
+        return data, backward
+
+    inputs = (x, weight) if bias is None else (x, weight, bias)
+    return _op("conv2d", inputs, (n, out_ch, ho, wo), x.dtype,
+               eager, flops=2 * n * ho * wo * out_ch * in_ch * kh * kw,
+               kernel="gemm", saved=(_f32(x), weight))
 
 
 @traceable
 def max_pool2d(x, kernel_size: int, stride: int | None = None,
                padding: int = 0):
     x = astensor(x)
+    _refuse("max_pool2d", x, _is_float)
     stride = stride or kernel_size
     n, c, h, w = x.shape
-    ho = _conv_out_size(h, kernel_size, stride, padding)
-    wo = _conv_out_size(w, kernel_size, stride, padding)
-    out_shape = (n, c, ho, wo)
-    if x.is_meta:
-        # the padded input and the window maxima
-        padded_numel = n * c * (h + 2 * padding) * (w + 2 * padding)
-        saved = ((padded_numel + _numel(out_shape)) * x.dtype.itemsize,)
-        return _meta_result("max_pool2d", out_shape, x.dtype, (x,),
-                            saved=saved)
-    padded = np.pad(x.data, ((0, 0), (0, 0), (padding, padding),
-                             (padding, padding)),
-                    constant_values=-np.inf)
-    windows = np.lib.stride_tricks.sliding_window_view(
-        padded, (kernel_size, kernel_size), axis=(2, 3)
-    )[:, :, ::stride, ::stride]
-    data = windows.max(axis=(-2, -1))
-    out_np_dtype = x.data.dtype
+    ho = _conv_out_size("max_pool2d", h, kernel_size, stride, padding)
+    wo = _conv_out_size("max_pool2d", w, kernel_size, stride, padding)
 
-    def backward(grad):
-        gx_padded = np.zeros_like(padded, dtype=np.float32)
-        for i in range(kernel_size):
-            for j in range(kernel_size):
-                patch = padded[:, :, i:i + stride * ho:stride,
-                               j:j + stride * wo:stride]
-                mask = patch == data
-                gx_padded[:, :, i:i + stride * ho:stride,
-                          j:j + stride * wo:stride] += mask * grad
-        if padding:
-            gx_padded = gx_padded[:, :, padding:-padding, padding:-padding]
-        return (gx_padded.astype(out_np_dtype),)
+    def eager():
+        padded = np.pad(x.data, ((0, 0), (0, 0), (padding, padding),
+                                 (padding, padding)),
+                        constant_values=-np.inf)
+        windows = np.lib.stride_tricks.sliding_window_view(
+            padded, (kernel_size, kernel_size), axis=(2, 3)
+        )[:, :, ::stride, ::stride]
+        data = windows.max(axis=(-2, -1))
+        out_np_dtype = x.data.dtype
 
-    return _finalize("max_pool2d", data.astype(x.data.dtype), (x,), backward,
-                     dtype=x.dtype)
+        def backward(grad):
+            gx_padded = np.zeros_like(padded, dtype=np.float32)
+            for i in range(kernel_size):
+                for j in range(kernel_size):
+                    patch = padded[:, :, i:i + stride * ho:stride,
+                                   j:j + stride * wo:stride]
+                    mask = patch == data
+                    gx_padded[:, :, i:i + stride * ho:stride,
+                              j:j + stride * wo:stride] += mask * grad
+            if padding:
+                gx_padded = gx_padded[:, :, padding:-padding,
+                                      padding:-padding]
+            return (gx_padded.astype(out_np_dtype),)
+
+        return data.astype(out_np_dtype), backward
+
+    # the padded input and the window maxima
+    padded_numel = n * c * (h + 2 * padding) * (w + 2 * padding)
+    return _op("max_pool2d", (x,), (n, c, ho, wo), x.dtype, eager,
+               saved=((padded_numel + n * c * ho * wo) * x.dtype.itemsize,))
 
 
 @traceable
@@ -1597,81 +1729,3 @@ def apply_causal_mask(scores):
     mask = Tensor(np.triu(np.ones((s_q, s_k), dtype=bool), k=1))
     return masked_fill(scores, mask,
                        float(np.finfo(scores.dtype.np_dtype).min))
-
-
-
-@traceable
-def scaled_dot_product_attention(query, key, value, attn_mask=None,
-                                 dropout_p: float = 0.0,
-                                 is_causal: bool = False,
-                                 scale: float | None = None,
-                                 training: bool = True):
-    """Memory-efficient attention kernel (flash-attention stand-in).
-
-    Computes ``softmax(q @ k^T * scale + mask) @ v`` with fp32 accumulation.
-    The simulator sees this as a *single fused kernel* that never
-    materialises the (seq × seq) attention matrix — the defining property of
-    FlashAttention that the paper's kernel-replacement schedules rely on.
-    """
-    q, k, v = astensor(query), astensor(key), astensor(value)
-    b_shape = tuple(q.shape[:-2])
-    s_q, d = q.shape[-2], q.shape[-1]
-    s_k = k.shape[-2]
-    out_shape = b_shape + (s_q, v.shape[-1])
-    scale = scale if scale is not None else 1.0 / math.sqrt(d)
-    flops = 4 * _numel(b_shape) * s_q * s_k * d
-    if _any_meta(q, k, v):
-        # Bytes: inputs + outputs only — no s_q*s_k intermediate.
-        io_bytes = q.nbytes + k.nbytes + v.nbytes + _nbytes(out_shape, q.dtype)
-        # fp32 copies of q, k, v and the probabilities; with dropout also
-        # the dropped probabilities and the bool mask
-        scores = _numel(b_shape) * s_q * s_k
-        saved = (4 * q.numel(), 4 * k.numel(), 4 * v.numel(), 4 * scores)
-        if dropout_p > 0.0 and training:
-            saved += (4 * scores, scores)
-        return _meta_result("sdpa", out_shape, q.dtype, (q, k, v),
-                            flops=flops,
-                            bytes_moved=io_bytes,
-                            meta={"kernel": "flash_attention"}, saved=saved)
-    q32 = q.data.astype(np.float32)
-    k32 = k.data.astype(np.float32)
-    v32 = v.data.astype(np.float32)
-    scores = q32 @ np.swapaxes(k32, -1, -2) * scale
-    if is_causal:
-        causal = np.triu(np.ones((s_q, s_k), dtype=bool), k=1)
-        scores = np.where(causal, -1e9, scores)
-    if attn_mask is not None:
-        mask = astensor(attn_mask)
-        scores = scores + mask.data.astype(np.float32)
-    scores = scores - scores.max(axis=-1, keepdims=True)
-    e = np.exp(scores)
-    probs = e / e.sum(axis=-1, keepdims=True)
-    if dropout_p > 0.0 and training:
-        keep = 1.0 - dropout_p
-        drop_mask = frandom.generator().random(probs.shape) < keep
-        probs_used = probs * drop_mask / keep
-    else:
-        probs_used = probs
-    data = (probs_used @ v32).astype(q.data.dtype)
-    q_np_dtype, k_np_dtype, v_np_dtype = q.data.dtype, k.data.dtype, \
-        v.data.dtype
-
-    def backward(grad):
-        g = grad.astype(np.float32)
-        gv = np.swapaxes(probs_used, -1, -2) @ g
-        gp = g @ np.swapaxes(v32, -1, -2)
-        if dropout_p > 0.0 and training:
-            gp = gp * drop_mask / (1.0 - dropout_p)
-        inner = (gp * probs).sum(axis=-1, keepdims=True)
-        gs = probs * (gp - inner)
-        if is_causal:
-            gs = np.where(np.triu(np.ones((s_q, s_k), dtype=bool), k=1), 0, gs)
-        gq = (gs @ k32) * scale
-        gk = (np.swapaxes(gs, -1, -2) @ q32) * scale
-        return (gq.astype(q_np_dtype), gk.astype(k_np_dtype),
-                gv.astype(v_np_dtype))
-
-    io_bytes = q.nbytes + k.nbytes + v.nbytes + _nbytes(out_shape, q.dtype)
-    return _finalize("sdpa", data, (q, k, v), backward, dtype=q.dtype,
-                     flops=flops, bytes_moved=io_bytes,
-                     meta={"kernel": "flash_attention"})

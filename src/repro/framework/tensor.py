@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import autograd, dtype as dtypes
+from . import autograd, dtype as dtypes, random as frandom
 from .dtype import DType
 
 
@@ -76,6 +76,20 @@ class Tensor:
         t._dtype = dtype
         t.device = "meta"
         t.requires_grad = bool(requires_grad) and dtype.is_floating
+        t.grad = None
+        t.grad_fn = None
+        return t
+
+    @staticmethod
+    def wrap(array: np.ndarray, dtype: DType) -> "Tensor":
+        """A tensor over ``array``, whose dtype the caller vouches is
+        ``dtype``: no conversion and no lookup."""
+        t = Tensor.__new__(Tensor)
+        t.data = array
+        t._meta_shape = None
+        t._dtype = dtype
+        t.device = "cpu"
+        t.requires_grad = False
         t.grad = None
         t.grad_fn = None
         return t
@@ -189,8 +203,6 @@ class Tensor:
     # Conversions
     # ------------------------------------------------------------------ #
     def to(self, dtype: DType) -> "Tensor":
-        from . import functional as F
-
         return F.cast(self, dtype)
 
     def float(self) -> "Tensor":
@@ -200,10 +212,6 @@ class Tensor:
         return self.to(dtypes.float16)
 
     def clone(self) -> "Tensor":
-        if self.is_meta:
-            return Tensor.meta(self.shape, self.dtype, self.requires_grad)
-        from . import functional as F
-
         return F.clone(self)
 
     def copy_(self, other: "Tensor") -> "Tensor":
@@ -217,77 +225,49 @@ class Tensor:
     # Operator sugar — all defer to functional
     # ------------------------------------------------------------------ #
     def __add__(self, other):
-        from . import functional as F
-
         return F.add(self, other)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        from . import functional as F
-
         return F.sub(self, other)
 
     def __rsub__(self, other):
-        from . import functional as F
-
         return F.sub(other, self)
 
     def __mul__(self, other):
-        from . import functional as F
-
         return F.mul(self, other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        from . import functional as F
-
         return F.div(self, other)
 
     def __rtruediv__(self, other):
-        from . import functional as F
-
         return F.div(other, self)
 
     def __matmul__(self, other):
-        from . import functional as F
-
         return F.matmul(self, other)
 
     def __neg__(self):
-        from . import functional as F
-
         return F.neg(self)
 
     def __pow__(self, exponent):
-        from . import functional as F
-
         return F.pow(self, exponent)
 
     def __getitem__(self, index):
-        from . import functional as F
-
         return F.getitem(self, index)
 
     def __eq__(self, other):
-        from . import functional as F
-
         return F.eq(self, other)
 
     def __ne__(self, other):
-        from . import functional as F
-
         return F.ne(self, other)
 
     def __lt__(self, other):
-        from . import functional as F
-
         return F.lt(self, other)
 
     def __gt__(self, other):
-        from . import functional as F
-
         return F.gt(self, other)
 
     def __hash__(self) -> int:
@@ -300,8 +280,6 @@ class Tensor:
         return self.__matmul__(other)
 
     def view(self, *shape):
-        from . import functional as F
-
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
         return F.reshape(self, shape)
@@ -309,24 +287,16 @@ class Tensor:
     reshape = view
 
     def flatten(self, start_dim: int = 0, end_dim: int = -1):
-        from . import functional as F
-
         return F.flatten(self, start_dim, end_dim)
 
     def transpose(self, dim0: int, dim1: int):
-        from . import functional as F
-
         return F.transpose(self, dim0, dim1)
 
     @property
     def T(self):
-        from . import functional as F
-
         return F.transpose(self, -2, -1)
 
     def permute(self, *dims):
-        from . import functional as F
-
         if len(dims) == 1 and isinstance(dims[0], (tuple, list)):
             dims = tuple(dims[0])
         return F.permute(self, dims)
@@ -335,70 +305,44 @@ class Tensor:
         return self
 
     def split(self, split_size, dim: int = 0):
-        from . import functional as F
-
         return F.split(self, split_size, dim)
 
     def chunk(self, chunks: int, dim: int = 0):
-        from . import functional as F
-
         return F.chunk(self, chunks, dim)
 
     def unsqueeze(self, dim: int):
-        from . import functional as F
-
         return F.unsqueeze(self, dim)
 
     def squeeze(self, dim: int):
-        from . import functional as F
-
         return F.squeeze(self, dim)
 
     def expand(self, *shape):
-        from . import functional as F
-
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
         return F.expand(self, shape)
 
     def sum(self, dim=None, keepdim: bool = False):
-        from . import functional as F
-
         return F.sum(self, dim, keepdim)
 
     def mean(self, dim=None, keepdim: bool = False):
-        from . import functional as F
-
         return F.mean(self, dim, keepdim)
 
     def max(self, dim=None, keepdim: bool = False):
-        from . import functional as F
-
         return F.max(self, dim, keepdim)
 
     def argmax(self, dim=None):
-        from . import functional as F
-
         return F.argmax(self, dim)
 
     def exp(self):
-        from . import functional as F
-
         return F.exp(self)
 
     def sqrt(self):
-        from . import functional as F
-
         return F.sqrt(self)
 
     def tanh(self):
-        from . import functional as F
-
         return F.tanh(self)
 
     def masked_fill(self, mask, value):
-        from . import functional as F
-
         return F.masked_fill(self, mask, value)
 
 
@@ -444,8 +388,6 @@ def arange(*args, dtype: DType = dtypes.int64) -> Tensor:
 
 def randn(*shape, dtype: DType = dtypes.float32, device: str = "cpu",
           requires_grad: bool = False) -> Tensor:
-    from . import random as frandom
-
     if len(shape) == 1 and isinstance(shape[0], (tuple, list, Size)):
         shape = tuple(shape[0])
     if device == "meta":
@@ -455,8 +397,6 @@ def randn(*shape, dtype: DType = dtypes.float32, device: str = "cpu",
 
 
 def rand(*shape, dtype: DType = dtypes.float32) -> Tensor:
-    from . import random as frandom
-
     if len(shape) == 1 and isinstance(shape[0], (tuple, list, Size)):
         shape = tuple(shape[0])
     data = frandom.generator().random(shape).astype(dtype.np_dtype)
@@ -464,8 +404,6 @@ def rand(*shape, dtype: DType = dtypes.float32) -> Tensor:
 
 
 def randint(low: int, high: int, shape, dtype: DType = dtypes.int64) -> Tensor:
-    from . import random as frandom
-
     data = frandom.generator().integers(low, high, _normalize_shape(shape))
     return Tensor(data, dtype=dtype)
 
@@ -482,3 +420,7 @@ def ones_like(t: Tensor) -> Tensor:
 
 def allclose(a: Tensor, b: Tensor, rtol: float = 1e-5, atol: float = 1e-6) -> bool:
     return np.allclose(a.numpy(), b.numpy(), rtol=rtol, atol=atol)
+
+
+# Last: functional builds on Tensor, and every method above calls it.
+from . import functional as F  # noqa: E402

@@ -78,56 +78,53 @@ class FlashAttentionFunction:
         batch = 1
         for s in q.shape[:-2]:
             batch *= s
-        flops = 4 * batch * s_q * s_k * d
-        io_bytes = q.nbytes + k.nbytes + v.nbytes
-        meta = {"kernel": "flash_attention"}
-        if q.is_meta or k.is_meta or v.is_meta:
-            # fp32 q, k, v and output, and the row log-sum-exp
-            fp32 = q.dtype == fw_dtypes.float32
-            saved = (F._f32(q), F._f32(k), F._f32(v), 4 * batch * s_q)
-            if not fp32:
-                saved += (4 * F._numel(out_shape),)
-            return F._meta_result("flash_attention", out_shape, q.dtype,
-                                  (q, k, v), flops=flops,
-                                  bytes_moved=io_bytes * 2, meta=meta,
-                                  saved=saved, saves_out=fp32)
-        q32 = q.data.astype(np.float32, copy=False)
-        k32 = k.data.astype(np.float32, copy=False)
-        v32 = v.data.astype(np.float32, copy=False)
-        out, lse = _online_softmax_forward(q32, k32, v32, scale, is_causal,
-                                           block_size)
-        dtypes = q.data.dtype, k.data.dtype, v.data.dtype
+        fp32 = q.dtype == fw_dtypes.float32
 
-        def backward(grad):
-            g = grad.astype(np.float32, copy=False)
-            gq = np.zeros_like(q32)
-            gk = np.zeros_like(k32)
-            gv = np.zeros_like(v32)
-            # delta_i = sum_j P_ij * dP_ij = rowsum(dO * O)
-            delta = (g * out).sum(axis=-1)
-            for start in range(0, s_k, block_size):
-                stop = min(start + block_size, s_k)
-                row0 = start if is_causal else 0  # as in the forward
-                q_rows, g_rows = q32[..., row0:, :], g[..., row0:, :]
-                k_blk = k32[..., start:stop, :]
-                scores = _block_scores(q_rows, k_blk, scale, is_causal,
-                                       row0, start)
-                scores -= lse[..., row0:, None]
-                p = np.exp(scores, out=scores)
-                gv[..., start:stop, :] += np.swapaxes(p, -1, -2) @ g_rows
-                ds = g_rows @ np.swapaxes(v32[..., start:stop, :], -1, -2)
-                ds -= delta[..., row0:, None]
-                ds *= p
-                ds *= scale
-                gq[..., row0:, :] += ds @ k_blk
-                gk[..., start:stop, :] += np.swapaxes(ds, -1, -2) @ q_rows
-            return tuple(grad.astype(dtype, copy=False)
-                         for grad, dtype in zip((gq, gk, gv), dtypes))
+        def eager():
+            q32 = q.data.astype(np.float32, copy=False)
+            k32 = k.data.astype(np.float32, copy=False)
+            v32 = v.data.astype(np.float32, copy=False)
+            out, lse = _online_softmax_forward(q32, k32, v32, scale,
+                                               is_causal, block_size)
+            dtypes = q.data.dtype, k.data.dtype, v.data.dtype
 
-        return F._finalize("flash_attention",
-                           out.astype(q.data.dtype, copy=False), (q, k, v),
-                           backward, dtype=q.dtype, flops=flops,
-                           bytes_moved=io_bytes * 2, meta=meta)
+            def backward(grad):
+                g = grad.astype(np.float32, copy=False)
+                gq = np.zeros_like(q32)
+                gk = np.zeros_like(k32)
+                gv = np.zeros_like(v32)
+                # delta_i = sum_j P_ij * dP_ij = rowsum(dO * O)
+                delta = (g * out).sum(axis=-1)
+                for start in range(0, s_k, block_size):
+                    stop = min(start + block_size, s_k)
+                    row0 = start if is_causal else 0  # as in the forward
+                    q_rows, g_rows = q32[..., row0:, :], g[..., row0:, :]
+                    k_blk = k32[..., start:stop, :]
+                    scores = _block_scores(q_rows, k_blk, scale, is_causal,
+                                           row0, start)
+                    scores -= lse[..., row0:, None]
+                    p = np.exp(scores, out=scores)
+                    gv[..., start:stop, :] += np.swapaxes(p, -1, -2) @ g_rows
+                    ds = g_rows @ np.swapaxes(v32[..., start:stop, :],
+                                              -1, -2)
+                    ds -= delta[..., row0:, None]
+                    ds *= p
+                    ds *= scale
+                    gq[..., row0:, :] += ds @ k_blk
+                    gk[..., start:stop, :] += np.swapaxes(ds, -1, -2) @ q_rows
+                return tuple(grad.astype(dtype, copy=False)
+                             for grad, dtype in zip((gq, gk, gv), dtypes))
+
+            return out.astype(q.data.dtype, copy=False), backward
+
+        # fp32 q, k, v and output, and the row log-sum-exp
+        saved = (F._f32(q), F._f32(k), F._f32(v), 4 * batch * s_q)
+        if not fp32:
+            saved += (4 * F._numel(out_shape),)
+        return F._op("flash_attention", (q, k, v), out_shape, q.dtype, eager,
+                     flops=4 * batch * s_q * s_k * d,
+                     bytes_moved=2 * (q.nbytes + k.nbytes + v.nbytes),
+                     kernel="flash_attention", saved=saved, saves_out=fp32)
 
 
 def flash_attention(query, key, value, scale=None, is_causal=False,

@@ -268,7 +268,7 @@ class TraceRecorder:
 def _classify(name: str) -> str:
     if name in ("matmul", "linear", "conv2d"):
         return "gemm"
-    if name in ("sdpa", "flash_attention"):
+    if name == "flash_attention":
         return "flash_attention"
     if name == "embedding":
         return "gather"

@@ -453,10 +453,7 @@ GRAMMAR = {
 }
 
 #: Traceable ops the grammar leaves out, and why.
-EXCLUDED: dict[str, str] = {
-    "scaled_dot_product_attention": "a second flash-attention stand-in "
-    "beside kernels.flash_attention, called from tests only",
-}
+EXCLUDED: dict[str, str] = {}
 
 
 def test_every_traceable_op_is_in_the_grammar_or_excluded():
@@ -527,3 +524,51 @@ def check_op(fn, args, kwargs=None):
 def test_meta_and_eager_agree(name, data):
     fn, args, kwargs = data.draw(GRAMMAR[name], label=name)
     check_op(fn, args, kwargs)
+
+
+# Each call below once passed on one path and not the other, or recorded
+# different events on the two.
+_X1 = Arg((4,), fw.float32)
+_BOOL = Arg((3,), fw.bool_)
+
+
+@pytest.mark.parametrize("fn,args,error", [
+    (F.argmax, (Arg((2, 3), fw.float32), (0, 1)), TypeError),
+    (F.sum, (_X1, (0, -1)), ValueError),
+    (F.mean, (_X1, (0, -1)), ValueError),
+    (F.max, (_X1, (0, -1)), ValueError),
+    (F.var, (_X1, (0, -1)), ValueError),
+    (F.neg, (_BOOL,), TypeError),
+    (F.sub, (_BOOL, _BOOL), TypeError),
+], ids=["argmax", "sum", "mean", "max", "var", "neg", "sub"])
+def test_both_paths_refuse(fn, args, error):
+    for device in ("cpu", "meta"):
+        with pytest.raises(error):
+            fn(*_build(args, device))
+    check_op(fn, args)
+
+
+@pytest.mark.parametrize("fn,args,kwargs", [
+    (F.embedding, (Arg((2, 3), fw.int64, high=4), Arg((4, 8), fw.float32)),
+     {}),
+    (F.dropout, (Arg((4, 8), fw.float32), 0.0), {}),
+    (F.getitem, (Arg((4, 8), fw.float32), (slice(1, 3),)), {}),
+], ids=["embedding", "dropout", "getitem"])
+def test_both_paths_record_the_same_event(fn, args, kwargs):
+    check_op(fn, args, kwargs)
+
+
+def test_integer_division_is_true_division():
+    a, b = Tensor(np.array([7, 5])), Tensor(np.array([2, 2]))
+    out = F.div(a, b)
+    assert out.dtype == fw.float32
+    np.testing.assert_array_equal(out.numpy(), [3.5, 2.5])
+    check_op(F.div, (Arg((2,), fw.int64), Arg((2,), fw.int64)))
+
+
+def test_a_meta_clone_records_the_clone():
+    recorder = TraceRecorder()
+    with events.recording(recorder):
+        Tensor.meta((2, 3)).clone()
+    assert [op.name for op in recorder.finish().ops] == ["clone"]
+    check_op(lambda x: x.clone(), (Arg((2, 3), fw.float16),))

@@ -125,8 +125,6 @@ def _ops():
         "dropout": lambda: F.dropout(x, 0.5),
         "embedding": lambda: F.embedding(ids, w),
         "cross_entropy": lambda: F.cross_entropy(x[0, :2], targets),
-        "sdpa": lambda: F.scaled_dot_product_attention(
-            x, y, x, dropout_p=0.5, is_causal=True),
         "flash_attention": lambda: flash_attention(x, y, x, is_causal=True),
         "conv2d": lambda: F.conv2d(img, kernel, kernel[:, 0, 0, 0],
                                    padding=1),

@@ -6,6 +6,7 @@ import pytest
 from repro import framework as fw
 from repro import fx
 from repro.framework import functional as F
+from repro.kernels import flash_attention
 
 
 class TinyAttention(fw.Module):
@@ -114,8 +115,7 @@ class TestRewriter:
 
         class FusedCore(fw.Module):
             def forward(self, q, k, v, scale):
-                return F.scaled_dot_product_attention(
-                    q, k, v, scale=1.0 / float(scale))
+                return flash_attention(q, k, v, scale=1.0 / float(scale))
 
         match = fx.find_matches(gm.graph, attention_pattern)[0]
         fx.replace_match_with_module(gm, match, FusedCore(), "fused_core")

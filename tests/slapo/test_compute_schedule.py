@@ -7,7 +7,7 @@ import repro.slapo as slapo
 from repro import framework as fw
 from repro import fx
 from repro.framework import functional as F
-from repro.kernels import FlashAttention
+from repro.kernels import FlashAttention, flash_attention
 from repro.schedules.common import attention_core_nodrop, bias_gelu
 from repro.slapo import SchedulingError
 
@@ -119,11 +119,10 @@ class TestFindReplaceFuse:
         expected = model(x).numpy()
         matches = sub.find(attention_core_nodrop)
 
-        def sdpa(q, k, v, scale):
-            return F.scaled_dot_product_attention(q, k, v,
-                                                  scale=1.0 / float(scale))
+        def attention(q, k, v, scale):
+            return flash_attention(q, k, v, scale=1.0 / float(scale))
 
-        sub.replace(sdpa, matches)
+        sub.replace(attention, matches)
         np.testing.assert_allclose(model(x).numpy(), expected, rtol=1e-4,
                                    atol=1e-5)
 
