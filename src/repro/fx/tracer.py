@@ -85,7 +85,9 @@ class Tracer:
             return True
         if isinstance(module, self.leaf_types):
             return True
-        return bool(module._slapo_meta.get("is_leaf", False))
+        # A checkpointed module stays a call, so its checkpoint runs.
+        meta = module._slapo_meta
+        return bool(meta.get("is_leaf") or meta.get("checkpoint"))
 
     def trace(self, root: Module, concrete_args: dict | None = None,
               include_defaults: tuple = (),

@@ -7,6 +7,7 @@ import repro.slapo as slapo
 from repro import framework as fw
 from repro.framework import functional as F
 from repro.slapo import SchedulingError
+from repro.sim import TraceRecorder
 
 
 class Attention(fw.Module):
@@ -184,6 +185,42 @@ class TestCheckpoint:
         fw.manual_seed(7)
         again = model(x)
         np.testing.assert_array_equal(again.numpy() == 0, mask_fw)
+
+    def test_a_parent_trace_keeps_a_checkpointed_child(self):
+        class Inner(fw.Module):
+            def __init__(self):
+                super().__init__()
+                self.fc = fw.Linear(8, 8)
+
+            def forward(self, x):
+                return F.gelu(self.fc(x))
+
+        class Outer(fw.Module):
+            def __init__(self):
+                super().__init__()
+                self.inner = Inner()
+                self.head = fw.Linear(8, 4)
+
+            def forward(self, x):
+                return self.head(F.relu(self.inner(x)))
+
+        fw.manual_seed(0)
+        model = Outer()
+        x = fw.randn(2, 8)
+        expected = model(x).numpy()
+        sch = slapo.create_schedule(model)
+        sch["inner"].checkpoint()
+        sch.trace(flatten=True)
+        graph = sch.mod.graph
+        calls = [n.target for n in graph if n.op == "call_module"]
+        assert calls == ["inner", "head"]
+        assert sch.mod.inner._slapo_meta["checkpoint"]
+        recorder = TraceRecorder()
+        with fw.recording(recorder):
+            np.testing.assert_array_equal(sch.mod(x).numpy(), expected)
+        ops = recorder.finish().ops
+        assert [op.in_checkpoint for op in ops] == \
+            [True, True, False, False]  # inner.fc, gelu | relu, head
 
     def test_uncheckpoint(self):
         model = Tiny()
