@@ -254,22 +254,6 @@ def _dim(name, dim, ndim) -> int:
     return dim % ndim
 
 
-def _broadcast(name, *shapes) -> tuple[int, ...]:
-    """NumPy's broadcast of ``shapes``; ``ValueError`` if they clash."""
-    out = list(shapes[0])
-    for shape in shapes[1:]:
-        if len(shape) > len(out):
-            out[:0] = [1] * (len(shape) - len(out))
-        lead = len(out) - len(shape)
-        for i, size in enumerate(shape, lead):
-            if size != out[i] and size != 1:
-                if out[i] != 1:
-                    raise ValueError(
-                        f"{name}: shapes {shapes} do not broadcast")
-                out[i] = size
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------- #
 # Elementwise binary ops
 # ---------------------------------------------------------------------- #
@@ -293,7 +277,7 @@ def _binary(name, a, b, fwd, bwd_a, bwd_b, saves="", flops_per_elem=1,
     dtype = rule(a.dtype, b.dtype)
     a_shape, b_shape = tuple(a.shape), tuple(b.shape)
     shape = a_shape if a_shape == b_shape else \
-        _broadcast(name, a_shape, b_shape)
+        np.broadcast_shapes(a_shape, b_shape)
 
     def eager():
         x, y = a.data, b.data
@@ -380,7 +364,7 @@ def minimum(a, b):
 # Comparison ops: no gradients, bool outputs.
 def _compare(name, a, b, fwd):
     a, b = astensor(a), astensor(b)
-    shape = _broadcast(name, tuple(a.shape), tuple(b.shape))
+    shape = np.broadcast_shapes(tuple(a.shape), tuple(b.shape))
     return _op(name, (a, b), shape, dtypes.bool_,
                lambda: (fwd(a.data, b.data), None))
 
@@ -671,7 +655,7 @@ def where(cond, a, b):
     cond, a, b = astensor(cond), astensor(a), astensor(b)
     dtype = promote(a.dtype, b.dtype)
     a_shape, b_shape = tuple(a.shape), tuple(b.shape)
-    shape = _broadcast("where", tuple(cond.shape), a_shape, b_shape)
+    shape = np.broadcast_shapes(tuple(cond.shape), a_shape, b_shape)
 
     def eager():
         mask, np_dtype = cond.data, dtype.np_dtype
@@ -718,7 +702,7 @@ def masked_fill(x, mask, value):
     x, mask = astensor(x), astensor(mask)
     fill = _fill_value(value, x.dtype.np_dtype)
     inputs = (x, mask, value) if isinstance(value, Tensor) else (x, mask)
-    shape = _broadcast("masked_fill", tuple(x.shape), tuple(mask.shape))
+    shape = np.broadcast_shapes(tuple(x.shape), tuple(mask.shape))
 
     def eager():
         mask_b = np.broadcast_to(mask.data.astype(bool), shape)
@@ -842,7 +826,7 @@ def expand(x, shape):
     target = tuple(src_shape[i - lead] if s == -1 and i >= lead else int(s)
                    for i, s in enumerate(shape))
     if lead < 0 or -1 in target or \
-            _broadcast("expand", src_shape, target) != target:
+            np.broadcast_shapes(src_shape, target) != target:
         raise ValueError(f"expand: cannot expand {src_shape} to "
                          f"{tuple(shape)}")
     return _op("expand", (x,), target, x.dtype,
@@ -1114,7 +1098,7 @@ def _matmul_shape(a_shape, b_shape):
     b_shape = tuple(b_shape) + (1,) if b_vec else tuple(b_shape)
     if a_shape[-1] != b_shape[-2]:
         raise ValueError(f"matmul shape mismatch: {a_shape} @ {b_shape}")
-    batch = _broadcast("matmul", a_shape[:-2], b_shape[:-2])
+    batch = np.broadcast_shapes(a_shape[:-2], b_shape[:-2])
     rows = () if a_vec else (a_shape[-2],)
     cols = () if b_vec else (b_shape[-1],)
     return batch + rows + cols, a_shape[-1]
