@@ -1008,8 +1008,7 @@ def sum(x, dim=None, keepdim: bool = False):
         def backward(grad):
             g = np.asarray(grad)
             if not keepdim and axes is not None:
-                for d in axes:
-                    g = np.expand_dims(g, d)
+                g = np.expand_dims(g, axes)
             return (np.broadcast_to(g, src_shape).astype(src_np_dtype),)
 
         return x.data.sum(axis=axes, keepdims=keepdim), backward
@@ -1037,11 +1036,11 @@ def mean(x, dim=None, keepdim: bool = False):
 @traceable
 def var(x, dim=None, keepdim: bool = False, unbiased: bool = False):
     x = astensor(x)
-    count = _count(x, dim)
     centered = sub(x, mean(x, dim, keepdim=True))
     squared = mul(centered, centered)
     out = mean(squared, dim, keepdim)
     if unbiased:
+        count = _count(x, dim)
         out = mul(out, count / builtins.max(count - 1, 1))
     return out
 
