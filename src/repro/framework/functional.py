@@ -1434,7 +1434,8 @@ def dropout(x, p: float = 0.5, training: bool = True):
         if not active:
             return x.data.copy(), lambda grad: (grad,)
         keep = 1.0 - p
-        mask = (frandom.generator().random(x.data.shape) < keep)
+        # an array even for a 0-d input, where the comparison is a scalar
+        mask = np.asarray(frandom.generator().random(x.data.shape) < keep)
         scale = np.float32(1.0 / keep)
         out_np_dtype = x.data.dtype
         return ((x.data * mask * scale).astype(out_np_dtype),

@@ -217,6 +217,35 @@ def with_dim(draw, fn, dtypes=ALL, min_dims=0):
 
 
 @st.composite
+def where_case(draw):
+    shapes = draw(hnp.mutually_broadcastable_shapes(
+        num_shapes=3, max_dims=3, max_side=3)).input_shapes
+    return (F.where, tuple(draw(operand(s)) for s in shapes), {})
+
+
+@st.composite
+def masked_fill_case(draw):
+    x_shape, mask_shape = draw(hnp.mutually_broadcastable_shapes(
+        num_shapes=2, max_dims=3, max_side=3)).input_shapes
+    return (F.masked_fill, (draw(operand(x_shape)),
+                            draw(operand(mask_shape, (fw.bool_,))),
+                            draw(st.sampled_from([1.5, -2, 0.0]))), {})
+
+
+@st.composite
+def two_dims_case(draw, fn):
+    x = draw(operand(draw(shape(min_dims=1))))
+    ndim = len(x.shape)
+    return (fn, (x, draw(dim_of(ndim)), draw(dim_of(ndim))), {})
+
+
+@st.composite
+def pool_case(draw):
+    x = draw(operand((2, 1) + draw(shape(min_dims=1, max_dims=2)), FLOAT))
+    return (F.adaptive_avg_pool2d, (x,), {})
+
+
+@st.composite
 def reshape_case(draw):
     x = draw(operand(draw(shape()), ALL))
     target = list(draw(shape(max_dims=4)))
@@ -403,16 +432,7 @@ GRAMMAR = {
     "div": binary(F.div), "maximum": binary(F.maximum),
     "minimum": binary(F.minimum), "eq": binary(F.eq), "ne": binary(F.ne),
     "lt": binary(F.lt), "gt": binary(F.gt),
-    "where": st.tuples(hnp.mutually_broadcastable_shapes(
-        num_shapes=3, max_dims=3, max_side=3)).flatmap(
-        lambda s: st.tuples(*(operand(x) for x in s[0].input_shapes)).map(
-            lambda ops: (F.where, ops, {}))),
-    "masked_fill": st.tuples(hnp.mutually_broadcastable_shapes(
-        num_shapes=2, max_dims=3, max_side=3)).flatmap(
-        lambda s: st.tuples(operand(s[0].input_shapes[0]),
-                            operand(s[0].input_shapes[1], (fw.bool_,)),
-                            st.sampled_from([1.5, -2, 0.0])).map(
-            lambda ops: (F.masked_fill, ops, {}))),
+    "where": where_case(), "masked_fill": masked_fill_case(),
     "neg": unary(F.neg), "exp": unary(F.exp), "log": unary(F.log),
     "sqrt": unary(F.sqrt), "rsqrt": unary(F.rsqrt), "tanh": unary(F.tanh),
     "sigmoid": unary(F.sigmoid), "relu": unary(F.relu),
@@ -423,15 +443,8 @@ GRAMMAR = {
                      extra=(st.sampled_from([0.0, 0.5]), st.booleans())),
     "reshape": reshape_case(), "permute": permute_case(),
     "expand": expand_case(), "getitem": getitem_case(),
-    "flatten": st.tuples(shape(min_dims=1)).flatmap(
-        lambda s: st.tuples(operand(s[0]), st.integers(-len(s[0]),
-                                                       len(s[0]) - 1),
-                            st.integers(-len(s[0]), len(s[0]) - 1)).map(
-            lambda a: (F.flatten, a, {}))),
-    "transpose": st.tuples(shape(min_dims=1)).flatmap(
-        lambda s: st.tuples(operand(s[0]), dim_of(len(s[0])),
-                            dim_of(len(s[0]))).map(
-            lambda a: (F.transpose, a, {}))),
+    "flatten": two_dims_case(F.flatten),
+    "transpose": two_dims_case(F.transpose),
     "unsqueeze": with_dim(F.unsqueeze), "squeeze": with_dim(F.squeeze),
     "cat": cat_case(F.cat), "stack": cat_case(F.stack),
     "split": split_case(F.split), "chunk": split_case(F.chunk),
@@ -445,9 +458,7 @@ GRAMMAR = {
     "cross_entropy": cross_entropy_case(),
     "mse_loss": binary(F.mse_loss, FLOAT),
     "conv2d": conv_case(F.conv2d), "max_pool2d": conv_case(F.max_pool2d),
-    "adaptive_avg_pool2d": shape(min_dims=1, max_dims=2).flatmap(
-        lambda s: operand((2, 1) + s, FLOAT).map(
-            lambda x: (F.adaptive_avg_pool2d, (x,), {}))),
+    "adaptive_avg_pool2d": pool_case(),
     "split_heads": heads_case(F.split_heads),
     "merge_heads": heads_case(F.merge_heads),
     "position_ids": unary(F.position_ids),
@@ -555,7 +566,8 @@ def test_both_paths_refuse(fn, args, error):
      {}),
     (F.dropout, (Arg((4, 8), fw.float32), 0.0), {}),
     (F.getitem, (Arg((4, 8), fw.float32), (slice(1, 3),)), {}),
-], ids=["embedding", "dropout", "getitem"])
+    (F.dropout, (Arg((), fw.float32), 0.5), {}),
+], ids=["embedding", "dropout", "getitem", "dropout-0d"])
 def test_both_paths_record_the_same_event(fn, args, kwargs):
     check_op(fn, args, kwargs)
 
