@@ -39,9 +39,9 @@ def _rank_order_sum(parts: list) -> np.ndarray:
 class Communicator:
     """Rendezvous point for one group of ranks.
 
-    Every collective follows one protocol: each rank posts its buffer,
-    waits, builds a private result from its peers' buffers, and waits
-    again before its slot is released and reused.
+    Every collective follows one protocol (:meth:`_rendezvous`): each
+    rank posts its buffer, waits, builds a private result from its peers'
+    buffers, and waits again before its slot is released and reused.
     """
 
     def __init__(self, ranks: tuple[int, ...]):
@@ -55,9 +55,21 @@ class Communicator:
     def _local_index(self, rank: int) -> int:
         return self.ranks.index(rank)
 
-    def _release(self, rank: int) -> None:
-        """Drop this rank's slot: no buffer outlives its collective."""
+    def _rendezvous(self, rank: int, post, build: Callable):
+        """The one protocol of every collective.
+
+        Post this rank's ``post``, wait for every peer, build this rank's
+        private result with ``build(posts)`` (the posts in group order),
+        and wait again, so no peer's post is reused before every rank has
+        read it; then drop this rank's slot, so no buffer outlives its
+        collective.
+        """
+        self._slots[rank] = post
+        self._barrier.wait()
+        result = build([self._slots[r] for r in self.ranks])
+        self._barrier.wait()
         del self._slots[rank]
+        return result
 
     def all_reduce(self, rank: int, array: np.ndarray) -> np.ndarray:
         """Sum across ranks; every rank gets a private result.
@@ -68,17 +80,17 @@ class Communicator:
         the same float32 sum the serial rank-order reduction computes.
         """
         out = np.empty(array.shape, array.dtype)
-        self._slots[rank] = (array.reshape(-1), out.reshape(-1))
-        self._barrier.wait()
-        peers = [self._slots[r] for r in self.ranks]
         index, n = self._local_index(rank), array.size
         part = slice(index * n // self.size, (index + 1) * n // self.size)
-        acc = _rank_order_sum([flat[part] for flat, _ in peers])
-        for _, flat_out in peers:
-            flat_out[part] = acc
-        self._barrier.wait()  # every slice written, every slot read
-        self._release(rank)
-        return out
+
+        def build(peers):
+            acc = _rank_order_sum([flat[part] for flat, _ in peers])
+            for _, flat_out in peers:
+                flat_out[part] = acc
+            return out  # complete once every peer wrote its slice
+
+        return self._rendezvous(rank, (array.reshape(-1), out.reshape(-1)),
+                                build)
 
     def all_gather(self, rank: int, array: np.ndarray, axis: int
                    ) -> np.ndarray:
@@ -87,13 +99,8 @@ class Communicator:
         Each rank builds its own result from its peers' buffers, so no
         result shares memory with any input.
         """
-        self._slots[rank] = array
-        self._barrier.wait()
-        result = np.concatenate([self._slots[r] for r in self.ranks],
-                                axis=axis)
-        self._barrier.wait()  # every peer buffer read before it is reused
-        self._release(rank)
-        return result
+        return self._rendezvous(
+            rank, array, lambda peers: np.concatenate(peers, axis=axis))
 
     def reduce_scatter(self, rank: int, array: np.ndarray, axis: int
                        ) -> np.ndarray:
@@ -101,14 +108,9 @@ class Communicator:
 
         Each rank sums only its own shard, in rank order and float32.
         """
-        self._slots[rank] = array
-        self._barrier.wait()
         index = self._local_index(rank)
-        acc = _rank_order_sum(
-            [np.split(self._slots[r], self.size, axis=axis)[index]
-             for r in self.ranks])
-        self._barrier.wait()  # every peer buffer read before it is reused
-        self._release(rank)
+        acc = self._rendezvous(rank, array, lambda peers: _rank_order_sum(
+            [np.split(peer, self.size, axis=axis)[index] for peer in peers]))
         return acc.astype(array.dtype, copy=False)
 
     def broadcast(self, rank: int, array, src: int):
@@ -118,12 +120,9 @@ class Communicator:
         write by the source (an optimizer broadcasting parameters it
         keeps updating) cannot reach a receiver.
         """
-        self._slots[rank] = array
-        self._barrier.wait()
-        result = np.array(self._slots[src])
-        self._barrier.wait()  # the source buffer read before it is reused
-        self._release(rank)
-        return result
+        index = self._local_index(src)
+        return self._rendezvous(rank, array,
+                                lambda peers: np.array(peers[index]))
 
     def all_to_all(self, rank: int, array: np.ndarray, axis: int
                    ) -> np.ndarray:
@@ -135,14 +134,11 @@ class Communicator:
         zero-copy view of a peer's send buffer would let the receiver race
         any later in-place mutation by that peer.
         """
-        self._slots[rank] = np.split(array, self.size, axis=axis)
-        self._barrier.wait()
         mine = self._local_index(rank)
-        received = [np.array(self._slots[peer][mine]) for peer in self.ranks]
-        result = np.concatenate(received, axis=axis)
-        self._barrier.wait()  # all reads done before slots are reused
-        self._release(rank)
-        return result
+        return self._rendezvous(
+            rank, np.split(array, self.size, axis=axis),
+            lambda peers: np.concatenate(
+                [np.array(chunks[mine]) for chunks in peers], axis=axis))
 
     def barrier(self, rank: int) -> None:
         self._barrier.wait()
