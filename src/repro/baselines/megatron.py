@@ -20,6 +20,7 @@ from repro.distributed.group import BaseGroup, SingleGroup
 from repro.framework import events
 from repro.framework import functional as F
 from repro.models.configs import TransformerConfig
+from repro.slapo.op import vocab_shard
 
 
 class UnsupportedModelError(NotImplementedError):
@@ -191,19 +192,9 @@ class VocabParallelEmbedding(fw.Module):
                                       device=device)
 
     def forward(self, input_ids):
-        import numpy as np
-
-        if input_ids.is_meta:
-            out = self.embedding(input_ids)
-            return self.group.all_reduce(out)
-        raw = input_ids.data
-        outside = (raw < self.vocab_start) | (raw >= self.vocab_end)
-        local = np.clip(raw - self.vocab_start, 0,
-                        self.vocab_end - self.vocab_start - 1)
-        out = self.embedding(fw.tensor(local, dtype=fw.int64))
-        mask = fw.tensor((~outside)[..., None].astype(
-            self.embedding.weight.dtype.np_dtype))
-        return self.group.all_reduce(out * mask)
+        local, mask = vocab_shard(input_ids, self.vocab_start,
+                                  self.vocab_end, self.embedding.weight.dtype)
+        return self.group.all_reduce(self.embedding(local) * mask)
 
 
 class MegatronLanguageModel(fw.Module):

@@ -20,6 +20,7 @@ import numpy as np
 
 from repro.framework import events
 from repro.framework.autograd import GradNode, is_grad_enabled
+from repro.framework.functional import OpDeclarationError
 from repro.framework.tensor import Tensor
 
 
@@ -73,66 +74,34 @@ class BaseGroup:
     # Tensor-level collectives with autograd. --------------------------- #
     def all_reduce(self, value):
         """Sum across the group. Backward: identity."""
-        if isinstance(value, np.ndarray):
-            self._record("all_reduce", value.nbytes)
-            return self._all_reduce_array(value)
-        tensor: Tensor = value
-        self._record("all_reduce", tensor.nbytes)
-        if tensor.is_meta:
-            return tensor
-        out = Tensor(self._all_reduce_array(tensor.data), dtype=tensor.dtype)
-        if is_grad_enabled() and (tensor.requires_grad or tensor.grad_fn):
-            out.grad_fn = GradNode("all_reduce", (tensor,), lambda g: (g,))
-            out.requires_grad = True
-        return out
+        return _collective(self, "all_reduce", value, value.shape,
+                           self._all_reduce_array, value.nbytes,
+                           backward=lambda grad: (grad,))
 
     def all_gather(self, value, axis: int = -1):
         """Concatenate shards along ``axis``. Backward: take own slice."""
-        if isinstance(value, np.ndarray):
-            self._record("all_gather", value.nbytes * self.size)
-            return self._all_gather_array(value, axis)
-        tensor: Tensor = value
-        self._record("all_gather", tensor.nbytes * self.size)
-        if tensor.is_meta:
-            shape = list(tensor.shape)
-            shape[axis] *= self.size
-            return Tensor.meta(tuple(shape), tensor.dtype)
-        out_data = self._all_gather_array(tensor.data, axis)
-        out = Tensor(out_data, dtype=tensor.dtype)
-        if is_grad_enabled() and (tensor.requires_grad or tensor.grad_fn):
-            local = self.ranks.index(self.rank) if self.rank in self.ranks \
-                else 0
-            shard = tensor.shape[axis]
+        shape = list(value.shape)
+        shard = shape[axis]
+        shape[axis] *= self.size
+        local = self.ranks.index(self.rank) if self.rank in self.ranks else 0
 
-            def backward(grad):
-                index = [slice(None)] * grad.ndim
-                index[axis] = slice(local * shard, (local + 1) * shard)
-                return (grad[tuple(index)],)
+        def backward(grad):
+            index = [slice(None)] * grad.ndim
+            index[axis] = slice(local * shard, (local + 1) * shard)
+            return (grad[tuple(index)],)
 
-            out.grad_fn = GradNode("all_gather", (tensor,), backward)
-            out.requires_grad = True
-        return out
+        return _collective(self, "all_gather", value, shape,
+                           lambda a: self._all_gather_array(a, axis),
+                           value.nbytes * self.size, backward=backward)
 
     def reduce_scatter(self, value, axis: int = -1):
         """Sum then split along ``axis``; each rank keeps one shard."""
-        if isinstance(value, np.ndarray):
-            self._record("reduce_scatter", value.nbytes)
-            return self._reduce_scatter_array(value, axis)
-        tensor: Tensor = value
-        self._record("reduce_scatter", tensor.nbytes)
-        if tensor.is_meta:
-            shape = list(tensor.shape)
-            shape[axis] //= self.size
-            return Tensor.meta(tuple(shape), tensor.dtype)
-        out = Tensor(self._reduce_scatter_array(tensor.data, axis),
-                     dtype=tensor.dtype)
-        if is_grad_enabled() and (tensor.requires_grad or tensor.grad_fn):
-            def backward(grad):
-                return (self._all_gather_array(grad, axis),)
-
-            out.grad_fn = GradNode("reduce_scatter", (tensor,), backward)
-            out.requires_grad = True
-        return out
+        shape = list(value.shape)
+        shape[axis] //= self.size
+        return _collective(
+            self, "reduce_scatter", value, shape,
+            lambda a: self._reduce_scatter_array(a, axis), value.nbytes,
+            backward=lambda grad: (self._all_gather_array(grad, axis),))
 
     def broadcast(self, value, src: int = 0):
         """Share ``src``'s value with the group.
@@ -141,26 +110,9 @@ class BaseGroup:
         src < size), not a global rank — the two differ on strided
         groups (e.g. dp groups under tp > 1).
         """
-        if isinstance(value, np.ndarray):
-            self._record("broadcast", value.nbytes)
-            return self._broadcast_array(value, src)
-        tensor: Tensor = value
-        self._record("broadcast", tensor.nbytes)
-        if tensor.is_meta:
-            return tensor
-        return Tensor(np.array(self._broadcast_array(tensor.data, src)),
-                      dtype=tensor.dtype)
-
-    def _check_even_split(self, shape, axis: int) -> None:
-        if not shape:
-            raise ValueError("all_to_all needs at least a 1-d value")
-        axis = axis % len(shape)
-        if shape[axis] % self.size != 0:
-            raise ValueError(
-                f"all_to_all requires an even split: dimension "
-                f"{shape[axis]} (axis {axis}) is not divisible by the "
-                f"group size {self.size}"
-            )
+        return _collective(self, "broadcast", value, value.shape,
+                           lambda a: self._broadcast_array(a, src),
+                           value.nbytes)
 
     def all_to_all(self, value, axis: int = 0):
         """Exchange equal chunks along ``axis`` (expert-parallel dispatch).
@@ -173,25 +125,20 @@ class BaseGroup:
         the gradient chunk produced for output position ``j`` travels back
         to rank ``j``, which is exactly another all-to-all.
         """
-        if isinstance(value, np.ndarray):
-            self._check_even_split(value.shape, axis)
-            self._record("all_to_all", value.nbytes)
-            return self._all_to_all_array(value, axis)
-        tensor: Tensor = value
-        self._check_even_split(tuple(tensor.shape), axis)
-        self._record("all_to_all", tensor.nbytes)
-        if tensor.is_meta:
-            return tensor  # equal chunks in, equal chunks out
-        out = Tensor(self._all_to_all_array(tensor.data, axis),
-                     dtype=tensor.dtype)
-        if is_grad_enabled() and (tensor.requires_grad or tensor.grad_fn):
-            def backward(grad):
-                self._record("all_to_all", grad.nbytes)
-                return (self._all_to_all_array(grad, axis),)
-
-            out.grad_fn = GradNode("all_to_all", (tensor,), backward)
-            out.requires_grad = True
-        return out
+        shape = tuple(value.shape)
+        if not shape:
+            raise ValueError("all_to_all needs at least a 1-d value")
+        if shape[axis % len(shape)] % self.size != 0:
+            raise ValueError(
+                f"all_to_all requires an even split: dimension "
+                f"{shape[axis]} (axis {axis % len(shape)}) is not divisible "
+                f"by the group size {self.size}"
+            )
+        return _collective(self, "all_to_all", value, shape,
+                           lambda a: self._all_to_all_array(a, axis),
+                           value.nbytes,
+                           backward=lambda grad: (self.all_to_all(grad,
+                                                                  axis),))
 
     def copy_to_group(self, value):
         """Identity forward, all-reduce backward.
@@ -199,18 +146,10 @@ class BaseGroup:
         Placed at the *input* of a tensor-parallel region (Megatron's
         ``_CopyToModelParallelRegion``).
         """
-        tensor: Tensor = value
-        if tensor.is_meta or not isinstance(tensor, Tensor):
-            return tensor
-        out = Tensor(tensor.data, dtype=tensor.dtype)
-        if is_grad_enabled() and (tensor.requires_grad or tensor.grad_fn):
-            def backward(grad):
-                self._record("all_reduce", grad.nbytes)
-                return (self._all_reduce_array(grad),)
-
-            out.grad_fn = GradNode("copy_to_group", (tensor,), backward)
-            out.requires_grad = True
-        return out
+        return _collective(self, "copy_to_group", value, value.shape,
+                           lambda a: a, None,
+                           backward=lambda grad: (self.all_reduce(grad),),
+                           aliases=True)
 
     def barrier(self) -> None:
         pass
@@ -315,3 +254,42 @@ class SimGroup(BaseGroup):
 
     def _all_to_all_array(self, array, axis):
         return array  # chunk sizes match, so the shape is unchanged
+
+
+def _collective(group, kind, value, shape, move, nbytes, backward=None,
+                aliases=False):
+    """Run one tensor-level collective of ``group`` from its declaration.
+
+    The declaration, as :func:`repro.framework.functional._op` takes one
+    for an op: the output ``shape``; ``move``, the data motion from the
+    input's array to the output's; ``nbytes``, what the ``kind`` comm
+    event moves (None: the forward communicates nothing); ``backward``,
+    the output gradient to the input's (None: no gradient); and whether
+    the output ``aliases`` the input's storage (else it owns a buffer of
+    its own).  On a meta tensor the output has no storage; a raw numpy
+    array (a backward hook's gradient) is moved without a tape.  Every
+    path records the same event.
+    """
+    if nbytes is not None:
+        group._record(kind, nbytes)
+    if isinstance(value, np.ndarray):
+        return move(value)
+    shape = tuple(shape)
+    if value.is_meta:
+        out, backward = Tensor.meta(shape, value.dtype), None
+    else:
+        data = move(value.data)
+        if data.shape != shape:
+            raise OpDeclarationError(
+                kind, f"moved {data.shape}, declared {shape}")
+        if data is value.data and not aliases:
+            data = data.copy()
+        out = Tensor(data, dtype=value.dtype)
+    if aliases:
+        out._base = getattr(value, "_base", value)
+        out._strided = getattr(value, "_strided", False)
+    if backward is not None and is_grad_enabled() \
+            and (value.requires_grad or value.grad_fn is not None):
+        out.grad_fn = GradNode(kind, (value,), backward)
+        out.requires_grad = True
+    return out

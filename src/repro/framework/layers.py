@@ -344,10 +344,11 @@ class MoEFeedForward(Module):
     def _route(self, probs_np, batch: int, seq: int):
         """(slot_expert, slot_pos, valid, capacity, dropped) per sample.
 
-        ``probs_np is None`` (meta tensors have no data) synthesizes a
-        deterministic round-robin assignment with the same shapes, so the
-        simulator traces the exact capacity-shaped buffers a real forward
-        produces.
+        ``probs_np is None`` (meta probabilities have no data to route on)
+        synthesizes a deterministic round-robin assignment with the same
+        shapes, so the simulator traces the exact capacity-shaped buffers a
+        real forward produces.  This is the MoE layer's one branch on the
+        device: everything after routing runs the same ops on both.
         """
         cap = self.capacity(seq)
         k, num = self.top_k, self.num_experts
@@ -369,10 +370,7 @@ class MoEFeedForward(Module):
 
     # -- forward -------------------------------------------------------- #
     def _pad_row(self, x, batch: int, width: int):
-        if x.is_meta:
-            return Tensor.meta((batch, 1, width), x.dtype)
-        return Tensor(np.zeros((batch, 1, width), x.data.dtype),
-                      dtype=x.dtype)
+        return init.zeros((batch, 1, width), x.dtype, x.device)
 
     def _combine(self, slots, probs, slot_expert, slot_pos, valid,
                  cap: int, batch: int, seq: int, hidden: int):
@@ -390,10 +388,7 @@ class MoEFeedForward(Module):
         s_idx = np.arange(seq)[None, :, None]
         per_slot = padded[b_idx, slot_idx]              # (B, S, k, H)
         gates = probs[b_idx, s_idx, slot_expert]        # (B, S, k)
-        if gates.is_meta:
-            mask = Tensor.meta(tuple(valid.shape), gates.dtype)
-        else:
-            mask = Tensor(valid.astype(gates.data.dtype), dtype=gates.dtype)
+        mask = Tensor(valid.astype(gates.dtype.np_dtype), dtype=gates.dtype)
         return ((gates * mask).unsqueeze(-1) * per_slot).sum(dim=2)
 
     def forward(self, x):

@@ -12,34 +12,36 @@ reconstructs the full lookup.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.framework import functional as F
-from repro.framework.tensor import Tensor
+
+
+def vocab_shard(ids, start: int, stop: int, dtype):
+    """Megatron-LM's vocab-parallel lookup prologue, from declared ops.
+
+    Returns ``(local, mask)``: ``ids`` mapped into the shard's rows
+    ``[start, stop)`` (an id outside reads row 0) and a ``dtype`` mask of
+    shape ``ids.shape + (1,)``, 1 where the id is inside.  Both devices
+    run the same ops, so both record the same events.
+    """
+    # ids < start implies ids < stop: the two differ exactly inside
+    inside = F.ne(F.lt(ids, start), F.lt(ids, stop))
+    local = F.where(inside, F.sub(ids, start), 0)
+    return local, F.unsqueeze(F.cast(inside, dtype), -1)
 
 
 def embed_fwd_hook(module, args, group):
     """Forward pre-hook: localise token ids into this rank's vocab shard."""
     if group.size == 1:
         return args  # single device: the embedding holds the full vocab
-    ids = args[0]
     vocab_range = module._slapo_meta.get("vocab_range")
     if vocab_range is None:
         raise RuntimeError(
             "embed_fwd_hook needs a vocab-sharded embedding; apply "
             '.shard("weight", axis=0) first'
         )
-    start, stop = vocab_range
-    if ids.is_meta:
-        module._slapo_meta["embed_mask"] = Tensor.meta(
-            tuple(ids.shape) + (1,), module.weight.dtype)
-        return args
-    raw = ids.data
-    outside = (raw < start) | (raw >= stop)
-    local = np.clip(raw - start, 0, stop - start - 1)
-    module._slapo_meta["embed_mask"] = Tensor(
-        (~outside)[..., None].astype(module.weight.dtype.np_dtype))
-    return (Tensor(local, dtype=ids.dtype),) + tuple(args[1:])
+    local, module._slapo_meta["embed_mask"] = vocab_shard(
+        args[0], *vocab_range, module.weight.dtype)
+    return (local,) + tuple(args[1:])
 
 
 def embed_bwd_hook(module, output, group):
@@ -54,8 +56,6 @@ def embed_bwd_hook(module, output, group):
     mask = module._slapo_meta.pop("embed_mask", None)
     if mask is None:
         raise RuntimeError("embed_bwd_hook must follow embed_fwd_hook")
-    if output.is_meta:
-        return group.all_reduce(output)
     return group.all_reduce(output * mask)
 
 
